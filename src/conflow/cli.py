@@ -7,8 +7,10 @@ files for the initial and final conformal factor, trajectory.npz (all
 logged snapshots, for verification and comparison), and summary.json.
 
 Exit codes: run returns 0 when the flow reached its horizon or a stationary
-state, 2 on blowup / positivity loss / f-domain violation, 1 on config
-errors.  verify returns nonzero iff any non-inconclusive check fails.
+state, 2 on blowup / positivity loss / f-domain violation / an exhausted
+step budget, 1 on config errors (a nonpositive u0 among them).  verify
+returns 2 when any non-inconclusive check fails and 1 on config errors or
+unknown check names, which are rejected before any run or check starts.
 Identical configs produce bit-identical CSV and summaries.
 """
 
@@ -201,14 +203,21 @@ def cmd_run(args) -> int:
 
 def _select_checks(args_checks, cfg: dict, case_tag: str) -> list[str]:
     if args_checks is not None:
-        return [c for c in args_checks.split(",") if c]
-    if "checks" in cfg:
-        return list(cfg["checks"])
-    return diagnostics.default_checks(case_tag)
+        names = [c for c in args_checks.split(",") if c]
+    elif "checks" in cfg:
+        names = list(cfg["checks"])
+    else:
+        names = diagnostics.default_checks(case_tag)
+    try:
+        diagnostics.require_known_checks(names)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return names
 
 
 def cmd_verify(args) -> int:
     target = Path(args.target)
+    traj = None
     try:
         if target.is_dir():
             traj, cfg = load_trajectory(target)
@@ -217,12 +226,13 @@ def cmd_verify(args) -> int:
         else:
             cfg = resolve_config_paths(_load_json(target), target.parent)
             rc = build_run_config(cfg, target.parent, seed=args.seed)
-            traj = run(rc)
             out = _default_out(target, cfg, args.out)
+        names = _select_checks(args.checks, cfg, rc.background.case_tag)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
-    names = _select_checks(args.checks, cfg, rc.background.case_tag)
+    if traj is None:
+        traj = run(rc)
     reports = diagnostics.run_checks(traj, rc.background, rc.f, names)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

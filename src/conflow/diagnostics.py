@@ -820,16 +820,24 @@ def default_checks(case_tag: str) -> list[str]:
     return base
 
 
+def require_known_checks(names: list[str]):
+    """Raise ValueError naming every entry of ``names`` that is no check."""
+    unknown = [name for name in names if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown check {', '.join(map(repr, unknown))};"
+                         f" known: {', '.join(CHECK_NAMES)}")
+
+
 def run_checks(traj: Trajectory, bg: Background, f: FSpec,
                names: list[str]) -> list[TheoremReport]:
-    """Dispatch checks by short name; a checker that cannot evaluate its
-    hypotheses reports inconclusive instead of raising."""
+    """Dispatch checks by short name.  Unknown names raise ValueError before
+    any check runs; a checker that cannot evaluate its hypotheses, or fails
+    in any other way, reports inconclusive instead of raising."""
+    require_known_checks(names)
     reports = []
     for name in names:
         try:
             reports.append(_dispatch(name, traj, bg, f))
-        except ValueError:
-            raise
         except Exception as exc:  # report, never throw
             reports.append(_inconclusive(name, traj, f"checker could not run: {exc}"))
     return reports

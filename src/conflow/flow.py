@@ -9,6 +9,13 @@ Both are integrated by the method of lines with explicit Euler or classical
 RK4, with the nonlocal mean A recomputed at every internal stage so that the
 quadrature-exact volume stationarity is preserved at scheme order.
 
+Per-step work of ``run``: one evaluation of the curvature, f(S) and A at
+the current state (``_Kernel.probe``) serves the stop tests, the step size
+and, unchanged, the first RK4 stage; ``advance`` adds the other three, so
+an RK4 step costs four right-hand-side evaluations (Euler: one).  The full
+diagnostics row (sigma, vol and the curvature norms) is built only on
+logged and terminal steps.
+
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
 
@@ -27,6 +34,7 @@ quadrature.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +125,8 @@ class RunConfig:
             raise ValueError("log_cadence must be >= 1")
         if self.u0.grid != self.background.grid:
             raise ValueError("u0 must live on the background grid")
+        if self.u0.min() <= 0.0:
+            raise PositivityError(f"u0 must be positive, its minimum is {self.u0.min():g}")
         if not self.normalized and self.renormalize_volume:
             raise ValueError("volume renormalization only applies to the normalized flow")
         if self.tau_stop is not None:
@@ -168,8 +178,44 @@ class Trajectory:
         return self.columns[name]
 
 
+def _mean(v: np.ndarray):
+    """v.mean() bit for bit (the same pairwise sum divided by the size),
+    without numpy's Python-level mean wrapper."""
+    return v.sum() / v.size
+
+
+class _Probe(NamedTuple):
+    """What every step of a run needs from its current state.
+
+    ``phi`` is f(S) and ``A`` its volume-weighted mean; outside f's domain
+    ``phi`` is None and ``A`` and ``fSA_sup`` are NaN.  ``wm`` is the mean
+    volume weight (the volume).
+    """
+
+    S: np.ndarray
+    w: np.ndarray
+    wm: float
+    phi: np.ndarray | None
+    A: float
+    fSA_sup: float
+    Smin: float
+    Smax: float
+    umin: float
+    umax: float
+
+    @property
+    def domain_ok(self) -> bool:
+        return self.phi is not None
+
+
 class _Kernel:
-    """Raw-array right-hand-side evaluations shared by one run."""
+    """Raw-array right-hand-side evaluations shared by one run.
+
+    Per RK4 step ``run`` makes four rhs evaluations: ``probe`` of the current
+    state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
+    bit, and three ``rhs`` calls in ``advance``.  ``row``, the full
+    diagnostics row, is only built on logged and terminal steps.
+    """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
         c = bg.constants
@@ -205,8 +251,15 @@ class _Kernel:
     def weight(self, u: np.ndarray) -> np.ndarray:
         return power(u, self.m)
 
-    def mean_f(self, phi: np.ndarray, w: np.ndarray) -> float:
-        return float((phi * w).mean() / w.mean())
+    def mean_f(self, phi: np.ndarray, w: np.ndarray, wm: float) -> float:
+        """A, the mean of phi weighted by w; wm is the mean of w."""
+        return float(_mean(phi * w) / wm)
+
+    def rate(self, phi: np.ndarray, A: float, u: np.ndarray) -> np.ndarray:
+        """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
+        if self.normalized:
+            return self.pref * (phi - A) * u
+        return self.pref * phi * u
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         if u.min() <= 0.0:
@@ -214,14 +267,16 @@ class _Kernel:
         S = self.curvature(u)
         self.require_domain(S)
         phi = self.f.eval_f(S)
+        A = math.nan
         if self.normalized:
-            return self.pref * (phi - self.mean_f(phi, self.weight(u))) * u
-        return self.pref * phi * u
+            w = self.weight(u)
+            A = self.mean_f(phi, w, _mean(w))
+        return self.rate(phi, A, u)
 
-    def advance(self, u: np.ndarray, dt: float, scheme: str) -> np.ndarray:
+    def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
+        """One Euler or RK4 step from u; k1 must be rhs(u)."""
         if scheme == "euler":
-            return u + dt * self.rhs(u)
-        k1 = self.rhs(u)
+            return u + dt * k1
         k2 = self.rhs(u + 0.5 * dt * k1)
         k3 = self.rhs(u + 0.5 * dt * k2)
         k4 = self.rhs(u + dt * k3)
@@ -234,37 +289,42 @@ class _Kernel:
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
         return safety * self.hmin2 / (2.0 * self.d * float(kappa.max()))
 
-    def record(self, u: np.ndarray, t: float, dt_used: float):
-        """Full diagnostics row; A and fSA_sup are NaN outside f's domain."""
+    def probe(self, u: np.ndarray) -> _Probe:
         S = self.curvature(u)
         w = self.weight(u)
-        wm = float(w.mean())
-        vol = wm
-        sig = float((S * w).mean()) / wm
-        ok = self.domain_ok(S)
-        if ok:
+        wm = float(_mean(w))
+        Smin, Smax = float(S.min()), float(S.max())
+        if self.f.domain.contains_interval(Smin, Smax):
             phi = self.f.eval_f(S)
-            A = self.mean_f(phi, w)
+            A = self.mean_f(phi, w, wm)
             fsa = float(np.abs(phi - A).max())
         else:
-            A = math.nan
-            fsa = math.nan
+            phi, A, fsa = None, math.nan, math.nan
+        return _Probe(S, w, wm, phi, A, fsa, Smin, Smax, float(u.min()), float(u.max()))
+
+    def row(self, p: _Probe, t: float, dt_used: float) -> dict:
+        """Full diagnostics row of a probed state."""
+        S, w = p.S, p.w
         halfn = 0.5 * self.n
-        row = {
+        return {
             "t": t,
             "dt": dt_used,
-            "Smin": float(S.min()),
-            "Smax": float(S.max()),
-            "A": A,
-            "sigma": sig,
-            "vol": vol,
-            "fSA_sup": fsa,
-            "lp2": float(((S * S) * w).mean()) ** 0.5,
-            "lpn2": float((np.abs(S) ** halfn * w).mean()) ** (1.0 / halfn),
-            "umin": float(u.min()),
-            "umax": float(u.max()),
+            "Smin": p.Smin,
+            "Smax": p.Smax,
+            "A": p.A,
+            "sigma": float(_mean(S * w)) / p.wm,
+            "vol": p.wm,
+            "fSA_sup": p.fSA_sup,
+            "lp2": float(_mean((S * S) * w)) ** 0.5,
+            "lpn2": float(_mean(np.abs(S) ** halfn * w)) ** (1.0 / halfn),
+            "umin": p.umin,
+            "umax": p.umax,
         }
-        return row, ok, S
+
+    def record(self, u: np.ndarray, t: float, dt_used: float):
+        """Full diagnostics row; A and fSA_sup are NaN outside f's domain."""
+        p = self.probe(u)
+        return self.row(p, t, dt_used), p.domain_ok, p.S
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +366,8 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
     if scheme not in ("euler", "rk4"):
         raise ValueError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
     kern = _Kernel(bg, f, normalized=normalized)
-    u_new = kern.advance(state.u.values, dt, scheme)
+    u = state.u.values
+    u_new = kern.advance(u, dt, scheme, kern.rhs(u))
     return ConformalState(ScalarField(bg.grid, u_new), state.t + dt)
 
 
@@ -380,24 +441,26 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig) -> Trajectory:
-    """Integrate until T_final, stationarity (normalized runs), or failure.
+    """Integrate until T_final, stationarity (normalized runs), failure, or
+    the step budget.
 
     Deterministic for a fixed config.  Diagnostics are logged every
     log_cadence steps plus always at the first and terminal states; the
     terminal record of an f-domain violation carries NaN in the f columns.
+    A step whose result is non-finite is rejected and ends the run as
+    ``blowup``; a run still going after _MAX_STEPS accepted steps ends as
+    ``step_budget``.
     """
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
-    if u.min() <= 0.0:
-        raise PositivityError("state outside positive cone")
     if config.renormalize_volume:
-        u = u * float(kern.weight(u).mean()) ** (-1.0 / kern.m)
+        u = u * float(_mean(kern.weight(u))) ** (-1.0 / kern.m)
 
     rows = {k: [] for k in RECORD_COLUMNS}
     snaps = []
     vol_pre = []
-    last_pre = float(kern.weight(u).mean())
+    last_pre = float(_mean(kern.weight(u)))
 
     track_tau = config.tau_stop is not None
     eta = 0.0
@@ -413,8 +476,9 @@ def run(config: RunConfig) -> Trajectory:
     termination = None
     notes = ""
 
-    def log_row(row):
+    def log_row(p):
         nonlocal logged_idx
+        row = kern.row(p, t, dt_used)
         for k in RECORD_COLUMNS:
             rows[k].append(row[k])
         snaps.append(u.copy())
@@ -424,34 +488,35 @@ def run(config: RunConfig) -> Trajectory:
         logged_idx = step_idx
 
     while True:
-        if step_idx > _MAX_STEPS:
-            raise RuntimeError("step budget exhausted; check the configuration")
-        row, domain_ok, S = kern.record(u, t, dt_used)
+        p = kern.probe(u)
 
-        if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(row["A"]):
+        if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(p.A):
             d = t - prev_t
             prev_eta = eta
-            eta += 0.5 * (prev_A + row["A"]) * d
+            eta += 0.5 * (prev_A + p.A) * d
             tau += 0.5 * (math.exp(-config.tau_alpha * prev_eta)
                           + math.exp(-config.tau_alpha * eta)) * d
-        prev_t, prev_A = t, row["A"]
+        prev_t, prev_A = t, p.A
 
-        if row["umin"] <= POSITIVITY_FLOOR:
+        if p.umin <= POSITIVITY_FLOOR:
             termination = "positivity_lost"
-        elif row["umax"] > BLOWUP_SUP or max(abs(row["Smin"]), abs(row["Smax"])) > BLOWUP_SUP:
+        elif p.umax > BLOWUP_SUP or max(abs(p.Smin), abs(p.Smax)) > BLOWUP_SUP:
             termination = "blowup"
-        elif not domain_ok:
+        elif not p.domain_ok:
             termination = "f_domain_violation"
-        elif config.normalized and row["fSA_sup"] <= config.stop_tol:
+        elif config.normalized and p.fSA_sup <= config.stop_tol:
             termination = "stationary"
         elif t >= config.T_final - 1e-14:
             termination = "time_reached"
         elif track_tau and tau >= config.tau_stop:
             termination = "time_reached"
             notes = f"rescaled-time target tau={config.tau_stop:g} reached at t={t:g}"
+        elif step_idx >= _MAX_STEPS:
+            termination = "step_budget"
+            notes = f"stopped after {step_idx} steps at t={t:g}"
 
         if termination is not None or step_idx % config.log_cadence == 0:
-            log_row(row)
+            log_row(p)
         if termination is not None:
             break
 
@@ -459,16 +524,22 @@ def run(config: RunConfig) -> Trajectory:
             if config.dt_policy.mode == "fixed":
                 dt = config.dt_policy.dt
             else:
-                dt = kern.stable_dt(u, S, config.dt_policy.safety)
+                dt = kern.stable_dt(u, p.S, config.dt_policy.safety)
             # land exactly on the horizon: clip the step, and absorb a
             # near-exact hit instead of leaving a sliver interval
             remaining = config.T_final - t
             if remaining <= 1.05 * dt:
                 dt = remaining
-            u_new = kern.advance(u, dt, config.scheme)
-            # never accept (or log) a state at or under the positivity floor
+            # the probe passed the positivity and domain tests, so its f(S)
+            # and A give the first stage exactly as rhs(u) would
+            u_new = kern.advance(u, dt, config.scheme, kern.rate(p.phi, p.A, u))
+            # never accept (or log) a state at or under the positivity floor,
+            # nor a non-finite one (NaN fails every comparison)
             if float(u_new.min()) <= POSITIVITY_FLOOR:
                 termination = "positivity_lost"
+            elif not math.isfinite(float(u_new.max())):
+                termination = "blowup"
+                notes = f"non-finite state after the step from t={t:g}"
         except PositivityError:
             termination = "positivity_lost"
         except FDomainError:
@@ -478,11 +549,11 @@ def run(config: RunConfig) -> Trajectory:
             notes = str(exc)
         if termination is not None:
             if logged_idx != step_idx:
-                log_row(row)
+                log_row(p)
             break
 
         if config.renormalize_volume:
-            last_pre = float(kern.weight(u_new).mean())
+            last_pre = float(_mean(kern.weight(u_new)))
             u_new = u_new * last_pre ** (-1.0 / kern.m)
         u = u_new
         t += dt

@@ -24,6 +24,7 @@ Conventions used throughout the package:
   ``u ** (2n/(n-2))``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,11 +147,27 @@ def _check_same_grid(a: ScalarField, b: ScalarField):
         raise GridMismatchError("fields live on different grids")
 
 
+@functools.lru_cache(maxsize=32)
+def _periodic_neighbours(grid: GridSpec) -> tuple:
+    """Per active axis: (index of the next node, index of the previous node,
+    h, h*h), so the stencils gather neighbours with ``take`` instead of
+    allocating two rolled copies per call.  The index arrays are shared by
+    every caller and therefore read-only."""
+    axes = []
+    for N, h in zip(grid.points, grid.spacing):
+        idx = np.arange(N)
+        nxt, prv = (idx + 1) % N, (idx - 1) % N
+        nxt.setflags(write=False)
+        prv.setflags(write=False)
+        axes.append((nxt, prv, h, h * h))
+    return tuple(axes)
+
+
 def laplacian0_values(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """Three-point periodic Laplacian on raw values (negative spectrum)."""
     out = np.zeros_like(v)
-    for ax, h in enumerate(grid.spacing):
-        out += (np.roll(v, -1, axis=ax) - 2.0 * v + np.roll(v, 1, axis=ax)) / (h * h)
+    for ax, (nxt, prv, _, h2) in enumerate(_periodic_neighbours(grid)):
+        out += (v.take(nxt, axis=ax) - 2.0 * v + v.take(prv, axis=ax)) / h2
     return out
 
 
@@ -161,10 +178,10 @@ def laplacian0(field: ScalarField) -> ScalarField:
 def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetrized forward/backward gradient product on raw values."""
     out = np.zeros_like(a)
-    for ax, h in enumerate(grid.spacing):
-        dpa = (np.roll(a, -1, axis=ax) - a) / h
-        dpb = (np.roll(b, -1, axis=ax) - b) / h
-        out += 0.5 * (dpa * dpb + np.roll(dpa, 1, axis=ax) * np.roll(dpb, 1, axis=ax))
+    for ax, (nxt, prv, h, _) in enumerate(_periodic_neighbours(grid)):
+        dpa = (a.take(nxt, axis=ax) - a) / h
+        dpb = (b.take(nxt, axis=ax) - b) / h
+        out += 0.5 * (dpa * dpb + dpa.take(prv, axis=ax) * dpb.take(prv, axis=ax))
     return out
 
 

@@ -274,3 +274,63 @@ def test_conflow_out_env(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, base_config(T_final=0.05), "envy.json")
     assert cli.main(["run", str(cfg)]) == 0
     assert (tmp_path / "envroot" / "envy" / "series.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Totality: bad input ends with one line and exit 1, a run out of steps
+# with a termination tag
+# ---------------------------------------------------------------------------
+
+def test_run_nonpositive_u0_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["u0"] = "constant:-1"
+    p = write_cfg(tmp_path, cfg)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "u0 must be positive" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_unknown_check_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(out), "--checks", "minmax,bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "unknown check 'bogus'" in captured.err
+    assert not (out / "report.json").exists()
+    # a config target is rejected before its run starts
+    fresh = tmp_path / "fresh"
+    assert cli.main(["verify", str(cfg), "--checks", "bogus", "--out", str(fresh)]) == 1
+    assert not fresh.exists()
+
+
+def test_step_budget_exit_2(tmp_path, monkeypatch):
+    from conflow import flow
+
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    p = write_cfg(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "step_budget"
+
+
+def test_sweep_step_budget_keeps_every_member(tmp_path, monkeypatch):
+    from conflow import flow
+
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    plan = sweep_plan(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(plan), "--out", str(out), "--jobs", "1"]) == 2
+    rows = [r.split(",") for r in (out / "aggregate.csv").read_text().splitlines()[1:]]
+    # "d" has constant curvature and is stationary at once
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("a", "step_budget", "2"), ("b", "step_budget", "2"),
+        ("c", "step_budget", "2"), ("d", "stationary", "0")]
+    for rid in ("a", "b", "c", "d"):
+        assert (out / rid / "summary.json").exists()

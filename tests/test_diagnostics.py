@@ -238,6 +238,27 @@ def test_run_checks_dispatch(neg_run):
         dg.run_checks(traj, bg, classical(), ["nope"])
 
 
+def test_run_checks_rejects_unknown_names_before_running(neg_run, monkeypatch):
+    traj, bg = neg_run
+    ran = []
+    monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        dg.run_checks(traj, bg, classical(), ["minmax", "bogus"])
+    assert ran == []
+
+
+def test_run_checks_reports_checker_value_error_inconclusive(neg_run, monkeypatch):
+    traj, bg = neg_run
+
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(dg, "check_minmax_principle", broken)
+    reports = dg.run_checks(traj, bg, classical(), ["minmax", "u_bounds"])
+    assert reports[0].passed is None and "boom" in reports[0].notes
+    assert reports[1].passed is True
+
+
 # ---------------------------------------------------------------------------
 # Negative controls: every checker must flag a crafted violation
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import conflow
+from conflow import flow
 from conflow.conformal import ConformalState, FDomainError, background_from_spec, scalar_curvature
 from conflow.flow import (
     DtPolicy,
@@ -294,6 +297,85 @@ def test_run_domain_violation_records_nan():
     assert traj.termination == "f_domain_violation"
     assert np.isnan(traj.columns["A"][-1])
     assert np.isfinite(traj.columns["Smin"][-1])
+
+
+@pytest.mark.parametrize("scheme, steps", [("euler", 3), ("rk4", 0)])
+def test_run_rejects_non_finite_step(scheme, steps):
+    # f turns NaN from its fourth evaluation on: the NaN reaches u through
+    # the probe's stage (Euler, at step 3) or the last RK4 stage (step 0);
+    # either way the step must be rejected, not accepted and logged
+    calls = []
+    base = classical()
+
+    def eval_f(S):
+        calls.append(None)
+        return base.eval_f(S) if len(calls) < 4 else np.full_like(S, np.nan)
+
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
+                    u0=ScalarField.constant(g, 1.0), T_final=1.0,
+                    dt_policy=DtPolicy.fixed(1e-3), scheme=scheme)
+    traj = run(cfg)
+    assert traj.termination == "blowup"
+    assert abs(traj.times[-1] - steps * 1e-3) < 1e-15
+    assert np.all(np.isfinite(traj.snapshots))
+    assert np.all(np.isfinite(traj.columns["umax"]))
+
+
+def test_run_step_budget_termination(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 5)
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                    T_final=10.0, dt_policy=DtPolicy.fixed(1e-3), log_cadence=2)
+    traj = run(cfg)
+    assert traj.termination == "step_budget"
+    # records at steps 0, 2, 4 and the terminal step 5
+    assert traj.n_records == 4
+    assert abs(traj.times[-1] - 5e-3) < 1e-15
+
+
+def test_run_config_rejects_nonpositive_u0():
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    with pytest.raises(PositivityError, match="u0 must be positive"):
+        RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, -1.0),
+                  T_final=1.0)
+
+
+def test_kernel_mean_is_numpy_mean_bitwise():
+    rng = np.random.default_rng(3)
+    for shape in [(7,), (128,), (1000,), (16, 24), (8, 10, 12)]:
+        for _ in range(20):
+            v = rng.lognormal(sigma=2.0, size=shape)
+            assert flow._mean(v) == v.mean()
+
+
+def test_probe_matches_rhs_and_reference_row():
+    # the run loop's first RK stage comes from the probe and must equal
+    # rhs(u) bit for bit; the row must equal the formulas with numpy means
+    g, bg, f, _ = neg_setup(N=64)
+    u = 1.0 + 0.1 * np.cos(g.axis_coordinates(0))
+    for normalized in (False, True):
+        kern = flow._Kernel(bg, f, normalized=normalized)
+        p = kern.probe(u)
+        assert np.array_equal(kern.rate(p.phi, p.A, u), kern.rhs(u))
+    S, w = kern.curvature(u), kern.weight(u)
+    phi = f.eval_f(S)
+    A = float((phi * w).mean() / w.mean())
+    halfn = 0.5 * bg.n
+    expected = {
+        "t": 0.25, "dt": 1e-3, "Smin": float(S.min()), "Smax": float(S.max()), "A": A,
+        "sigma": float((S * w).mean()) / float(w.mean()), "vol": float(w.mean()),
+        "fSA_sup": float(np.abs(phi - A).max()),
+        "lp2": float(((S * S) * w).mean()) ** 0.5,
+        "lpn2": float((np.abs(S) ** halfn * w).mean()) ** (1.0 / halfn),
+        "umin": float(u.min()), "umax": float(u.max()),
+    }
+    assert kern.row(p, 0.25, 1e-3) == expected
+    row, ok, S_rec = kern.record(u, 0.25, 1e-3)
+    assert row == expected and ok and np.array_equal(S_rec, S)
 
 
 def test_run_volume_pinned_with_renormalization():

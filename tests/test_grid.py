@@ -9,9 +9,11 @@ from conflow.grid import (
     ScalarField,
     field_from_spec,
     grad_inner,
+    grad_inner_values,
     integrate0,
     integrate_g,
     laplacian0,
+    laplacian0_values,
     lp_norm_g,
     read_field,
     write_field,
@@ -224,6 +226,36 @@ def test_summation_by_parts_2d():
     resid = integrate0(ScalarField(g, a.values * laplacian0(b).values)) \
         + integrate0(grad_inner(a, b))
     assert abs(resid) < 1e-9  # 1/h^2 here is ~1000, rounding scales with it
+
+
+def _roll_laplacian(grid, v):
+    out = np.zeros_like(v)
+    for ax, h in enumerate(grid.spacing):
+        out += (np.roll(v, -1, axis=ax) - 2.0 * v + np.roll(v, 1, axis=ax)) / (h * h)
+    return out
+
+
+def _roll_grad_inner(grid, a, b):
+    out = np.zeros_like(a)
+    for ax, h in enumerate(grid.spacing):
+        dpa = (np.roll(a, -1, axis=ax) - a) / h
+        dpb = (np.roll(b, -1, axis=ax) - b) / h
+        out += 0.5 * (dpa * dpb + np.roll(dpa, 1, axis=ax) * np.roll(dpb, 1, axis=ax))
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(4, 1, (128,), (TWO_PI,)),
+    GridSpec(4, 1, (9,), (1.3,)),
+    GridSpec(5, 2, (16, 24), (1.0, 2.7)),
+    GridSpec(5, 3, (8, 10, 12), (1.0, 2.0, 3.0)),
+])
+def test_stencils_match_roll_reference_bitwise(grid):
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        a, b = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
+        assert np.array_equal(laplacian0_values(grid, a), _roll_laplacian(grid, a))
+        assert np.array_equal(grad_inner_values(grid, a, b), _roll_grad_inner(grid, a, b))
 
 
 # ---------------------------------------------------------------------------
