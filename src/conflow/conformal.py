@@ -123,7 +123,8 @@ def conformal_laplacian(bg: Background, u: ScalarField) -> ScalarField:
 
 
 def scalar_curvature_values(bg: Background, u: np.ndarray) -> np.ndarray:
-    """Raw-array curvature u^(-beta) * L(u) (no validation)."""
+    """Raw-array curvature u^(-beta) * L(u) (no validation).  ``u`` may be
+    one field or a ``(K, *grid.shape)`` stack of records."""
     c = bg.constants
     L = bg.S0.values * u - c.c_n * laplacian0_values(bg.grid, u)
     return power(u, -c.beta) * L

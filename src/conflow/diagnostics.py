@@ -11,6 +11,11 @@ min/max checks use an additive tolerance 1e-6 + 3e-3 * h**2.  The h**2
 coefficient was calibrated once by a resolution study (the chosen stencils
 satisfy the discrete maximum principle exactly, so measured violations sit
 orders of magnitude below this allowance; see tests).
+
+Checks that evaluate operators on the logged snapshots do so in blocks of
+records (``grid.record_blocks``): each operator is called once per block on
+a ``(B, *grid.shape)`` stack, and per-record means are ``grid.record_means``,
+bit for bit the record-by-record values.
 """
 
 import math
@@ -18,10 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conformal import Background
-from .flow import RunConfig, Trajectory, _Kernel, hamilton_rescale, run
+from .conformal import Background, FDomainError, scalar_curvature_values
+from .flow import Trajectory, _cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
-from .grid import grad_inner_values, laplacian0_values, power
+from .grid import PositivityError, grad_inner_values, power, record_blocks, record_means
 
 __all__ = [
     "TheoremReport",
@@ -127,6 +132,54 @@ def _require_normalized(check_id, traj):
     if traj.kind != "normalized":
         return _inconclusive(check_id, traj, f"requires a normalized trajectory, got {traj.kind}")
     return None
+
+
+def _per_record(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-record scalars shaped to broadcast against a stack of ``ndim`` axes."""
+    return a.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record minimum and maximum of a stack."""
+    flat = v.reshape(len(v), -1)
+    return flat.min(axis=1), flat.max(axis=1)
+
+
+def _domain_end(f: FSpec, smin: np.ndarray, smax: np.ndarray) -> int:
+    """Index of the first record whose curvature range leaves f's domain,
+    or the number of records when none does."""
+    for k, (lo, hi) in enumerate(zip(smin.tolist(), smax.tolist())):
+        if not f.domain.contains_interval(lo, hi):
+            return k
+    return len(smin)
+
+
+def _curvature(traj: Trajectory, U: np.ndarray) -> np.ndarray:
+    """Curvature of a block of snapshots on the trajectory's own background."""
+    if traj.config is None:
+        raise ValueError("trajectory carries no configuration")
+    return scalar_curvature_values(traj.config.background, U)
+
+
+def _rhs_sup(bg: Background, f: FSpec, U: np.ndarray) -> np.ndarray:
+    """sup |du/dt| of the normalized flow at each state of a block.  Raises
+    what a record-by-record right-hand side raises at the block's first
+    nonpositive or out-of-domain record."""
+    nonpositive = np.flatnonzero(_extremes(U)[0] <= 0.0)
+    positive = int(nonpositive[0]) if nonpositive.size else len(U)
+    S = scalar_curvature_values(bg, U[:positive])
+    smin, smax = _extremes(S)
+    k = _domain_end(f, smin, smax)
+    if k < positive:
+        raise FDomainError(f"f-domain violation: S range [{smin[k]:g}, {smax[k]:g}]"
+                           f" not inside {f.domain}")
+    if positive < len(U):
+        raise PositivityError("state outside positive cone")
+    phi = f.eval_f(S)
+    w = power(U, bg.constants.vol_exp)
+    A = record_means(phi * w) / record_means(w)
+    rate = 0.25 * (bg.n - 2.0) * (phi - _per_record(A, U.ndim)) * U
+    return np.abs(rate).reshape(len(U), -1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +340,9 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
         B_pred, C_pred = predicted_decay_constants(bg, f)
         half_width = 0.25 * (n - 2.0) * C_pred / B_pred
         lo, hi = math.exp(-half_width), math.exp(half_width)
-        kern = _Kernel(bg, f, normalized=True)
-        dudt = np.array([float(np.abs(kern.rhs(traj.snapshots[k])).max())
-                         for k in range(traj.n_records)])
+        dudt = np.empty(traj.n_records)
+        for sl in record_blocks(traj.grid, traj.n_records):
+            dudt[sl] = _rhs_sup(bg, f, traj.snapshots[sl])
         ctilde = 0.25 * (n - 2.0) * C_pred * hi
         env = DECAY_ENVELOPE_FACTOR * ctilde * np.exp(-B_pred * t) + 1e-12
         measured = {
@@ -352,13 +405,6 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
 # Evolution identities
 # ---------------------------------------------------------------------------
 
-def _relative_defect(dq: np.ndarray, rhs: np.ndarray, q_scale: float) -> float:
-    num = float(np.abs(dq - rhs).max()) if dq.size else 0.0
-    den = max(float(np.abs(rhs).max()) if rhs.size else 0.0,
-              1e-3 * max(1.0, q_scale), 1e-300)
-    return num / den
-
-
 def _truncation_floor(rhs: np.ndarray, t: np.ndarray) -> float:
     """Estimated size of the three-point stencil's truncation error,
     |dp*dm/6 * Q'''|, with Q''' read off the analytic rate series."""
@@ -406,10 +452,10 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
             note = (f"dropped p={dropped} for the |S|^p family:"
                     " S changes sign and fractional powers kink there")
 
-    kern = _Kernel(bg, f, normalized=True)
     grid = traj.grid
     t = traj.times
     halfn = 0.5 * n
+    vol_exp = bg.constants.vol_exp
 
     names = ["A", "sigma", "vol"]
     names += [f"int|S|^{p:g}" for p in ps]
@@ -418,50 +464,56 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     R = {name: np.empty(K) for name in names}
     sigma_gap = 0.0
 
-    for k in range(K):
-        u = traj.snapshots[k]
-        S = kern.curvature(u)
-        if not kern.domain_ok(S):
+    def per_record(a):
+        return _per_record(a, traj.snapshots.ndim)
+
+    for sl in record_blocks(grid, K):
+        u = traj.snapshots[sl]
+        S = scalar_curvature_values(bg, u)
+        smin, smax = _extremes(S)
+        k = _domain_end(f, smin, smax)
+        if k < len(u):
             return _inconclusive("evolution_identities", traj,
-                                 f"record {k} leaves the domain of f")
-        w = kern.weight(u)
-        V = float(w.mean())
+                                 f"record {sl.start + k} leaves the domain of f")
+        w = power(u, vol_exp)
+        V = record_means(w)
         phi = f.eval_f(S)
         fp = f.eval_fp(S)
         fpp = f.eval_fpp(S)
-        A = float((phi * w).mean()) / V
-        sig = float((S * w).mean()) / V
+        A = record_means(phi * w) / V
+        sig = record_means(S * w) / V
         gsq = power(u, -4.0 / (n - 2.0)) * grad_inner_values(grid, S, S)
-        dev = phi - A
+        dev = phi - per_record(A)
 
-        Q["A"][k] = A
-        Q["sigma"][k] = sig
-        Q["vol"][k] = V
-        R["A"][k] = ((n - 1.0) * float((fp * fpp * gsq * w).mean())
-                     + float(((halfn * phi - S * fp) * dev * w).mean())) / V
-        s1 = 0.5 * (n - 2.0) * float((S * dev * w).mean()) / V
-        s2 = 0.5 * (n - 2.0) * float(((S - sig) * dev * w).mean()) / V
-        sigma_gap = max(sigma_gap, abs(s1 - s2))
-        R["sigma"][k] = s1
-        R["vol"][k] = halfn * float((dev * w).mean())
+        Q["A"][sl] = A
+        Q["sigma"][sl] = sig
+        Q["vol"][sl] = V
+        RA = ((n - 1.0) * record_means(fp * fpp * gsq * w)
+              + record_means((halfn * phi - S * fp) * dev * w)) / V
+        R["A"][sl] = RA
+        s1 = 0.5 * (n - 2.0) * record_means(S * dev * w) / V
+        s2 = 0.5 * (n - 2.0) * record_means((S - per_record(sig)) * dev * w) / V
+        sigma_gap = max(sigma_gap, float(np.abs(s1 - s2).max()))
+        R["sigma"][sl] = s1
+        R["vol"][sl] = halfn * record_means(dev * w)
+        absS = np.abs(S)
         for p in ps:
-            absS = np.abs(S)
-            Q[f"int|S|^{p:g}"][k] = float((absS ** p * w).mean())
-            R[f"int|S|^{p:g}"][k] = (
-                p * (p - 1.0) * (n - 1.0) * float((absS ** (p - 2.0) * fp * gsq * w).mean())
-                + (halfn - p) * float((absS ** p * dev * w).mean()))
-        dS = S - sig
-        Q["int|S-sigma|^2"][k] = float((dS * dS * w).mean())
-        R["int|S-sigma|^2"][k] = (
-            2.0 * (n - 1.0) * float((fp * gsq * w).mean())
-            + (halfn - 2.0) * float((dev * dS * dS * w).mean())
-            - 2.0 * float(((s1 + sig * dev) * dS * w).mean()))
-        Q["int|f-A|^2"][k] = float((dev * dev * w).mean())
-        R["int|f-A|^2"][k] = (
-            2.0 * (n - 1.0) * float((dev * fp * fpp * gsq * w).mean())
-            + 2.0 * (n - 1.0) * float((fp ** 3 * gsq * w).mean())
-            + float((dev * dev * (halfn * dev - 2.0 * S * fp) * w).mean())
-            - 2.0 * R["A"][k] * float((dev * w).mean()))
+            Q[f"int|S|^{p:g}"][sl] = record_means(absS ** p * w)
+            R[f"int|S|^{p:g}"][sl] = (
+                p * (p - 1.0) * (n - 1.0) * record_means(absS ** (p - 2.0) * fp * gsq * w)
+                + (halfn - p) * record_means(absS ** p * dev * w))
+        dS = S - per_record(sig)
+        Q["int|S-sigma|^2"][sl] = record_means(dS * dS * w)
+        R["int|S-sigma|^2"][sl] = (
+            2.0 * (n - 1.0) * record_means(fp * gsq * w)
+            + (halfn - 2.0) * record_means(dev * dS * dS * w)
+            - 2.0 * record_means((per_record(s1) + per_record(sig) * dev) * dS * w))
+        Q["int|f-A|^2"][sl] = record_means(dev * dev * w)
+        R["int|f-A|^2"][sl] = (
+            2.0 * (n - 1.0) * record_means(dev * fp * fpp * gsq * w)
+            + 2.0 * (n - 1.0) * record_means(fp ** 3 * gsq * w)
+            + record_means(dev * dev * (halfn * dev - 2.0 * S * fp) * w)
+            - 2.0 * RA * record_means(dev * w))
 
     # second-order three-point derivative, exact for quadratics on
     # nonuniform record spacing
@@ -475,11 +527,16 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
         dq = (dm / (dp * (dp + dm)) * q[2:]
               + (dp - dm) / (dp * dm) * q[1:-1]
               - dp / (dm * (dp + dm)) * q[:-2])
-        den = max(float(np.abs(R[name]).max()), 1e-3 * max(1.0, float(np.abs(q).max())), 1e-300)
-        defects[name] = _relative_defect(dq, R[name][1:-1], float(np.abs(q).max()))
+        # the defect is scaled by the interior rates it is compared with,
+        # the time-resolution floor by the rates at every record
+        q_floor = 1e-3 * max(1.0, float(np.abs(q).max()))
+        r_mid = R[name][1:-1]
+        defects[name] = (float(np.abs(dq - r_mid).max())
+                         / max(float(np.abs(r_mid).max()), q_floor, 1e-300))
         # tolerance: the stated relative defect plus the measured resolution
         # of the record grid itself (three-point truncation of the rates)
-        floors[name] = 3.0 * _truncation_floor(R[name], t) / den
+        floors[name] = (3.0 * _truncation_floor(R[name], t)
+                        / max(float(np.abs(R[name]).max()), q_floor, 1e-300))
         ok = ok and defects[name] <= rel_tol + floors[name]
     defects["sigma_forms_gap"] = sigma_gap
 
@@ -522,11 +579,9 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     if 2.0 <= halfn:
         norms[2.0] = traj.column("lp2")
     p1 = np.empty(traj.n_records)
-    for k in range(traj.n_records):
-        u = traj.snapshots[k]
-        S = np.abs(_curvature_of(traj, k))
-        w = power(u, kern_pow)
-        p1[k] = float((S * w).mean())
+    for sl in record_blocks(traj.grid, traj.n_records):
+        u = traj.snapshots[sl]
+        p1[sl] = record_means(np.abs(_curvature(traj, u)) * power(u, kern_pow))
     norms[1.0] = p1
 
     measured = {
@@ -540,14 +595,6 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
         ok = ok and margin >= 0.0
     return TheoremReport("lp_monotonicity", bool(ok), measured,
                          {"bound": init}, {"slack": EXACT_TOL}, "", _segment(traj))
-
-
-def _curvature_of(traj: Trajectory, k: int) -> np.ndarray:
-    cfg = traj.config
-    if cfg is None:
-        raise ValueError("trajectory carries no configuration")
-    kern = _Kernel(cfg.background, cfg.f, normalized=True)
-    return kern.curvature(traj.snapshots[k])
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +671,11 @@ def check_flat_identity(traj: Trajectory, bg: Background) -> TheoremReport:
         return gate
     beta = bg.constants.beta
     worst_integral = 0.0
-    for k in range(traj.n_records):
-        u = traj.snapshots[k]
-        S = power(u, -beta) * (bg.S0.values * u
-                               - bg.constants.c_n * laplacian0_values(bg.grid, u))
-        worst_integral = max(worst_integral, abs(float((power(u, beta) * S).mean())))
+    for sl in record_blocks(traj.grid, traj.n_records):
+        u = traj.snapshots[sl]
+        S = scalar_curvature_values(bg, u)
+        integrals = np.abs(record_means(power(u, beta) * S))
+        worst_integral = max(worst_integral, float(integrals.max()))
     smin = traj.column("Smin")
     measured = {
         "max_abs_integral": worst_integral,
@@ -668,39 +715,43 @@ def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray,
     return worst, count
 
 
-def check_rescale_equivalence(bg: Background, f: FSpec, config: RunConfig,
+def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
                               tol: float = RESCALE_TOL) -> TheoremReport:
-    """Runs the normalized flow and the non-normalized flow (stopped once
-    its rescaled time covers the normalized horizon), rescales the latter,
-    and compares the conformal factors on matched times."""
-    traj_norm = run(config)
-    tau_target = float(traj_norm.times[-1])
+    """Runs the non-normalized flow of the normalized trajectory's config
+    (stopped once its rescaled time covers the trajectory's horizon),
+    rescales it, and compares the conformal factors on matched times."""
+    gate = _require_normalized("rescale_equivalence", traj)
+    if gate:
+        return gate
+    if traj.config is None:
+        return _inconclusive("rescale_equivalence", traj, "no configuration attached")
+    tau_target = float(traj.times[-1])
     cfg_nn = replace(
-        config,
+        traj.config,
         normalized=False,
         renormalize_volume=False,
         log_cadence=1,
         stop_tol=0.0,
-        T_final=max(1e9, 10.0 * config.T_final),
+        T_final=max(1e9, 10.0 * traj.config.T_final),
         tau_stop=tau_target * (1.0 + 1e-9) + 1e-12,
         tau_alpha=f.alpha_homogeneous,
     )
     traj_nn = run(cfg_nn)
     rescaled = hamilton_rescale(traj_nn, f)
-    gap, count = sup_deviation_on_times(traj_norm.times, traj_norm.snapshots,
+    gap, count = sup_deviation_on_times(traj.times, traj.snapshots,
                                         rescaled.times, rescaled.snapshots)
     notes = ""
-    if count < traj_norm.n_records:
-        notes = (f"rescaled run covers {count} of {traj_norm.n_records} normalized records"
+    if count < traj.n_records:
+        notes = (f"rescaled run covers {count} of {traj.n_records} normalized records"
                  f" (non-normalized run ended with {traj_nn.termination})")
     return TheoremReport(
         id="rescale_equivalence",
-        passed=bool(gap <= tol and count == traj_norm.n_records),
+        passed=bool(gap <= tol and count == traj.n_records),
         measured={"sup_gap": gap, "matched_records": count},
         predicted={"alpha": f.alpha_homogeneous},
         tolerances={"sup_tol": tol},
         notes=notes,
-        segment=_segment(traj_norm),
+        segment=_segment(traj),
     )
 
 
@@ -731,10 +782,9 @@ def check_stationary_limit(traj: Trajectory, bg: Background, f: FSpec) -> Theore
     if traj.termination != "stationary":
         return _inconclusive("stationary_limit", traj,
                              f"run terminated with {traj.termination}, not stationary")
-    kern = _Kernel(bg, f, normalized=True)
     u = traj.snapshots[-1]
-    S = kern.curvature(u)
-    w = kern.weight(u)
+    S = scalar_curvature_values(bg, u)
+    w = power(u, bg.constants.vol_exp)
     A = float((f.eval_f(S) * w).mean() / w.mean())
     sig = float((S * w).mean() / w.mean())
     spread = float(S.max() - S.min())
@@ -776,14 +826,14 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
                              notes="skipped: curvature not nonnegative",
                              segment=_segment(traj))
     m = 2.0 * n / (n - 2.0)
-    vals = np.empty(traj.n_records)
-    for k in range(traj.n_records):
-        u = traj.snapshots[k]
-        S = np.maximum(_curvature_of(traj, k), 0.0)
-        vals[k] = float((S ** q * power(u, m)).mean()) ** ((n - 2.0) / n)
-    t = traj.times
-    integral = np.zeros_like(vals)
-    integral[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(t))
+    means = []
+    for sl in record_blocks(traj.grid, traj.n_records):
+        u = traj.snapshots[sl]
+        S = np.maximum(_curvature(traj, u), 0.0)
+        means += record_means(S ** q * power(u, m)).tolist()
+    # Python float powers, as record by record (numpy's may round differently)
+    vals = np.array([v ** ((n - 2.0) / n) for v in means])
+    integral = _cumtrapz(vals, traj.times)
     return TheoremReport("sobolev_integral_info", None,
                          measured={"final_integral": float(integral[-1]),
                                    "max_integrand": float(vals.max())},
@@ -859,9 +909,7 @@ def _dispatch(name: str, traj: Trajectory, bg: Background, f: FSpec) -> TheoremR
     if name == "flat_identity":
         return check_flat_identity(traj, bg)
     if name == "rescale":
-        if traj.config is None:
-            return _inconclusive("rescale_equivalence", traj, "no configuration attached")
-        return check_rescale_equivalence(bg, f, traj.config)
+        return check_rescale_equivalence(traj, bg, f)
     if name == "stationary":
         return check_stationary_limit(traj, bg, f)
     if name == "sobolev_info":

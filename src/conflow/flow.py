@@ -29,7 +29,7 @@ For homogeneous f of degree alpha, a non-normalized run can be mapped onto
 the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
 the time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of
 the logged A series; ``hamilton_rescale`` implements this with trapezoid
-quadrature.
+quadrature and builds the rescaled rows in blocks of records.
 """
 
 import math
@@ -40,7 +40,15 @@ import numpy as np
 
 from .conformal import Background, ConformalState, FDomainError
 from .fzoo import FSpec, homogeneity_check
-from .grid import GridSpec, PositivityError, ScalarField, laplacian0_values, power
+from .grid import (
+    GridSpec,
+    PositivityError,
+    ScalarField,
+    laplacian0_values,
+    power,
+    record_blocks,
+    record_means,
+)
 
 __all__ = [
     "DtPolicy",
@@ -214,7 +222,8 @@ class _Kernel:
     Per RK4 step ``run`` makes four rhs evaluations: ``probe`` of the current
     state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
     bit, and three ``rhs`` calls in ``advance``.  ``row``, the full
-    diagnostics row, is only built on logged and terminal steps.
+    diagnostics row, is only built on logged and terminal steps; ``rows``
+    builds the same rows for a stack of states at once.
     """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
@@ -238,13 +247,16 @@ class _Kernel:
     def curvature(self, u: np.ndarray) -> np.ndarray:
         return power(u, -self.beta) * (self.S0v * u - self.cn * self.lap(u))
 
-    def domain_ok(self, S: np.ndarray) -> bool:
-        return self.f.domain.contains_interval(float(S.min()), float(S.max()))
-
     def require_domain(self, S: np.ndarray):
-        if not self.domain_ok(S):
+        """Raise FloatingPointError for a non-finite S (NaN fails every
+        domain test, so it is caught first) and FDomainError for an S range
+        outside f's domain."""
+        smin, smax = float(S.min()), float(S.max())
+        if not (math.isfinite(smin) and math.isfinite(smax)):
+            raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
+        if not self.f.domain.contains_interval(smin, smax):
             raise FDomainError(
-                f"f-domain violation: S range [{S.min():g}, {S.max():g}]"
+                f"f-domain violation: S range [{smin:g}, {smax:g}]"
                 f" not inside {self.f.domain}"
             )
 
@@ -325,6 +337,43 @@ class _Kernel:
         """Full diagnostics row; A and fSA_sup are NaN outside f's domain."""
         p = self.probe(u)
         return self.row(p, t, dt_used), p.domain_ok, p.S
+
+    def rows(self, U: np.ndarray, t: np.ndarray, dt_used: np.ndarray) -> dict:
+        """Diagnostics columns of a ``(K, *grid.shape)`` stack of states;
+        entry k is bit for bit ``record(U[k], t[k], dt_used[k])``'s row."""
+        K = len(U)
+        S = self.curvature(U)
+        w = self.weight(U)
+        wm = record_means(w)
+        Sk, Uk = S.reshape(K, -1), U.reshape(K, -1)
+        Smin, Smax = Sk.min(axis=1), Sk.max(axis=1)
+        ok = np.array([self.f.domain.contains_interval(lo, hi)
+                       for lo, hi in zip(Smin.tolist(), Smax.tolist())], dtype=bool)
+        A = np.full(K, math.nan)
+        fsa = np.full(K, math.nan)
+        if ok.any():
+            phi = self.f.eval_f(S[ok])
+            A[ok] = record_means(phi * w[ok]) / wm[ok]
+            dev = phi - A[ok].reshape((-1,) + (1,) * (U.ndim - 1))
+            fsa[ok] = np.abs(dev).reshape(len(dev), -1).max(axis=1)
+        halfn = 0.5 * self.n
+        lp2 = record_means((S * S) * w).tolist()
+        lpn2 = record_means(np.abs(S) ** halfn * w).tolist()
+        return {
+            "t": t,
+            "dt": dt_used,
+            "Smin": Smin,
+            "Smax": Smax,
+            "A": A,
+            "sigma": record_means(S * w) / wm,
+            "vol": wm,
+            "fSA_sup": fsa,
+            # Python float powers, as in row(): numpy's `** 0.5` is a sqrt
+            "lp2": np.array([v ** 0.5 for v in lp2]),
+            "lpn2": np.array([v ** (1.0 / halfn) for v in lpn2]),
+            "umin": Uk.min(axis=1),
+            "umax": Uk.max(axis=1),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +496,9 @@ def run(config: RunConfig) -> Trajectory:
     Deterministic for a fixed config.  Diagnostics are logged every
     log_cadence steps plus always at the first and terminal states; the
     terminal record of an f-domain violation carries NaN in the f columns.
-    A step whose result is non-finite is rejected and ends the run as
-    ``blowup``; a run still going after _MAX_STEPS accepted steps ends as
-    ``step_budget``.
+    A step whose result, or the curvature of one of whose RK4 stages, is
+    non-finite is rejected and ends the run as ``blowup``; a run still going
+    after _MAX_STEPS accepted steps ends as ``step_budget``.
     """
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)
@@ -544,6 +593,9 @@ def run(config: RunConfig) -> Trajectory:
             termination = "positivity_lost"
         except FDomainError:
             termination = "f_domain_violation"
+        except FloatingPointError:
+            termination = "blowup"
+            notes = f"non-finite curvature in a stage of the step from t={t:g}"
         except ParabolicityError as exc:
             termination = "f_domain_violation"
             notes = str(exc)
@@ -589,7 +641,7 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> Trajectory:
     eta is the trapezoid integral of the logged A series, the new time is
     tau with d(tau)/dt = exp(-alpha*eta), and the conformal factor becomes
     exp(-(n-2)/4 * eta) * v.  Requires f homogeneous of a known degree; both
-    eta(0) and tau(0) are zero.
+    eta(0) and tau(0) are zero.  The rows are built in blocks of records.
     """
     if traj.kind != "non_normalized":
         raise ValueError("hamilton_rescale expects a non-normalized trajectory")
@@ -610,17 +662,15 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> Trajectory:
     rescaled = traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))
 
     kern = _Kernel(traj.config.background, f, normalized=True)
-    rows = {k: [] for k in RECORD_COLUMNS}
-    prev_tau = 0.0
-    for k in range(traj.n_records):
-        row, _, _ = kern.record(rescaled[k], float(tau[k]), float(tau[k]) - prev_tau)
-        prev_tau = float(tau[k])
-        for key in RECORD_COLUMNS:
-            rows[key].append(row[key])
+    dtau = np.diff(tau, prepend=0.0)
+    columns = {k: np.empty(traj.n_records) for k in RECORD_COLUMNS}
+    for sl in record_blocks(traj.grid, traj.n_records):
+        for key, col in kern.rows(rescaled[sl], tau[sl], dtau[sl]).items():
+            columns[key][sl] = col
     return Trajectory(
         kind="rescaled",
         termination=traj.termination,
-        columns={k: np.asarray(v, dtype=float) for k, v in rows.items()},
+        columns=columns,
         snapshots=rescaled,
         grid=traj.grid,
         n=traj.n,

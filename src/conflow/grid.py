@@ -38,6 +38,8 @@ __all__ = [
     "laplacian0",
     "grad_inner",
     "integrate0",
+    "record_blocks",
+    "record_means",
     "integrate_g",
     "lp_norm_g",
     "field_min",
@@ -164,9 +166,12 @@ def _periodic_neighbours(grid: GridSpec) -> tuple:
 
 
 def laplacian0_values(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    """Three-point periodic Laplacian on raw values (negative spectrum)."""
+    """Three-point periodic Laplacian on raw values (negative spectrum).
+
+    The stencil acts on the trailing ``active_dims`` axes, so a
+    ``(K, *grid.shape)`` stack of records gives each record's Laplacian."""
     out = np.zeros_like(v)
-    for ax, (nxt, prv, _, h2) in enumerate(_periodic_neighbours(grid)):
+    for ax, (nxt, prv, _, h2) in enumerate(_periodic_neighbours(grid), -grid.active_dims):
         out += (v.take(nxt, axis=ax) - 2.0 * v + v.take(prv, axis=ax)) / h2
     return out
 
@@ -176,9 +181,10 @@ def laplacian0(field: ScalarField) -> ScalarField:
 
 
 def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetrized forward/backward gradient product on raw values."""
+    """Symmetrized forward/backward gradient product on raw values; like
+    ``laplacian0_values`` it acts on the trailing ``active_dims`` axes."""
     out = np.zeros_like(a)
-    for ax, (nxt, prv, h, _) in enumerate(_periodic_neighbours(grid)):
+    for ax, (nxt, prv, h, _) in enumerate(_periodic_neighbours(grid), -grid.active_dims):
         dpa = (a.take(nxt, axis=ax) - a) / h
         dpb = (b.take(nxt, axis=ax) - b) / h
         out += 0.5 * (dpa * dpb + dpa.take(prv, axis=ax) * dpb.take(prv, axis=ax))
@@ -193,6 +199,24 @@ def grad_inner(a: ScalarField, b: ScalarField) -> ScalarField:
     """
     _check_same_grid(a, b)
     return ScalarField(a.grid, grad_inner_values(a.grid, a.values, b.values))
+
+
+# Node budget of one block of records: batched checks hold about this many
+# nodes per temporary, so a long trajectory never becomes one large stack.
+BLOCK_NODES = 8192
+
+
+def record_blocks(grid: GridSpec, records: int):
+    """Slices that cut ``records`` records into blocks of
+    ``max(1, BLOCK_NODES // grid.node_count)``."""
+    size = max(1, BLOCK_NODES // grid.node_count)
+    return [slice(k, min(k + size, records)) for k in range(0, records, size)]
+
+
+def record_means(v: np.ndarray) -> np.ndarray:
+    """Mean of each record of a ``(K, *grid.shape)`` stack over its grid
+    axes; bit for bit each ``v[k].mean()``."""
+    return v.reshape(len(v), -1).mean(axis=1)
 
 
 def integrate0(field: ScalarField) -> float:

@@ -210,9 +210,9 @@ def test_criterion_6_evolution_identities(run1, run4):
 
 def test_criterion_7_rescaling_equivalence():
     rep_neg = dg.check_rescale_equivalence(
-        neg_config().background, classical(), neg_config())
+        run(neg_config()), neg_config().background, classical())
     cfg_pos = pos_config(f=power_law(1.5))
-    rep_pos = dg.check_rescale_equivalence(cfg_pos.background, power_law(1.5), cfg_pos)
+    rep_pos = dg.check_rescale_equivalence(run(cfg_pos), cfg_pos.background, power_law(1.5))
     ok = rep_neg.passed is True and rep_pos.passed is True
     report(7, "rescaling equivalence", ok,
            f"classical gap={rep_neg.measured['sup_gap']:.2e},"

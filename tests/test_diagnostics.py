@@ -5,7 +5,7 @@ import conflow
 from conflow import diagnostics as dg
 from conflow.conformal import ConformalState, background_from_spec, scalar_curvature
 from conflow.flow import DtPolicy, RECORD_COLUMNS, RunConfig, Trajectory, _Kernel, run
-from conflow.fzoo import classical, expdecay
+from conflow.fzoo import classical, expdecay, reciprocal
 from conflow.grid import ScalarField, grad_inner, power
 
 from conftest import COS_PHASE, grid1d
@@ -192,9 +192,83 @@ def test_rescale_equivalence_fixed_point():
     bg = background_from_spec(g, "constant:-1.0")
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5)
-    rep = dg.check_rescale_equivalence(bg, classical(), cfg)
+    rep = dg.check_rescale_equivalence(run(cfg), bg, classical())
     assert rep.passed is True
     assert rep.measured["sup_gap"] < 1e-8
+
+
+def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
+    # the normalized trajectory under verification is not run again
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                    T_final=0.2, stop_tol=0.0)
+    traj = run(cfg)
+    runs = []
+
+    def counting_run(config):
+        runs.append(config)
+        return run(config)
+
+    monkeypatch.setattr(dg, "run", counting_run)
+    rep = dg.check_rescale_equivalence(traj, bg, classical())
+    assert [c.normalized for c in runs] == [False]
+    assert rep.passed is True
+    assert rep.segment == dg._segment(traj)
+
+    runs.clear()
+    nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                       T_final=0.05, normalized=False, renormalize_volume=False,
+                       stop_tol=0.0))
+    rep = dg.check_rescale_equivalence(nn, bg, classical())
+    assert rep.passed is None and "normalized" in rep.notes
+    assert runs == []
+
+
+ALL_BUT_RESCALE = [name for name in dg.CHECK_NAMES if name != "rescale"]
+
+
+@pytest.mark.parametrize("records_per_block", [1, 3])
+def test_reports_do_not_depend_on_the_record_block(neg_run, pos_run, flat_run,
+                                                   monkeypatch, records_per_block):
+    # every check gives the same report whether it takes the records one,
+    # three or (at the default node budget) all at a time
+    cases = [(neg_run, classical()), (pos_run, expdecay(1.0)), (flat_run, classical())]
+    default = [[r.to_dict() for r in dg.run_checks(traj, bg, f, ALL_BUT_RESCALE)]
+               for (traj, bg), f in cases]
+    assert all(traj.n_records > 3 for (traj, _), _ in cases)
+    monkeypatch.setattr(conflow.grid, "BLOCK_NODES", records_per_block * 64)
+    blocked = [[r.to_dict() for r in dg.run_checks(traj, bg, f, ALL_BUT_RESCALE)]
+               for (traj, bg), f in cases]
+    assert repr(blocked) == repr(default)
+
+
+def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
+    # record 6 leaves the domain (-3, inf) of f; with four records per
+    # block it sits inside the second block
+    monkeypatch.setattr(conflow.grid, "BLOCK_NODES", 4 * 32)
+    f = reciprocal(3.0)
+    traj, bg = make_run(NEG_BG, f, N=32, T=0.1, dt=1e-3, cadence=5, stop_tol=0.0)
+    x = traj.grid.axis_coordinates(0)
+    snaps = traj.snapshots.copy()
+    snaps[6] = 1.0 + 0.5 * np.cos(x)
+    S = scalar_curvature(bg, ConformalState(ScalarField(traj.grid, snaps[6]))).values
+    assert S.min() < -3.0
+    domain_note = (f"checker could not run: f-domain violation: S range"
+                   f" [{S.min():g}, {S.max():g}] not inside {f.domain}")
+
+    rep = dg.check_evolution_identities(rebuild(traj, snaps), bg, f)
+    assert rep.passed is None and rep.notes == "record 6 leaves the domain of f"
+    [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
+    assert rep.passed is None and rep.notes == domain_note
+
+    # the earlier of a nonpositive and an out-of-domain record decides
+    snaps[7] = -1.0
+    [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
+    assert rep.notes == domain_note
+    snaps[5] = -1.0
+    [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
+    assert rep.notes == "checker could not run: state outside positive cone"
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,27 @@ def test_run_rejects_non_finite_step(scheme, steps):
     assert np.all(np.isfinite(traj.columns["umax"]))
 
 
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_run_nan_response_is_blowup(scheme):
+    # f is NaN above S = -1.3, so the first stage is NaN; RK4's second stage
+    # then has NaN curvature, which no domain test admits, and must still be
+    # tagged blowup rather than f_domain_violation
+    base = classical()
+
+    def eval_f(S):
+        S = np.asarray(S, dtype=float)
+        return np.where(S > -1.3, np.nan, base.eval_f(S))
+
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
+                    u0=ScalarField.constant(g, 1.0), T_final=1.0, scheme=scheme)
+    traj = run(cfg)
+    assert traj.termination == "blowup"
+    assert traj.notes.endswith("from t=0")
+    assert np.all(np.isfinite(traj.snapshots))
+
+
 def test_run_step_budget_termination(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_STEPS", 5)
     g = grid1d(N=32)
@@ -483,6 +504,47 @@ def test_hamilton_rescale_curvature_consistency():
         R = scalar_curvature(bg, traj.state(k)).values
         S = scalar_curvature(bg, ConformalState(ScalarField(g, resc.snapshots[k]))).values
         assert np.abs(S - np.exp(eta[k]) * R).max() < 1e-10 * max(1.0, np.abs(S).max())
+
+
+def _record_rows(kern, states, times):
+    rows, prev = [], 0.0
+    for u, t in zip(states, times):
+        rows.append(kern.record(u, float(t), float(t) - prev)[0])
+        prev = float(t)
+    return rows
+
+
+@pytest.mark.parametrize("block_nodes", [None, 5 * 32])
+def test_hamilton_rescale_rows_match_record(monkeypatch, block_nodes):
+    # rows are built in blocks of records; each must be record()'s row
+    if block_nodes is not None:
+        monkeypatch.setattr(conflow.grid, "BLOCK_NODES", block_nodes)
+    g = grid1d(N=32)
+    bg = background_from_spec(g, NEG_BG)
+    f = classical()
+    traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.05)
+    assert traj.n_records > 10
+    resc = hamilton_rescale(traj, f)
+    kern = flow._Kernel(bg, f, normalized=True)
+    for k, row in enumerate(_record_rows(kern, resc.snapshots, resc.times)):
+        assert {key: resc.columns[key][k] for key in RECORD_COLUMNS} == row
+
+
+def test_kernel_rows_outside_the_domain_match_record():
+    # records whose curvature leaves f's domain carry NaN in A and fSA_sup
+    g = grid1d(N=32)
+    bg = background_from_spec(g, "sinusoidal:1.0,0.5,0")
+    f = power_law(1.5)
+    x = g.axis_coordinates(0)
+    states = np.array([1.0 + a * np.cos(x) for a in (0.0, 0.5, 0.01, 0.6)])
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    kern = flow._Kernel(bg, f, normalized=True)
+    rows = kern.rows(states, times, np.diff(times, prepend=0.0))
+    expected = _record_rows(kern, states, times)
+    assert [np.isnan(row["A"]) for row in expected] == [False, True, False, True]
+    for k, row in enumerate(expected):
+        for key in RECORD_COLUMNS:
+            assert np.array_equal(rows[key][k], row[key], equal_nan=True), key
 
 
 def test_hamilton_rescale_guards():

@@ -2,9 +2,10 @@
 
 Each case merges a few overrides into one of the shipped configs (a shorter
 horizon, a looser stop tolerance, a smaller grid), runs it through the CLI
-and compares the sha256 of the files it writes against pinned values.  Any
-change of the integrator's arithmetic, however small, changes a digest; a
-refactor that keeps the numerics must keep all of them.  Update a digest only
+and compares the sha256 of the files it writes against pinned values; the
+``report.json`` of ``conflow verify`` on each run directory is pinned too.
+Any change of the integrator's or the checks' arithmetic, however small,
+changes a digest; a refactor that keeps the numerics must keep all of them.  Update a digest only
 for an intended change of the numerics, and say so where the change is
 recorded.
 """
@@ -81,6 +82,20 @@ RUNS = {
     ),
 }
 
+# id -> sha256 of report.json from `conflow verify <run dir>` with the
+# config's own checks (the case-tag defaults where it names none)
+REPORTS = {
+    "compare_nonnormalized": "dec2721576a94d62b62c21366c846a646a403b64e096bc595d026c7ce3fcf54e",
+    "compare_normalized": "4eb13dbc4e024c85b9d94619c1400c4c97ac3be68538fbd3e89a760ad62fcc4c",
+    "flat": "2c85331fde741ca8ab6f701766bcebd5adb001cc4b9a15ab4b9fcbc6691bffe9",
+    "negative_euler_fixed": "5e1417143506bd20a6e47dd57ac82d0b3e8422eed3fef41531ae5904c34cb50d",
+    "negative_horizon": "442364dcd6e91be6bcdfa82ac8caa5ef8edbcb15a9bd7a833e20207a671eae24",
+    "negative_stationary": "fdc6817cb8c0de92a09bbf5e01d4e8f488861d8fd210563384832dab0a49bd13",
+    "positive": "48a49c3174525451536ed3ebd786fb470634512dd3fd399490229f6efef66634",
+}
+# `conflow verify <compare_normalized run dir> --checks rescale`
+RESCALE_REPORT = "7ee1662209acf0dea9dc007b2251bdc622f5fc428d98c352db2fc1a45f0008f1"
+
 SWEEP_T_FINAL = 0.1
 SWEEP = {
     "aggregate.csv": "587a76ea3f021fb876ee30b25b1e995ee149b2c92a9d969fa87457ee3cc628b9",
@@ -99,20 +114,43 @@ def _digests(root: Path, names) -> dict:
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_every_config_has_a_golden_case():
-    stems = {stem for stem, _, _ in RUNS.values()} | {"sweep_small"}
-    assert stems == {p.stem for p in CONFIGS.glob("*.json")}
-
-
-@pytest.mark.parametrize("case", sorted(RUNS))
-def test_run_outputs_match_golden(tmp_path, case):
-    stem, overrides, expected = RUNS[case]
+def _run_case(tmp_path: Path, case: str) -> Path:
+    stem, overrides, _ = RUNS[case]
     cfg = cli._merge(json.loads((CONFIGS / f"{stem}.json").read_text()), overrides)
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     cli.main(["run", str(path), "--out", str(out)])
-    assert _digests(out, expected) == expected
+    return out
+
+
+def _report_digest(run_dir: Path, out: Path, *checks: str) -> str:
+    cli.main(["verify", str(run_dir), "--out", str(out), *checks])
+    return _digests(out, ["report.json"])["report.json"]
+
+
+def test_every_config_has_a_golden_case():
+    stems = {stem for stem, _, _ in RUNS.values()} | {"sweep_small"}
+    assert stems == {p.stem for p in CONFIGS.glob("*.json")}
+    assert set(REPORTS) == set(RUNS)
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_run_outputs_match_golden(tmp_path, case):
+    expected = RUNS[case][2]
+    assert _digests(_run_case(tmp_path, case), expected) == expected
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_verify_report_matches_golden(tmp_path, case):
+    run_dir = _run_case(tmp_path, case)
+    assert _report_digest(run_dir, tmp_path / "verify") == REPORTS[case]
+
+
+def test_rescale_verify_report_matches_golden(tmp_path):
+    run_dir = _run_case(tmp_path, "compare_normalized")
+    digest = _report_digest(run_dir, tmp_path / "verify", "--checks", "rescale")
+    assert digest == RESCALE_REPORT
 
 
 def test_sweep_outputs_match_golden(tmp_path):

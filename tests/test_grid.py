@@ -16,6 +16,8 @@ from conflow.grid import (
     laplacian0_values,
     lp_norm_g,
     read_field,
+    record_blocks,
+    record_means,
     write_field,
 )
 
@@ -256,6 +258,45 @@ def test_stencils_match_roll_reference_bitwise(grid):
         a, b = rng.normal(size=grid.shape), rng.normal(size=grid.shape)
         assert np.array_equal(laplacian0_values(grid, a), _roll_laplacian(grid, a))
         assert np.array_equal(grad_inner_values(grid, a, b), _roll_grad_inner(grid, a, b))
+
+
+BATCH_GRIDS = [
+    GridSpec(4, 1, (128,), (TWO_PI,)),
+    GridSpec(4, 1, (9,), (1.3,)),
+    GridSpec(5, 2, (16, 24), (1.0, 2.7)),
+    GridSpec(5, 3, (8, 10, 12), (1.0, 2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("grid", BATCH_GRIDS)
+def test_stencils_on_record_stacks_match_per_record_bitwise(grid):
+    from conflow.conformal import Background, scalar_curvature_values
+
+    rng = np.random.default_rng(11)
+    K = 7
+    a = rng.lognormal(sigma=0.5, size=(K, *grid.shape))
+    b = rng.normal(size=(K, *grid.shape))
+    bg = Background(ScalarField(grid, rng.normal(size=grid.shape)), grid.ambient_n)
+    lap = laplacian0_values(grid, a)
+    gi = grad_inner_values(grid, a, b)
+    S = scalar_curvature_values(bg, a)
+    means = record_means(a * b)
+    assert means.shape == (K,)
+    for k in range(K):
+        assert np.array_equal(lap[k], laplacian0_values(grid, a[k]))
+        assert np.array_equal(gi[k], grad_inner_values(grid, a[k], b[k]))
+        assert np.array_equal(S[k], scalar_curvature_values(bg, a[k]))
+        assert means[k] == (a[k] * b[k]).mean()
+
+
+@pytest.mark.parametrize("points, records, size", [
+    ((128,), 130, 64), ((9,), 5, 910), ((100, 100), 3, 1),
+])
+def test_record_blocks_cover_records_in_order(points, records, size):
+    grid = GridSpec(4, len(points), points, (1.0,) * len(points))
+    blocks = record_blocks(grid, records)
+    assert all(sl.stop - sl.start == size for sl in blocks[:-1])
+    assert [k for sl in blocks for k in range(sl.start, sl.stop)] == list(range(records))
 
 
 # ---------------------------------------------------------------------------
