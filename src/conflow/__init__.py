@@ -42,8 +42,6 @@ from .grid import (
     PositivityError,
     ScalarField,
     field_from_spec,
-    field_max,
-    field_min,
     grad_inner,
     integrate0,
     integrate_g,

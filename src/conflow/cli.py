@@ -8,9 +8,11 @@ logged snapshots, for verification and comparison), and summary.json.
 
 Exit codes: run returns 0 when the flow reached its horizon or a stationary
 state, 2 on blowup / positivity loss / f-domain violation / an exhausted
-step budget, 1 on config errors (a nonpositive u0 among them).  verify
-returns 2 when any non-inconclusive check fails and 1 on config errors or
-unknown check names, which are rejected before any run or check starts.
+step budget, 1 on config errors (a nonpositive u0, a non-finite number or
+a section of the wrong type among them).  verify returns 2 when any
+non-inconclusive check fails and 1 on config errors, an unreadable
+trajectory.npz or unknown check names, which are rejected before any run or
+check starts.  sweep returns 1 on a malformed plan.
 Identical configs produce bit-identical CSV and summaries.
 """
 
@@ -19,6 +21,8 @@ import concurrent.futures
 import json
 import os
 import sys
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +49,13 @@ def _load_json(path: Path) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _object(value, what: str) -> dict:
+    """``value`` itself if it is a JSON object, else a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def _resolve_field_spec(spec: str, base_dir: Path) -> str:
@@ -78,8 +89,8 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
                         n=grid.ambient_n)
         u0 = field_from_spec(grid, _resolve_field_spec(cfg["u0"], base_dir))
         f = fzoo.from_config(cfg["f"], seed=seed)
-        tcfg = cfg.get("time", {})
-        dt_cfg = tcfg.get("dt", {"policy": "adaptive"})
+        tcfg = _object(cfg.get("time", {}), "'time'")
+        dt_cfg = _object(tcfg.get("dt", {"policy": "adaptive"}), "'time.dt'")
         if dt_cfg.get("policy", "adaptive") == "fixed":
             policy = DtPolicy.fixed(float(dt_cfg["dt"]))
         else:
@@ -165,19 +176,22 @@ def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
     if cfg is None:
         raise ConfigError(f"{out}: summary.json carries no config")
     rc = build_run_config(cfg, out)
-    data = np.load(out / "trajectory.npz")
-    columns = {k: np.asarray(data[f"col_{k}"], dtype=float) for k in RECORD_COLUMNS}
-    traj = Trajectory(
-        kind=str(data["kind"]),
-        termination=str(data["termination"]),
-        columns=columns,
-        snapshots=np.asarray(data["snapshots"], dtype=float),
-        grid=rc.background.grid,
-        n=rc.background.n,
-        vol_pre=np.asarray(data["vol_pre"], dtype=float),
-        config=rc,
-        notes=str(data["notes"]),
-    )
+    path = out / "trajectory.npz"
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            traj = Trajectory(
+                kind=str(data["kind"]),
+                termination=str(data["termination"]),
+                columns={k: np.asarray(data[f"col_{k}"], dtype=float) for k in RECORD_COLUMNS},
+                snapshots=np.asarray(data["snapshots"], dtype=float),
+                grid=rc.background.grid,
+                n=rc.background.n,
+                vol_pre=np.asarray(data["vol_pre"], dtype=float),
+                config=rc,
+                notes=str(data["notes"]),
+            )
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigError(f"{path}: not a readable trajectory ({exc})") from exc
     return traj, cfg
 
 
@@ -277,26 +291,33 @@ def _merge(base: dict, overrides: dict) -> dict:
 def cmd_sweep(args) -> int:
     plan_path = Path(args.plan)
     try:
-        plan = _load_json(plan_path)
-        base = plan.get("base", {})
+        plan = _object(_load_json(plan_path), "a sweep plan")
+        base = _object(plan.get("base", {}), "'base'")
         if "base_path" in plan:
-            base = _merge(_load_json(plan_path.parent / plan["base_path"]), base)
+            base = _merge(_object(_load_json(plan_path.parent / plan["base_path"]),
+                                  "the base config"), base)
         runs = plan["runs"]
-        ids = [r["id"] for r in runs]
+        if not isinstance(runs, list):
+            raise ConfigError(f"'runs' must be a JSON list, got {runs!r}")
+        ids = [_object(r, "each entry of 'runs'")["id"] for r in runs]
         if len(set(ids)) != len(ids):
             raise ConfigError("sweep run ids must be unique")
-    except (ConfigError, KeyError) as exc:
+        try:
+            jobs = args.jobs or int(plan.get("jobs", 1))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'jobs' must be an integer, got {plan['jobs']!r}") from exc
+        out_root = Path(args.out) if args.out else Path(
+            plan.get("out", Path(os.environ.get("CONFLOW_OUT", "out")) / plan_path.stem))
+        payloads = []
+        for spec in runs:
+            overrides = _object(spec.get("overrides", spec.get("config", {})),
+                                f"run {spec['id']!r}'s overrides")
+            payloads.append((spec["id"], resolve_config_paths(_merge(base, overrides),
+                                                              plan_path.parent),
+                             str(out_root / spec["id"])))
+    except (ConfigError, KeyError, TypeError) as exc:  # TypeError: a non-string path
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
-    out_root = Path(args.out) if args.out else Path(
-        plan.get("out", Path(os.environ.get("CONFLOW_OUT", "out")) / plan_path.stem))
-    jobs = args.jobs or int(plan.get("jobs", 1))
-
-    payloads = []
-    for spec in runs:
-        cfg = _merge(base, spec.get("overrides", spec.get("config", {})))
-        payloads.append((spec["id"], resolve_config_paths(cfg, plan_path.parent),
-                         str(out_root / spec["id"])))
 
     if jobs <= 1:
         results = [_sweep_worker(p) for p in payloads]

@@ -15,6 +15,7 @@ at desk scale even though e.g. a constant negative S0 is not realizable as a
 conformal factor over a flat torus.  Reports carry that caveat.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ class Background:
     def grid(self) -> GridSpec:
         return self.S0.grid
 
-    @property
+    @functools.cached_property
     def constants(self) -> Constants:
         return Constants.for_dimension(self.n)
 
@@ -115,19 +116,30 @@ class ConformalState:
             raise PositivityError("state outside positive cone")
 
 
+def require_f_domain(f, smin: float, smax: float):
+    """Raise FDomainError unless the curvature range [smin, smax] lies
+    inside the domain of the response function f."""
+    if not f.domain.contains_interval(smin, smax):
+        raise FDomainError(
+            f"f-domain violation: S range [{smin:g}, {smax:g}] not inside {f.domain}"
+        )
+
+
+def conformal_laplacian_values(bg: Background, h: np.ndarray) -> np.ndarray:
+    """Raw-array L(h) = S0*h - c_n*laplacian0(h) (no validation); like the
+    stencil it acts on one field or a ``(K, *grid.shape)`` stack."""
+    return bg.S0.values * h - bg.constants.c_n * laplacian0_values(bg.grid, h)
+
+
 def conformal_laplacian(bg: Background, u: ScalarField) -> ScalarField:
     """L(u) = S0*u - c_n*laplacian0(u); linear in u."""
-    c = bg.constants
-    vals = bg.S0.values * u.values - c.c_n * laplacian0_values(u.grid, u.values)
-    return ScalarField(u.grid, vals)
+    return ScalarField(u.grid, conformal_laplacian_values(bg, u.values))
 
 
 def scalar_curvature_values(bg: Background, u: np.ndarray) -> np.ndarray:
     """Raw-array curvature u^(-beta) * L(u) (no validation).  ``u`` may be
     one field or a ``(K, *grid.shape)`` stack of records."""
-    c = bg.constants
-    L = bg.S0.values * u - c.c_n * laplacian0_values(bg.grid, u)
-    return power(u, -c.beta) * L
+    return power(u, -bg.constants.beta) * conformal_laplacian_values(bg, u)
 
 
 def scalar_curvature(bg: Background, state: ConformalState) -> ScalarField:
@@ -161,11 +173,7 @@ def average_f(bg: Background, state: ConformalState, f) -> float:
     Satisfies f(S_max) <= result <= f(S_min) for decreasing f.
     """
     S = scalar_curvature_values(bg, state.u.values)
-    smin, smax = float(S.min()), float(S.max())
-    if not f.domain.contains_interval(smin, smax):
-        raise FDomainError(
-            f"f-domain violation: S range [{smin:g}, {smax:g}] not inside {f.domain}"
-        )
+    require_f_domain(f, float(S.min()), float(S.max()))
     w = volume_weight(state.u, bg.n)
     return float((f.eval_f(S) * w).mean() / w.mean())
 

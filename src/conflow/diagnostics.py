@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conformal import Background, FDomainError, scalar_curvature_values
+from .conformal import Background, Constants, require_f_domain, scalar_curvature_values
 from .flow import Trajectory, _cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
 from .grid import PositivityError, grad_inner_values, power, record_blocks, record_means
@@ -171,8 +171,7 @@ def _rhs_sup(bg: Background, f: FSpec, U: np.ndarray) -> np.ndarray:
     smin, smax = _extremes(S)
     k = _domain_end(f, smin, smax)
     if k < positive:
-        raise FDomainError(f"f-domain violation: S range [{smin[k]:g}, {smax[k]:g}]"
-                           f" not inside {f.domain}")
+        require_f_domain(f, smin[k], smax[k])
     if positive < len(U):
         raise PositivityError("state outside positive cone")
     phi = f.eval_f(S)
@@ -359,7 +358,7 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
 
     if bg.case_tag == "flat":
         vol = traj.column("vol")
-        m = 2.0 * n / (n - 2.0)
+        m = bg.constants.vol_exp
         r = umin / umax
         r0 = float(r[0])
         k_const = r0 ** m
@@ -571,7 +570,7 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
                              "needs nonnegative curvature along the flow")
     n = traj.n
     halfn = 0.5 * n
-    kern_pow = 2.0 * n / (n - 2.0)
+    vol_exp = Constants.for_dimension(n).vol_exp
     norm_half = traj.column("lpn2")
     init = float(norm_half[0])
 
@@ -581,7 +580,7 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     p1 = np.empty(traj.n_records)
     for sl in record_blocks(traj.grid, traj.n_records):
         u = traj.snapshots[sl]
-        p1[sl] = record_means(np.abs(_curvature(traj, u)) * power(u, kern_pow))
+        p1[sl] = record_means(np.abs(_curvature(traj, u)) * power(u, vol_exp))
     norms[1.0] = p1
 
     measured = {
@@ -825,7 +824,7 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
         return TheoremReport("sobolev_integral_info", None,
                              notes="skipped: curvature not nonnegative",
                              segment=_segment(traj))
-    m = 2.0 * n / (n - 2.0)
+    m = Constants.for_dimension(n).vol_exp
     means = []
     for sl in record_blocks(traj.grid, traj.n_records):
         u = traj.snapshots[sl]
@@ -845,18 +844,21 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
 # Orchestration
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = (
-    "minmax",
-    "decay",
-    "u_bounds",
-    "identities",
-    "lnhalf",
-    "positive_bounds",
-    "flat_identity",
-    "rescale",
-    "stationary",
-    "sobolev_info",
-)
+# Every check by short name, in the order help texts list them.  The
+# checkers are looked up when called, so a patched module attribute is used.
+_CHECKERS = {
+    "minmax": lambda traj, bg, f: check_minmax_principle(traj, bg, f),
+    "decay": lambda traj, bg, f: compare_decay(traj, bg, f),
+    "u_bounds": lambda traj, bg, f: check_u_bounds(traj, bg, f),
+    "identities": lambda traj, bg, f: check_evolution_identities(traj, bg, f),
+    "lnhalf": lambda traj, bg, f: check_Lnhalf_monotone(traj),
+    "positive_bounds": lambda traj, bg, f: check_positive_S_bounds(traj, bg, f),
+    "flat_identity": lambda traj, bg, f: check_flat_identity(traj, bg),
+    "rescale": lambda traj, bg, f: check_rescale_equivalence(traj, bg, f),
+    "stationary": lambda traj, bg, f: check_stationary_limit(traj, bg, f),
+    "sobolev_info": lambda traj, bg, f: sobolev_program_series(traj),
+}
+CHECK_NAMES = tuple(_CHECKERS)
 
 
 def default_checks(case_tag: str) -> list[str]:
@@ -887,31 +889,7 @@ def run_checks(traj: Trajectory, bg: Background, f: FSpec,
     reports = []
     for name in names:
         try:
-            reports.append(_dispatch(name, traj, bg, f))
+            reports.append(_CHECKERS[name](traj, bg, f))
         except Exception as exc:  # report, never throw
             reports.append(_inconclusive(name, traj, f"checker could not run: {exc}"))
     return reports
-
-
-def _dispatch(name: str, traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
-    if name == "minmax":
-        return check_minmax_principle(traj, bg, f)
-    if name == "decay":
-        return compare_decay(traj, bg, f)
-    if name == "u_bounds":
-        return check_u_bounds(traj, bg, f)
-    if name == "identities":
-        return check_evolution_identities(traj, bg, f)
-    if name == "lnhalf":
-        return check_Lnhalf_monotone(traj)
-    if name == "positive_bounds":
-        return check_positive_S_bounds(traj, bg, f)
-    if name == "flat_identity":
-        return check_flat_identity(traj, bg)
-    if name == "rescale":
-        return check_rescale_equivalence(traj, bg, f)
-    if name == "stationary":
-        return check_stationary_limit(traj, bg, f)
-    if name == "sobolev_info":
-        return sobolev_program_series(traj)
-    raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")

@@ -12,9 +12,10 @@ quadrature-exact volume stationarity is preserved at scheme order.
 Per-step work of ``run``: one evaluation of the curvature, f(S) and A at
 the current state (``_Kernel.probe``) serves the stop tests, the step size
 and, unchanged, the first RK4 stage; ``advance`` adds the other three, so
-an RK4 step costs four right-hand-side evaluations (Euler: one).  The full
-diagnostics row (sigma, vol and the curvature norms) is built only on
-logged and terminal steps.
+an RK4 step costs four right-hand-side evaluations (Euler: one).  Logged
+and terminal steps only store their state; the diagnostics columns (sigma,
+vol, the curvature norms, ...) are built once from the logged states after
+the loop, one block of records at a time (``_Kernel.columns``).
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -38,17 +39,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import Background, ConformalState, FDomainError
-from .fzoo import FSpec, homogeneity_check
-from .grid import (
-    GridSpec,
-    PositivityError,
-    ScalarField,
-    laplacian0_values,
-    power,
-    record_blocks,
-    record_means,
+from .conformal import (
+    Background,
+    ConformalState,
+    Constants,
+    FDomainError,
+    conformal_laplacian_values,
+    require_f_domain,
+    scalar_curvature_values,
 )
+from .fzoo import FSpec, homogeneity_check
+from .grid import GridSpec, PositivityError, ScalarField, power, record_blocks, record_means
 
 __all__ = [
     "DtPolicy",
@@ -93,8 +94,8 @@ class DtPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"dt policy must be 'fixed' or 'adaptive', got {self.mode!r}")
-        if self.mode == "fixed" and self.dt <= 0.0:
-            raise ValueError("fixed dt policy needs dt > 0")
+        if self.mode == "fixed" and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"fixed dt policy needs a finite dt > 0, got {self.dt!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must lie in (0, 1]")
 
@@ -123,10 +124,10 @@ class RunConfig:
     tau_alpha: float | None = None
 
     def __post_init__(self):
-        if self.T_final <= 0.0:
-            raise ValueError("T_final must be positive")
-        if self.stop_tol < 0.0:
-            raise ValueError("stop_tol must be nonnegative")
+        if not (math.isfinite(self.T_final) and self.T_final > 0.0):
+            raise ValueError(f"T_final must be positive and finite, got {self.T_final!r}")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
+            raise ValueError(f"stop_tol must be nonnegative and finite, got {self.stop_tol!r}")
         if self.scheme not in ("euler", "rk4"):
             raise ValueError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
         if self.log_cadence < 1:
@@ -201,7 +202,6 @@ class _Probe(NamedTuple):
     """
 
     S: np.ndarray
-    w: np.ndarray
     wm: float
     phi: np.ndarray | None
     A: float
@@ -221,9 +221,9 @@ class _Kernel:
 
     Per RK4 step ``run`` makes four rhs evaluations: ``probe`` of the current
     state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
-    bit, and three ``rhs`` calls in ``advance``.  ``row``, the full
-    diagnostics row, is only built on logged and terminal steps; ``rows``
-    builds the same rows for a stack of states at once.
+    bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
+    diagnostics columns of a stack of logged states, one block of records
+    at a time; ``run`` and ``hamilton_rescale`` both take that route.
     """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
@@ -233,19 +233,14 @@ class _Kernel:
         self.normalized = normalized
         self.n = bg.n
         self.beta = c.beta
-        self.cn = c.c_n
         self.m = c.vol_exp
         self.pref = 0.25 * (bg.n - 2.0)
-        self.S0v = bg.S0.values
         self.grid = bg.grid
         self.d = bg.grid.active_dims
         self.hmin2 = bg.grid.min_spacing ** 2
 
-    def lap(self, v: np.ndarray) -> np.ndarray:
-        return laplacian0_values(self.grid, v)
-
     def curvature(self, u: np.ndarray) -> np.ndarray:
-        return power(u, -self.beta) * (self.S0v * u - self.cn * self.lap(u))
+        return scalar_curvature_values(self.bg, u)
 
     def require_domain(self, S: np.ndarray):
         """Raise FloatingPointError for a non-finite S (NaN fails every
@@ -254,11 +249,7 @@ class _Kernel:
         smin, smax = float(S.min()), float(S.max())
         if not (math.isfinite(smin) and math.isfinite(smax)):
             raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
-        if not self.f.domain.contains_interval(smin, smax):
-            raise FDomainError(
-                f"f-domain violation: S range [{smin:g}, {smax:g}]"
-                f" not inside {self.f.domain}"
-            )
+        require_f_domain(self.f, smin, smax)
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         return power(u, self.m)
@@ -312,68 +303,43 @@ class _Kernel:
             fsa = float(np.abs(phi - A).max())
         else:
             phi, A, fsa = None, math.nan, math.nan
-        return _Probe(S, w, wm, phi, A, fsa, Smin, Smax, float(u.min()), float(u.max()))
+        return _Probe(S, wm, phi, A, fsa, Smin, Smax, float(u.min()), float(u.max()))
 
-    def row(self, p: _Probe, t: float, dt_used: float) -> dict:
-        """Full diagnostics row of a probed state."""
-        S, w = p.S, p.w
-        halfn = 0.5 * self.n
-        return {
-            "t": t,
-            "dt": dt_used,
-            "Smin": p.Smin,
-            "Smax": p.Smax,
-            "A": p.A,
-            "sigma": float(_mean(S * w)) / p.wm,
-            "vol": p.wm,
-            "fSA_sup": p.fSA_sup,
-            "lp2": float(_mean((S * S) * w)) ** 0.5,
-            "lpn2": float(_mean(np.abs(S) ** halfn * w)) ** (1.0 / halfn),
-            "umin": p.umin,
-            "umax": p.umax,
-        }
-
-    def record(self, u: np.ndarray, t: float, dt_used: float):
-        """Full diagnostics row; A and fSA_sup are NaN outside f's domain."""
-        p = self.probe(u)
-        return self.row(p, t, dt_used), p.domain_ok, p.S
-
-    def rows(self, U: np.ndarray, t: np.ndarray, dt_used: np.ndarray) -> dict:
-        """Diagnostics columns of a ``(K, *grid.shape)`` stack of states;
-        entry k is bit for bit ``record(U[k], t[k], dt_used[k])``'s row."""
+    def columns(self, U: np.ndarray, t, dt_used) -> dict:
+        """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
+        ``t`` after steps ``dt_used``, built one block of records
+        (``grid.record_blocks``) at a time; every per-record value is bit
+        for bit what the formulas give on that record alone.  A and fSA_sup
+        are NaN for a record whose curvature leaves f's domain."""
         K = len(U)
-        S = self.curvature(U)
-        w = self.weight(U)
-        wm = record_means(w)
-        Sk, Uk = S.reshape(K, -1), U.reshape(K, -1)
-        Smin, Smax = Sk.min(axis=1), Sk.max(axis=1)
-        ok = np.array([self.f.domain.contains_interval(lo, hi)
-                       for lo, hi in zip(Smin.tolist(), Smax.tolist())], dtype=bool)
-        A = np.full(K, math.nan)
-        fsa = np.full(K, math.nan)
-        if ok.any():
-            phi = self.f.eval_f(S[ok])
-            A[ok] = record_means(phi * w[ok]) / wm[ok]
-            dev = phi - A[ok].reshape((-1,) + (1,) * (U.ndim - 1))
-            fsa[ok] = np.abs(dev).reshape(len(dev), -1).max(axis=1)
+        cols = {k: np.full(K, math.nan) for k in RECORD_COLUMNS}
+        cols["t"][:] = t
+        cols["dt"][:] = dt_used
         halfn = 0.5 * self.n
-        lp2 = record_means((S * S) * w).tolist()
-        lpn2 = record_means(np.abs(S) ** halfn * w).tolist()
-        return {
-            "t": t,
-            "dt": dt_used,
-            "Smin": Smin,
-            "Smax": Smax,
-            "A": A,
-            "sigma": record_means(S * w) / wm,
-            "vol": wm,
-            "fSA_sup": fsa,
-            # Python float powers, as in row(): numpy's `** 0.5` is a sqrt
-            "lp2": np.array([v ** 0.5 for v in lp2]),
-            "lpn2": np.array([v ** (1.0 / halfn) for v in lpn2]),
-            "umin": Uk.min(axis=1),
-            "umax": Uk.max(axis=1),
-        }
+        for sl in record_blocks(self.grid, K):
+            u = U[sl]
+            S = self.curvature(u)
+            w = self.weight(u)
+            wm = record_means(w)
+            Sk, uk = S.reshape(len(u), -1), u.reshape(len(u), -1)
+            Smin, Smax = Sk.min(axis=1), Sk.max(axis=1)
+            ok = np.array([self.f.domain.contains_interval(lo, hi)
+                           for lo, hi in zip(Smin.tolist(), Smax.tolist())], dtype=bool)
+            if ok.any():
+                phi = self.f.eval_f(S[ok])
+                A = record_means(phi * w[ok]) / wm[ok]
+                dev = phi - A.reshape((-1,) + (1,) * (U.ndim - 1))
+                cols["A"][sl][ok] = A
+                cols["fSA_sup"][sl][ok] = np.abs(dev).reshape(len(dev), -1).max(axis=1)
+            cols["Smin"][sl], cols["Smax"][sl] = Smin, Smax
+            cols["sigma"][sl] = record_means(S * w) / wm
+            cols["vol"][sl] = wm
+            # Python float powers, record by record: numpy's `** 0.5` is a sqrt
+            cols["lp2"][sl] = [v ** 0.5 for v in record_means((S * S) * w).tolist()]
+            cols["lpn2"][sl] = [v ** (1.0 / halfn)
+                                for v in record_means(np.abs(S) ** halfn * w).tolist()]
+            cols["umin"][sl], cols["umax"][sl] = uk.min(axis=1), uk.max(axis=1)
+        return cols
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +388,7 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 
 def renormalize_volume(state: ConformalState) -> ConformalState:
     """Scale u so the total volume returns to one exactly (to rounding)."""
-    n = state.u.grid.ambient_n
-    m = 2.0 * n / (n - 2.0)
+    m = Constants.for_dimension(state.u.grid.ambient_n).vol_exp
     vol = float(power(state.u.values, m).mean())
     u_new = state.u.values * vol ** (-1.0 / m)
     return ConformalState(ScalarField(state.u.grid, u_new), state.t)
@@ -443,20 +408,27 @@ def check_parabolic_validity(bg: Background, state: ConformalState, f: FSpec):
 # Linearizations
 # ---------------------------------------------------------------------------
 
-def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
-    """Derivative of u -> f(S)*u applied to h:
-
-        f(S)*h + f'(S) * (u**(1-beta) * L(h) - beta*S*h).
-    """
+def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
+    """S, L(h), f(S), f'(S) and DF(u)h, the derivative of u -> f(S)*u
+    applied to h, at a positive u whose curvature lies in f's domain."""
     kern = _Kernel(bg, f, normalized=False)
     uv, hv = u.values, h.values
     if uv.min() <= 0.0:
         raise PositivityError("state outside positive cone")
     S = kern.curvature(uv)
     kern.require_domain(S)
-    Lh = kern.S0v * hv - kern.cn * kern.lap(hv)
-    vals = f.eval_f(S) * hv + f.eval_fp(S) * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
-    return ScalarField(bg.grid, vals)
+    Lh = conformal_laplacian_values(bg, hv)
+    phi, fp = f.eval_f(S), f.eval_fp(S)
+    DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
+    return S, Lh, phi, fp, DF
+
+
+def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
+    """Derivative of u -> f(S)*u applied to h:
+
+        f(S)*h + f'(S) * (u**(1-beta) * L(h) - beta*S*h).
+    """
+    return ScalarField(bg.grid, _frechet_terms(bg, u, h, f)[-1])
 
 
 def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
@@ -466,22 +438,15 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     f(S), of the volume density (2n/(n-2) * h/u per unit volume) and of the
     normalizing volume itself.
     """
-    kern = _Kernel(bg, f, normalized=True)
+    S, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
+    c = bg.constants
     uv, hv = u.values, h.values
-    if uv.min() <= 0.0:
-        raise PositivityError("state outside positive cone")
-    S = kern.curvature(uv)
-    kern.require_domain(S)
-    Lh = kern.S0v * hv - kern.cn * kern.lap(hv)
-    dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
-    phi = f.eval_f(S)
-    fp = f.eval_fp(S)
-    w = kern.weight(uv)
+    dS = power(uv, -c.beta) * Lh - c.beta * S * hv / uv
+    w = power(uv, c.vol_exp)
     wm = float(w.mean())
     A = float((phi * w).mean()) / wm
     dA = float((fp * dS * w).mean()) / wm \
-        + kern.m * float(((phi - A) * hv / uv * w).mean()) / wm
-    DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
+        + c.vol_exp * float(((phi - A) * hv / uv * w).mean()) / wm
     return ScalarField(bg.grid, DF - A * hv - dA * uv)
 
 
@@ -506,9 +471,7 @@ def run(config: RunConfig) -> Trajectory:
     if config.renormalize_volume:
         u = u * float(_mean(kern.weight(u))) ** (-1.0 / kern.m)
 
-    rows = {k: [] for k in RECORD_COLUMNS}
-    snaps = []
-    vol_pre = []
+    times, dts, snaps, vol_pre = [], [], [], []
     last_pre = float(_mean(kern.weight(u)))
 
     track_tau = config.tau_stop is not None
@@ -525,15 +488,14 @@ def run(config: RunConfig) -> Trajectory:
     termination = None
     notes = ""
 
-    def log_row(p):
+    def log_state(p):
         nonlocal logged_idx
-        row = kern.row(p, t, dt_used)
-        for k in RECORD_COLUMNS:
-            rows[k].append(row[k])
+        times.append(t)
+        dts.append(dt_used)
         snaps.append(u.copy())
         # with renormalization on this is the volume before the correction
         # that produced the state; otherwise the drift lives in vol itself
-        vol_pre.append(last_pre if config.renormalize_volume else row["vol"])
+        vol_pre.append(last_pre if config.renormalize_volume else p.wm)
         logged_idx = step_idx
 
     while True:
@@ -565,7 +527,7 @@ def run(config: RunConfig) -> Trajectory:
             notes = f"stopped after {step_idx} steps at t={t:g}"
 
         if termination is not None or step_idx % config.log_cadence == 0:
-            log_row(p)
+            log_state(p)
         if termination is not None:
             break
 
@@ -601,7 +563,7 @@ def run(config: RunConfig) -> Trajectory:
             notes = str(exc)
         if termination is not None:
             if logged_idx != step_idx:
-                log_row(p)
+                log_state(p)
             break
 
         if config.renormalize_volume:
@@ -612,12 +574,12 @@ def run(config: RunConfig) -> Trajectory:
         dt_used = dt
         step_idx += 1
 
-    columns = {k: np.asarray(v, dtype=float) for k, v in rows.items()}
+    snapshots = np.asarray(snaps)
     return Trajectory(
         kind="normalized" if config.normalized else "non_normalized",
         termination=termination,
-        columns=columns,
-        snapshots=np.asarray(snaps),
+        columns=kern.columns(snapshots, times, dts),
+        snapshots=snapshots,
         grid=bg.grid,
         n=bg.n,
         vol_pre=np.asarray(vol_pre, dtype=float),
@@ -662,15 +624,10 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> Trajectory:
     rescaled = traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))
 
     kern = _Kernel(traj.config.background, f, normalized=True)
-    dtau = np.diff(tau, prepend=0.0)
-    columns = {k: np.empty(traj.n_records) for k in RECORD_COLUMNS}
-    for sl in record_blocks(traj.grid, traj.n_records):
-        for key, col in kern.rows(rescaled[sl], tau[sl], dtau[sl]).items():
-            columns[key][sl] = col
     return Trajectory(
         kind="rescaled",
         termination=traj.termination,
-        columns=columns,
+        columns=kern.columns(rescaled, tau, np.diff(tau, prepend=0.0)),
         snapshots=rescaled,
         grid=traj.grid,
         n=traj.n,

@@ -292,6 +292,8 @@ def from_table(xs, fs, seed: int | None = None) -> FSpec:
 
 def from_config(cfg: dict, seed: int | None = None) -> FSpec:
     """Build an FSpec from a config table like {"name": "power", "kappa": 1.5}."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"response function config must be a table, got {cfg!r}")
     name = cfg.get("name")
     if name == "classical":
         return classical()

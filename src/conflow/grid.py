@@ -42,8 +42,6 @@ __all__ = [
     "record_means",
     "integrate_g",
     "lp_norm_g",
-    "field_min",
-    "field_max",
     "volume_weight",
     "field_from_spec",
     "write_field",
@@ -261,14 +259,6 @@ def lp_norm_g(field: ScalarField, p: float, u: ScalarField, n: int | None = None
     return float((np.abs(field.values) ** p * w).mean() ** (1.0 / p))
 
 
-def field_min(field: ScalarField) -> float:
-    return field.min()
-
-
-def field_max(field: ScalarField) -> float:
-    return field.max()
-
-
 # ---------------------------------------------------------------------------
 # Construction from config strings and snapshot files
 # ---------------------------------------------------------------------------
@@ -276,6 +266,8 @@ def field_max(field: ScalarField) -> float:
 def field_from_spec(grid: GridSpec, spec: str) -> ScalarField:
     """Build a field from ``constant:<v>``, ``sinusoidal:<mean>,<amp>,<axis>[,<phase>]``
     or ``file:<path>``.  The sinusoid is mean + amp * sin(2 pi x/L + phase)."""
+    if not isinstance(spec, str):
+        raise ValueError(f"field spec must be a string, got {spec!r}")
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     if kind == "constant":

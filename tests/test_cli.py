@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from conflow import cli
 
@@ -334,3 +335,76 @@ def test_sweep_step_budget_keeps_every_member(tmp_path, monkeypatch):
         ("c", "step_budget", "2"), ("d", "stationary", "0")]
     for rid in ("a", "b", "c", "d"):
         assert (out / rid / "summary.json").exists()
+
+
+def _set(cfg, path, value):
+    *keys, last = path.split(".")
+    for k in keys:
+        cfg = cfg[k]
+    cfg[last] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    ("f", "classical"),
+    ("time", "x"),
+    ("time.dt", "fixed"),
+    ("background", 1.5),
+    ("u0", ["constant:1"]),
+    ("time.T_final", math.nan),
+    ("time.stop_tol", math.nan),
+    ("time.dt", {"policy": "fixed", "dt": math.nan}),
+])
+def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
+    # a malformed section or a non-finite number (JSON NaN) ends in one
+    # `config error:` line before any run starts
+    cfg = base_config()
+    _set(cfg, path, value)
+    p = write_cfg(tmp_path, cfg)
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("runs", "x"),
+    ("runs", ["x"]),
+    ("jobs", "two"),
+    ("base", "oops"),
+    ("overrides", "oops"),
+    ("base_path", 7),
+])
+def test_sweep_malformed_plan_is_one_line_exit_1(tmp_path, capsys, key, value):
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    if key == "overrides":
+        plan["runs"][1]["overrides"] = value
+    else:
+        plan[key] = value
+    p = tmp_path / "bad_plan.json"
+    p.write_text(json.dumps(plan))
+    assert cli.main(["sweep", str(p), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: b"not a trajectory\n" * 4,
+    lambda raw: raw[: len(raw) // 2],
+    lambda raw: b"",
+    lambda raw: raw[:60] + bytes(b ^ 0xFF for b in raw[60:120]) + raw[120:],
+], ids=["garbage", "truncated", "empty", "damaged"])
+def test_verify_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys, corrupt):
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    npz = out / "trajectory.npz"
+    npz.write_bytes(corrupt(npz.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify:") and "trajectory.npz" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "report.json").exists()

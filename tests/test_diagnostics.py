@@ -4,7 +4,7 @@ import pytest
 import conflow
 from conflow import diagnostics as dg
 from conflow.conformal import ConformalState, background_from_spec, scalar_curvature
-from conflow.flow import DtPolicy, RECORD_COLUMNS, RunConfig, Trajectory, _Kernel, run
+from conflow.flow import DtPolicy, RunConfig, Trajectory, _Kernel, run
 from conflow.fzoo import classical, expdecay, reciprocal
 from conflow.grid import ScalarField, grad_inner, power
 
@@ -31,19 +31,12 @@ def rebuild(traj, snapshots, times=None):
     cfg = traj.config
     kern = _Kernel(cfg.background, cfg.f, normalized=True)
     times = traj.times if times is None else np.asarray(times, dtype=float)
-    rows = {k: [] for k in RECORD_COLUMNS}
-    prev_t = times[0]
-    for k, u in enumerate(snapshots):
-        row, _, _ = kern.record(np.asarray(u, dtype=float), float(times[k]),
-                                float(times[k]) - prev_t)
-        prev_t = float(times[k])
-        for key in RECORD_COLUMNS:
-            rows[key].append(row[key])
+    snapshots = np.asarray(snapshots, dtype=float)
     return Trajectory(
         kind="normalized",
         termination=traj.termination,
-        columns={k: np.asarray(v) for k, v in rows.items()},
-        snapshots=np.asarray(snapshots, dtype=float),
+        columns=kern.columns(snapshots, times, np.diff(times, prepend=times[0])),
+        snapshots=snapshots,
         grid=traj.grid,
         n=traj.n,
         vol_pre=np.ones(len(snapshots)),

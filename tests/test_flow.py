@@ -1,11 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import conflow
 from conflow import flow
-from conflow.conformal import ConformalState, FDomainError, background_from_spec, scalar_curvature
+from conflow.conformal import (
+    ConformalState,
+    FDomainError,
+    background_from_spec,
+    scalar_curvature,
+    scalar_curvature_values,
+)
 from conflow.flow import (
     DtPolicy,
     ParabolicityError,
@@ -23,7 +30,7 @@ from conflow.flow import (
     step,
 )
 from conflow.fzoo import FSpec, classical, expdecay, power_law, shift
-from conflow.grid import PositivityError, ScalarField, integrate_g
+from conflow.grid import PositivityError, ScalarField, integrate_g, power
 
 from conftest import TWO_PI, grid1d, smooth_field
 
@@ -35,6 +42,39 @@ def neg_setup(N=128):
     g = grid1d(N=N)
     bg = background_from_spec(g, NEG_BG)
     return g, bg, classical(), ConformalState(ScalarField.constant(g, 1.0))
+
+
+def reference_row(bg, f, u, t, dt):
+    """One diagnostics row from numpy formulas on one state; A and fSA_sup
+    are NaN when the curvature range leaves f's domain."""
+    S = scalar_curvature_values(bg, u)
+    w = power(u, bg.constants.vol_exp)
+    A = fsa = math.nan
+    if f.domain.contains_interval(float(S.min()), float(S.max())):
+        phi = f.eval_f(S)
+        A = float((phi * w).mean() / w.mean())
+        fsa = float(np.abs(phi - A).max())
+    halfn = 0.5 * bg.n
+    return {
+        "t": t, "dt": dt, "Smin": float(S.min()), "Smax": float(S.max()), "A": A,
+        "sigma": float((S * w).mean()) / float(w.mean()), "vol": float(w.mean()),
+        "fSA_sup": fsa,
+        "lp2": float(((S * S) * w).mean()) ** 0.5,
+        "lpn2": float((np.abs(S) ** halfn * w).mean()) ** (1.0 / halfn),
+        "umin": float(u.min()), "umax": float(u.max()),
+    }
+
+
+def assert_rows_match_reference(bg, f, columns, states, dts=None):
+    """Every record of ``columns`` equals reference_row bit for bit (NaN
+    where the reference is NaN); ``dts`` defaults to the time differences."""
+    times = columns["t"]
+    if dts is None:
+        dts = np.diff(times, prepend=times[0])
+    for k, u in enumerate(states):
+        ref = reference_row(bg, f, u, float(times[k]), float(dts[k]))
+        for key in RECORD_COLUMNS:
+            assert np.array_equal(columns[key][k], ref[key], equal_nan=True), (k, key)
 
 
 def dense_matrix(grid):
@@ -365,6 +405,25 @@ def test_run_config_rejects_nonpositive_u0():
                   T_final=1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("T_final", math.nan), ("T_final", math.inf), ("stop_tol", math.nan),
+    ("stop_tol", math.inf)])
+def test_run_config_rejects_non_finite_horizon_and_tolerance(field, value):
+    # a NaN T_final passes `T_final <= 0` and a NaN stop_tol turns the
+    # stationarity test off; both must be refused up front
+    g = grid1d(N=32)
+    kwargs = {"T_final": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        RunConfig(background=background_from_spec(g, NEG_BG), f=classical(),
+                  u0=ScalarField.constant(g, 1.0), **kwargs)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_fixed_dt_policy_needs_finite_positive_dt(dt):
+    with pytest.raises(ValueError, match="finite dt > 0"):
+        DtPolicy.fixed(dt)
+
+
 def test_kernel_mean_is_numpy_mean_bitwise():
     rng = np.random.default_rng(3)
     for shape in [(7,), (128,), (1000,), (16, 24), (8, 10, 12)]:
@@ -375,28 +434,19 @@ def test_kernel_mean_is_numpy_mean_bitwise():
 
 def test_probe_matches_rhs_and_reference_row():
     # the run loop's first RK stage comes from the probe and must equal
-    # rhs(u) bit for bit; the row must equal the formulas with numpy means
+    # rhs(u) bit for bit; the columns of one state must equal the formulas
+    # with numpy means, and the probe's values must agree with them
     g, bg, f, _ = neg_setup(N=64)
     u = 1.0 + 0.1 * np.cos(g.axis_coordinates(0))
     for normalized in (False, True):
         kern = flow._Kernel(bg, f, normalized=normalized)
         p = kern.probe(u)
         assert np.array_equal(kern.rate(p.phi, p.A, u), kern.rhs(u))
-    S, w = kern.curvature(u), kern.weight(u)
-    phi = f.eval_f(S)
-    A = float((phi * w).mean() / w.mean())
-    halfn = 0.5 * bg.n
-    expected = {
-        "t": 0.25, "dt": 1e-3, "Smin": float(S.min()), "Smax": float(S.max()), "A": A,
-        "sigma": float((S * w).mean()) / float(w.mean()), "vol": float(w.mean()),
-        "fSA_sup": float(np.abs(phi - A).max()),
-        "lp2": float(((S * S) * w).mean()) ** 0.5,
-        "lpn2": float((np.abs(S) ** halfn * w).mean()) ** (1.0 / halfn),
-        "umin": float(u.min()), "umax": float(u.max()),
-    }
-    assert kern.row(p, 0.25, 1e-3) == expected
-    row, ok, S_rec = kern.record(u, 0.25, 1e-3)
-    assert row == expected and ok and np.array_equal(S_rec, S)
+    cols = kern.columns(u[None], [0.25], [1e-3])
+    expected = reference_row(bg, f, u, 0.25, 1e-3)
+    assert {key: cols[key][0] for key in RECORD_COLUMNS} == expected
+    assert (p.A, p.fSA_sup, p.wm, p.Smin, p.Smax, p.umin, p.umax) == tuple(
+        expected[k] for k in ("A", "fSA_sup", "vol", "Smin", "Smax", "umin", "umax"))
 
 
 def test_run_volume_pinned_with_renormalization():
@@ -506,17 +556,10 @@ def test_hamilton_rescale_curvature_consistency():
         assert np.abs(S - np.exp(eta[k]) * R).max() < 1e-10 * max(1.0, np.abs(S).max())
 
 
-def _record_rows(kern, states, times):
-    rows, prev = [], 0.0
-    for u, t in zip(states, times):
-        rows.append(kern.record(u, float(t), float(t) - prev)[0])
-        prev = float(t)
-    return rows
-
-
 @pytest.mark.parametrize("block_nodes", [None, 5 * 32])
 def test_hamilton_rescale_rows_match_record(monkeypatch, block_nodes):
-    # rows are built in blocks of records; each must be record()'s row
+    # rows are built in blocks of records; each must be the reference row
+    # of its record alone
     if block_nodes is not None:
         monkeypatch.setattr(conflow.grid, "BLOCK_NODES", block_nodes)
     g = grid1d(N=32)
@@ -525,9 +568,7 @@ def test_hamilton_rescale_rows_match_record(monkeypatch, block_nodes):
     traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.05)
     assert traj.n_records > 10
     resc = hamilton_rescale(traj, f)
-    kern = flow._Kernel(bg, f, normalized=True)
-    for k, row in enumerate(_record_rows(kern, resc.snapshots, resc.times)):
-        assert {key: resc.columns[key][k] for key in RECORD_COLUMNS} == row
+    assert_rows_match_reference(bg, f, resc.columns, resc.snapshots)
 
 
 def test_kernel_rows_outside_the_domain_match_record():
@@ -538,13 +579,28 @@ def test_kernel_rows_outside_the_domain_match_record():
     x = g.axis_coordinates(0)
     states = np.array([1.0 + a * np.cos(x) for a in (0.0, 0.5, 0.01, 0.6)])
     times = np.array([0.0, 0.1, 0.2, 0.3])
-    kern = flow._Kernel(bg, f, normalized=True)
-    rows = kern.rows(states, times, np.diff(times, prepend=0.0))
-    expected = _record_rows(kern, states, times)
-    assert [np.isnan(row["A"]) for row in expected] == [False, True, False, True]
-    for k, row in enumerate(expected):
-        for key in RECORD_COLUMNS:
-            assert np.array_equal(rows[key][k], row[key], equal_nan=True), key
+    cols = flow._Kernel(bg, f, normalized=True).columns(
+        states, times, np.diff(times, prepend=0.0))
+    assert np.isnan(cols["A"]).tolist() == [False, True, False, True]
+    assert_rows_match_reference(bg, f, cols, states)
+
+
+def test_run_columns_do_not_depend_on_the_record_block(monkeypatch):
+    # run builds its columns from the logged states after the loop; five
+    # records per block give the same columns and vol_pre as the default
+    g, bg, f, _ = neg_setup(N=32)
+    u0 = ScalarField(g, 1.0 + 0.2 * np.cos(g.axis_coordinates(0)))
+    cfg = RunConfig(background=bg, f=f, u0=u0, T_final=0.3, stop_tol=0.0, log_cadence=3)
+    default = run(cfg)
+    assert default.n_records > 10
+    monkeypatch.setattr(conflow.grid, "BLOCK_NODES", 5 * 32)
+    blocked = run(cfg)
+    assert np.array_equal(blocked.vol_pre, default.vol_pre)
+    assert np.array_equal(blocked.snapshots, default.snapshots)
+    for key in RECORD_COLUMNS:
+        assert np.array_equal(blocked.columns[key], default.columns[key]), key
+    assert_rows_match_reference(bg, f, default.columns, default.snapshots,
+                                default.columns["dt"])
 
 
 def test_hamilton_rescale_guards():
