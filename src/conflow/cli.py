@@ -19,6 +19,7 @@ Identical configs produce bit-identical CSV and summaries.
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import zipfile
@@ -55,6 +56,14 @@ def _object(value, what: str) -> dict:
     """``value`` itself if it is a JSON object, else a ConfigError."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _flag(tcfg: dict, key: str, default: bool) -> bool:
+    """``time.<key>`` if it is a JSON boolean, else a ConfigError."""
+    value = tcfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'time.{key}' must be true or false, got {value!r}")
     return value
 
 
@@ -95,6 +104,10 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             policy = DtPolicy.fixed(float(dt_cfg["dt"]))
         else:
             policy = DtPolicy.adaptive(float(dt_cfg.get("safety", 0.8)))
+        normalized = _flag(tcfg, "normalized", True)
+        log_cadence = tcfg.get("log_cadence", 10)
+        if isinstance(log_cadence, bool) or not isinstance(log_cadence, int):
+            raise ConfigError(f"'time.log_cadence' must be an integer, got {log_cadence!r}")
         return RunConfig(
             background=bg,
             f=f,
@@ -102,11 +115,10 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             T_final=float(tcfg.get("T_final", 1.0)),
             dt_policy=policy,
             stop_tol=float(tcfg.get("stop_tol", 1e-8)),
-            renormalize_volume=bool(tcfg.get("renormalize_volume",
-                                             tcfg.get("normalized", True))),
-            log_cadence=int(tcfg.get("log_cadence", 10)),
+            renormalize_volume=_flag(tcfg, "renormalize_volume", normalized),
+            log_cadence=log_cadence,
             scheme=tcfg.get("scheme", "rk4"),
-            normalized=bool(tcfg.get("normalized", True)),
+            normalized=normalized,
         )
     except ConfigError:
         raise
@@ -267,15 +279,22 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def _sweep_worker(payload) -> tuple[str, int, str]:
+def _sweep_worker(payload) -> tuple[str, str, str, int, float, float]:
+    """Run one sweep member; its aggregate row (id, case, termination, exit,
+    B_pred, B_fit)."""
     run_id, cfg, out_dir = payload
     try:
         rc = build_run_config(cfg, Path(out_dir))
     except ConfigError as exc:
-        return run_id, 1, f"config error: {exc}"
+        return run_id, "invalid", f"config error: {exc}", 1, math.nan, math.nan
     traj = run(rc)
     write_outputs(traj, Path(out_dir), cfg)
-    return run_id, (0 if traj.termination in _RUN_OK else 2), traj.termination
+    bg = rc.background
+    b_pred = math.nan
+    if bg.case_tag == "negative":
+        b_pred, _c = diagnostics.predicted_decay_constants(bg, rc.f)
+    return (run_id, bg.case_tag, traj.termination, 0 if traj.termination in _RUN_OK else 2,
+            b_pred, diagnostics.fit_decay(traj).B_fit)
 
 
 def _merge(base: dict, overrides: dict) -> dict:
@@ -320,28 +339,12 @@ def cmd_sweep(args) -> int:
         return 1
 
     if jobs <= 1:
-        results = [_sweep_worker(p) for p in payloads]
+        rows = [_sweep_worker(p) for p in payloads]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+            rows = list(pool.map(_sweep_worker, payloads))
 
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for (run_id, code, term), (_, cfg, out_dir) in zip(results, payloads):
-        b_pred = b_fit = float("nan")
-        if code != 1:
-            try:
-                traj, _ = load_trajectory(Path(out_dir))
-                rc = traj.config
-                b_fit = diagnostics.fit_decay(traj).B_fit
-                if rc.background.case_tag == "negative":
-                    b_pred, _c = diagnostics.predicted_decay_constants(rc.background, rc.f)
-                case = rc.background.case_tag
-            except (ConfigError, FileNotFoundError):
-                case = "unknown"
-        else:
-            case = "invalid"
-        rows.append((run_id, case, term, code, b_pred, b_fit))
     with open(out_root / "aggregate.csv", "w") as fh:
         fh.write("id,case,termination,exit,B_pred,B_fit\n")
         for rid, case, term, code, bp, bf in rows:
@@ -371,22 +374,18 @@ def cmd_compare(args) -> int:
               f" (tolerance {SHIFT_TOL:g})")
         return 0 if (tgap <= 1e-12 and ugap <= SHIFT_TOL) else 2
     # rescale mode: run_a normalized, run_b non-normalized
-    from .flow import hamilton_rescale
     if traj_b.kind != "non_normalized":
         print("compare: run_b must be a non-normalized run for rescale mode", file=sys.stderr)
         return 1
-    f = traj_b.config.f
     try:
-        rescaled = hamilton_rescale(traj_b, f)
+        rep = diagnostics.compare_rescaled(traj_a, traj_b, traj_b.config.f)
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
-    gap, count = diagnostics.sup_deviation_on_times(
-        traj_a.times, traj_a.snapshots, rescaled.times, rescaled.snapshots)
-    full = count == traj_a.n_records
-    print(f"rescale compare: sup gap {gap:.3g} over {count}/{traj_a.n_records} records"
-          f" (tolerance {diagnostics.RESCALE_TOL:g})")
-    return 0 if (gap <= diagnostics.RESCALE_TOL and full) else 2
+    print(f"rescale compare: sup gap {rep.measured['sup_gap']:.3g} over"
+          f" {rep.measured['matched_records']}/{traj_a.n_records} records"
+          f" (tolerance {rep.tolerances['sup_tol']:g})")
+    return 0 if rep.passed else 2
 
 
 def main(argv=None) -> int:

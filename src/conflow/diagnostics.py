@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .conformal import Background, Constants, require_f_domain, scalar_curvature_values
-from .flow import Trajectory, _cumtrapz, hamilton_rescale, run
+from .flow import Trajectory, cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
 from .grid import PositivityError, grad_inner_values, power, record_blocks, record_means
 
@@ -41,6 +41,7 @@ __all__ = [
     "check_Lnhalf_monotone",
     "check_positive_S_bounds",
     "check_flat_identity",
+    "compare_rescaled",
     "check_rescale_equivalence",
     "check_stationary_limit",
     "sobolev_program_series",
@@ -714,31 +715,14 @@ def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray,
     return worst, count
 
 
-def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
-                              tol: float = RESCALE_TOL) -> TheoremReport:
-    """Runs the non-normalized flow of the normalized trajectory's config
-    (stopped once its rescaled time covers the trajectory's horizon),
-    rescales it, and compares the conformal factors on matched times."""
-    gate = _require_normalized("rescale_equivalence", traj)
-    if gate:
-        return gate
-    if traj.config is None:
-        return _inconclusive("rescale_equivalence", traj, "no configuration attached")
-    tau_target = float(traj.times[-1])
-    cfg_nn = replace(
-        traj.config,
-        normalized=False,
-        renormalize_volume=False,
-        log_cadence=1,
-        stop_tol=0.0,
-        T_final=max(1e9, 10.0 * traj.config.T_final),
-        tau_stop=tau_target * (1.0 + 1e-9) + 1e-12,
-        tau_alpha=f.alpha_homogeneous,
-    )
-    traj_nn = run(cfg_nn)
-    rescaled = hamilton_rescale(traj_nn, f)
-    gap, count = sup_deviation_on_times(traj.times, traj.snapshots,
-                                        rescaled.times, rescaled.snapshots)
+def compare_rescaled(traj: Trajectory, traj_nn: Trajectory, f: FSpec,
+                     tol: float = RESCALE_TOL) -> TheoremReport:
+    """Rescale the non-normalized ``traj_nn`` (``hamilton_rescale``) and
+    compare its conformal factors with ``traj``'s on matched times.  Passes
+    when the sup gap is within ``tol`` at every record of ``traj``.  Raises
+    ValueError when ``traj_nn`` cannot be rescaled."""
+    tau, rescaled = hamilton_rescale(traj_nn, f)
+    gap, count = sup_deviation_on_times(traj.times, traj.snapshots, tau, rescaled)
     notes = ""
     if count < traj.n_records:
         notes = (f"rescaled run covers {count} of {traj.n_records} normalized records"
@@ -752,6 +736,28 @@ def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
         notes=notes,
         segment=_segment(traj),
     )
+
+
+def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
+                              tol: float = RESCALE_TOL) -> TheoremReport:
+    """Runs the non-normalized flow of the normalized trajectory's config
+    (stopped once its rescaled time covers the trajectory's horizon) and
+    compares it with the trajectory (``compare_rescaled``)."""
+    gate = _require_normalized("rescale_equivalence", traj)
+    if gate:
+        return gate
+    if traj.config is None:
+        return _inconclusive("rescale_equivalence", traj, "no configuration attached")
+    cfg_nn = replace(
+        traj.config,
+        normalized=False,
+        renormalize_volume=False,
+        log_cadence=1,
+        stop_tol=0.0,
+        T_final=max(1e9, 10.0 * traj.config.T_final),
+        tau_stop=float(traj.times[-1]) * (1.0 + 1e-9) + 1e-12,
+    )
+    return compare_rescaled(traj, run(cfg_nn), f, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +838,7 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
         means += record_means(S ** q * power(u, m)).tolist()
     # Python float powers, as record by record (numpy's may round differently)
     vals = np.array([v ** ((n - 2.0) / n) for v in means])
-    integral = _cumtrapz(vals, traj.times)
+    integral = cumtrapz(vals, traj.times)
     return TheoremReport("sobolev_integral_info", None,
                          measured={"final_integral": float(integral[-1]),
                                    "max_integrand": float(vals.max())},

@@ -30,7 +30,7 @@ For homogeneous f of degree alpha, a non-normalized run can be mapped onto
 the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
 the time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of
 the logged A series; ``hamilton_rescale`` implements this with trapezoid
-quadrature and builds the rescaled rows in blocks of records.
+quadrature (``cumtrapz``) and returns the tau times and the rescaled states.
 """
 
 import math
@@ -66,6 +66,7 @@ __all__ = [
     "renormalize_volume",
     "run",
     "hamilton_rescale",
+    "cumtrapz",
     "frechet_apply",
     "frechet_normalized_apply",
     "check_parabolic_validity",
@@ -121,7 +122,6 @@ class RunConfig:
     scheme: str = "rk4"
     normalized: bool = True
     tau_stop: float | None = None
-    tau_alpha: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.T_final) and self.T_final > 0.0):
@@ -141,8 +141,9 @@ class RunConfig:
         if self.tau_stop is not None:
             if self.normalized:
                 raise ValueError("tau_stop only applies to non-normalized runs")
-            if self.tau_alpha is None:
-                raise ValueError("tau_stop needs tau_alpha (the homogeneity degree)")
+            if self.f.alpha_homogeneous is None:
+                raise ValueError(f"tau_stop needs a homogeneous f; {self.f.name}"
+                                 " declares no homogeneity degree")
             if self.log_cadence != 1:
                 raise ValueError("tau-stopped runs must log every step")
 
@@ -193,6 +194,13 @@ def _mean(v: np.ndarray):
     return v.sum() / v.size
 
 
+def _renormalized(u: np.ndarray, m: float) -> tuple[np.ndarray, float]:
+    """u scaled to unit volume, and the volume (mean of u**m) before the
+    scaling."""
+    vol = float(_mean(power(u, m)))
+    return u * vol ** (-1.0 / m), vol
+
+
 class _Probe(NamedTuple):
     """What every step of a run needs from its current state.
 
@@ -223,7 +231,7 @@ class _Kernel:
     state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
     bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
     diagnostics columns of a stack of logged states, one block of records
-    at a time; ``run`` and ``hamilton_rescale`` both take that route.
+    at a time, for ``run``.
     """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
@@ -389,8 +397,7 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 def renormalize_volume(state: ConformalState) -> ConformalState:
     """Scale u so the total volume returns to one exactly (to rounding)."""
     m = Constants.for_dimension(state.u.grid.ambient_n).vol_exp
-    vol = float(power(state.u.values, m).mean())
-    u_new = state.u.values * vol ** (-1.0 / m)
+    u_new, _ = _renormalized(state.u.values, m)
     return ConformalState(ScalarField(state.u.grid, u_new), state.t)
 
 
@@ -469,12 +476,13 @@ def run(config: RunConfig) -> Trajectory:
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
     if config.renormalize_volume:
-        u = u * float(_mean(kern.weight(u))) ** (-1.0 / kern.m)
+        u, _ = _renormalized(u, kern.m)
 
     times, dts, snaps, vol_pre = [], [], [], []
     last_pre = float(_mean(kern.weight(u)))
 
     track_tau = config.tau_stop is not None
+    alpha = f.alpha_homogeneous
     eta = 0.0
     tau = 0.0
     prev_t = 0.0
@@ -505,8 +513,7 @@ def run(config: RunConfig) -> Trajectory:
             d = t - prev_t
             prev_eta = eta
             eta += 0.5 * (prev_A + p.A) * d
-            tau += 0.5 * (math.exp(-config.tau_alpha * prev_eta)
-                          + math.exp(-config.tau_alpha * eta)) * d
+            tau += 0.5 * (math.exp(-alpha * prev_eta) + math.exp(-alpha * eta)) * d
         prev_t, prev_A = t, p.A
 
         if p.umin <= POSITIVITY_FLOOR:
@@ -567,8 +574,7 @@ def run(config: RunConfig) -> Trajectory:
             break
 
         if config.renormalize_volume:
-            last_pre = float(_mean(kern.weight(u_new)))
-            u_new = u_new * last_pre ** (-1.0 / kern.m)
+            u_new, last_pre = _renormalized(u_new, kern.m)
         u = u_new
         t += dt
         dt_used = dt
@@ -588,7 +594,8 @@ def run(config: RunConfig) -> Trajectory:
     )
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at zero."""
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
@@ -597,13 +604,14 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 HOMOGENEITY_TOL = 1e-8
 
 
-def hamilton_rescale(traj: Trajectory, f: FSpec) -> Trajectory:
+def hamilton_rescale(traj: Trajectory, f: FSpec) -> tuple[np.ndarray, np.ndarray]:
     """Map a non-normalized trajectory onto the normalized flow.
 
     eta is the trapezoid integral of the logged A series, the new time is
     tau with d(tau)/dt = exp(-alpha*eta), and the conformal factor becomes
     exp(-(n-2)/4 * eta) * v.  Requires f homogeneous of a known degree; both
-    eta(0) and tau(0) are zero.  The rows are built in blocks of records.
+    eta(0) and tau(0) are zero.  Returns tau and the rescaled snapshots, one
+    per record.
     """
     if traj.kind != "non_normalized":
         raise ValueError("hamilton_rescale expects a non-normalized trajectory")
@@ -613,25 +621,9 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> Trajectory:
     defect = homogeneity_check(f, alpha)
     if defect > HOMOGENEITY_TOL:
         raise ValueError(f"{f.name} is not {alpha:g}-homogeneous (defect {defect:.3g})")
-    if traj.config is None:
-        raise ValueError("trajectory carries no configuration")
 
     t = traj.times
-    A = traj.column("A")
-    eta = _cumtrapz(A, t)
-    tau = _cumtrapz(np.exp(-alpha * eta), t)
+    eta = cumtrapz(traj.column("A"), t)
+    tau = cumtrapz(np.exp(-alpha * eta), t)
     scale = np.exp(-0.25 * (traj.n - 2.0) * eta)
-    rescaled = traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))
-
-    kern = _Kernel(traj.config.background, f, normalized=True)
-    return Trajectory(
-        kind="rescaled",
-        termination=traj.termination,
-        columns=kern.columns(rescaled, tau, np.diff(tau, prepend=0.0)),
-        snapshots=rescaled,
-        grid=traj.grid,
-        n=traj.n,
-        vol_pre=np.ones(traj.n_records),
-        config=traj.config,
-        notes=f"rescaled from non-normalized run (alpha={alpha:g})",
-    )
+    return tau, traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conflow import cli
+from conflow import cli, diagnostics
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,7 +219,7 @@ def test_compare_shift_detects_difference(tmp_path):
     assert cli.main(["compare", str(out_a), str(out_b), "--mode", "shift"]) == 2
 
 
-def test_compare_rescale_mode(tmp_path):
+def test_compare_rescale_mode(tmp_path, monkeypatch):
     norm = base_config(T_final=0.3, stop_tol=0.0)
     cfg_a = write_cfg(tmp_path, norm, "norm.json")
     nonnorm = base_config(T_final=0.45, stop_tol=0.0, log_cadence=1)
@@ -229,7 +229,22 @@ def test_compare_rescale_mode(tmp_path):
     out_a, out_b = tmp_path / "oa", tmp_path / "ob"
     assert cli.main(["run", str(cfg_a), "--out", str(out_a)]) == 0
     assert cli.main(["run", str(cfg_b), "--out", str(out_b)]) == 0
+    # compare and the verify check both go through one comparison
+    compared = []
+    real = diagnostics.compare_rescaled
+
+    def recording(*args, **kwargs):
+        compared.append(real(*args, **kwargs))
+        return compared[-1]
+
+    monkeypatch.setattr(diagnostics, "compare_rescaled", recording)
     assert cli.main(["compare", str(out_a), str(out_b), "--mode", "rescale"]) == 0
+    assert cli.main(["verify", str(out_a), "--checks", "rescale",
+                     "--out", str(tmp_path / "v")]) == 0
+    (report,) = json.loads((tmp_path / "v" / "report.json").read_text())["reports"]
+    assert len(compared) == 2
+    assert compared[0].measured == compared[1].measured == report["measured"]
+    assert report["measured"]["matched_records"] == 8
     # wrong order: run_b must be the non-normalized one
     assert cli.main(["compare", str(out_b), str(out_a), "--mode", "rescale"]) == 1
 
@@ -353,6 +368,10 @@ def _set(cfg, path, value):
     ("time.T_final", math.nan),
     ("time.stop_tol", math.nan),
     ("time.dt", {"policy": "fixed", "dt": math.nan}),
+    ("time.normalized", "false"),
+    ("time.renormalize_volume", "false"),
+    ("time.log_cadence", 2.5),
+    ("time.log_cadence", True),
 ])
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     # a malformed section or a non-finite number (JSON NaN) ends in one

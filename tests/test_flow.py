@@ -488,8 +488,8 @@ def test_config_validation():
         RunConfig(background=bg, f=classical(), u0=u0, T_final=0.0)
     with pytest.raises(ValueError, match="renormalization"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, normalized=False)
-    with pytest.raises(ValueError, match="tau_alpha"):
-        RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, normalized=False,
+    with pytest.raises(ValueError, match="homogeneous"):
+        RunConfig(background=bg, f=expdecay(1.0), u0=u0, T_final=1.0, normalized=False,
                   renormalize_volume=False, tau_stop=1.0, log_cadence=1)
     with pytest.raises(ValueError, match="safety"):
         DtPolicy.adaptive(1.5)
@@ -525,9 +525,9 @@ def test_hamilton_rescale_starts_at_zero():
     g = grid1d(N=32)
     bg = background_from_spec(g, "constant:-1.0")
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.5)
-    resc = hamilton_rescale(traj, classical())
-    assert resc.times[0] == 0.0
-    assert np.array_equal(resc.snapshots[0], traj.snapshots[0])
+    tau, rescaled = hamilton_rescale(traj, classical())
+    assert tau[0] == 0.0
+    assert np.array_equal(rescaled[0], traj.snapshots[0])
 
 
 def test_hamilton_rescale_constant_state_stays_constant():
@@ -537,8 +537,8 @@ def test_hamilton_rescale_constant_state_stays_constant():
     # the non-normalized factor moves, the rescaled one must not
     # (up to the trapezoid quadrature error of eta, ~dt^2)
     assert np.abs(traj.snapshots[-1] - 1.0).max() > 1e-3
-    resc = hamilton_rescale(traj, classical())
-    assert np.abs(resc.snapshots - 1.0).max() < 1e-5
+    _, rescaled = hamilton_rescale(traj, classical())
+    assert np.abs(rescaled - 1.0).max() < 1e-5
 
 
 def test_hamilton_rescale_curvature_consistency():
@@ -547,28 +547,13 @@ def test_hamilton_rescale_curvature_consistency():
     bg = background_from_spec(g, NEG_BG)
     f = classical()
     traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.4)
-    resc = hamilton_rescale(traj, f)
+    _, rescaled = hamilton_rescale(traj, f)
     t, A = traj.times, traj.columns["A"]
     eta = np.concatenate([[0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(t))])
     for k in (0, traj.n_records // 2, traj.n_records - 1):
         R = scalar_curvature(bg, traj.state(k)).values
-        S = scalar_curvature(bg, ConformalState(ScalarField(g, resc.snapshots[k]))).values
+        S = scalar_curvature(bg, ConformalState(ScalarField(g, rescaled[k]))).values
         assert np.abs(S - np.exp(eta[k]) * R).max() < 1e-10 * max(1.0, np.abs(S).max())
-
-
-@pytest.mark.parametrize("block_nodes", [None, 5 * 32])
-def test_hamilton_rescale_rows_match_record(monkeypatch, block_nodes):
-    # rows are built in blocks of records; each must be the reference row
-    # of its record alone
-    if block_nodes is not None:
-        monkeypatch.setattr(conflow.grid, "BLOCK_NODES", block_nodes)
-    g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
-    f = classical()
-    traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.05)
-    assert traj.n_records > 10
-    resc = hamilton_rescale(traj, f)
-    assert_rows_match_reference(bg, f, resc.columns, resc.snapshots)
 
 
 def test_kernel_rows_outside_the_domain_match_record():
@@ -620,7 +605,7 @@ def test_tau_stop_terminates_early():
     bg = background_from_spec(g, NEG_BG)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=1e6, normalized=False, renormalize_volume=False,
-                    stop_tol=0.0, log_cadence=1, tau_stop=0.2, tau_alpha=1.0)
+                    stop_tol=0.0, log_cadence=1, tau_stop=0.2)
     traj = run(cfg)
     assert traj.termination == "time_reached"
     assert "tau" in traj.notes
