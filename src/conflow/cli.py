@@ -12,7 +12,9 @@ step budget, 1 on config errors (a nonpositive u0, a non-finite number or
 a section of the wrong type among them).  verify returns 2 when any
 non-inconclusive check fails and 1 on config errors, an unreadable
 trajectory.npz or unknown check names, which are rejected before any run or
-check starts.  sweep returns 1 on a malformed plan.
+check starts.  sweep returns 1 on a malformed plan.  compare returns 2 when
+the two runs disagree and 1 when they cannot be compared: an unreadable
+run, two different grids, or a run of the wrong kind for the mode.
 Identical configs produce bit-identical CSV and summaries.
 """
 
@@ -86,7 +88,15 @@ def resolve_config_paths(cfg: dict, base_dir: Path) -> dict:
 
 
 def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunConfig:
+    """The RunConfig of a config document; a malformed document, its
+    ``outputs`` and ``checks`` sections included, raises ConfigError."""
     try:
+        out_dir = _object(cfg.get("outputs", {}), "'outputs'").get("dir", "")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"'outputs.dir' must be a string, got {out_dir!r}")
+        checks = cfg.get("checks", [])
+        if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+            raise ConfigError(f"'checks' must be a JSON list of strings, got {checks!r}")
         gspec = cfg["grid"]
         grid = GridSpec(
             ambient_n=int(gspec["ambient_n"]),
@@ -219,8 +229,8 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    traj = run(rc)
     out = _default_out(cfg_path, cfg, args.out)
+    traj = run(rc)
     write_outputs(traj, out, cfg)
     print(f"{cfg_path.stem}: {traj.termination} after {traj.n_records} records"
           f" (t = {traj.times[-1]:.6g}); outputs in {out}")
@@ -338,10 +348,12 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
 
-    if jobs <= 1:
+    # no more workers than runs: the pool starts all of them at once
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 
     out_root.mkdir(parents=True, exist_ok=True)
@@ -358,9 +370,19 @@ SHIFT_TOL = 1e-10
 
 
 def cmd_compare(args) -> int:
+    """Shift mode compares two normalized runs record by record; rescale
+    mode compares a normalized run_a with the rescaled non-normalized run_b.
+    Both need the two runs on one grid."""
+    kind_b = "normalized" if args.mode == "shift" else "non_normalized"
     try:
         traj_a, _ = load_trajectory(Path(args.run_a))
-        traj_b, cfg_b = load_trajectory(Path(args.run_b))
+        traj_b, _ = load_trajectory(Path(args.run_b))
+        if traj_a.grid != traj_b.grid:
+            raise ConfigError(f"the runs live on different grids:"
+                              f" {traj_a.grid} vs {traj_b.grid}")
+        for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
+            if traj.kind != kind:
+                raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")
     except (ConfigError, FileNotFoundError) as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
@@ -373,10 +395,6 @@ def cmd_compare(args) -> int:
         print(f"shift compare: max time gap {tgap:.3g}, max u gap {ugap:.3g}"
               f" (tolerance {SHIFT_TOL:g})")
         return 0 if (tgap <= 1e-12 and ugap <= SHIFT_TOL) else 2
-    # rescale mode: run_a normalized, run_b non-normalized
-    if traj_b.kind != "non_normalized":
-        print("compare: run_b must be a non-normalized run for rescale mode", file=sys.stderr)
-        return 1
     try:
         rep = diagnostics.compare_rescaled(traj_a, traj_b, traj_b.config.f)
     except ValueError as exc:

@@ -15,7 +15,10 @@ and, unchanged, the first RK4 stage; ``advance`` adds the other three, so
 an RK4 step costs four right-hand-side evaluations (Euler: one).  Logged
 and terminal steps only store their state; the diagnostics columns (sigma,
 vol, the curvature norms, ...) are built once from the logged states after
-the loop, one block of records at a time (``_Kernel.columns``).
+the loop, one block of records at a time (``_Kernel.columns``).  The
+single-state entry points ``rhs_normalized``, ``stable_dt`` and ``step``
+run the same ``_Kernel`` on one ``ConformalState``; the benchmark's kernel
+microbench times them.
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -42,7 +45,6 @@ import numpy as np
 from .conformal import (
     Background,
     ConformalState,
-    Constants,
     FDomainError,
     conformal_laplacian_values,
     require_f_domain,
@@ -60,16 +62,13 @@ __all__ = [
     "BLOWUP_SUP",
     "POSITIVITY_FLOOR",
     "rhs_normalized",
-    "rhs_nonnormalized",
     "stable_dt",
     "step",
-    "renormalize_volume",
     "run",
     "hamilton_rescale",
     "cumtrapz",
     "frechet_apply",
     "frechet_normalized_apply",
-    "check_parabolic_validity",
 ]
 
 RECORD_COLUMNS = (
@@ -176,13 +175,6 @@ class Trajectory:
     @property
     def n_records(self) -> int:
         return len(self.columns["t"])
-
-    def state(self, k: int) -> ConformalState:
-        return ConformalState(ScalarField(self.grid, self.snapshots[k]), float(self.times[k]))
-
-    @property
-    def final_state(self) -> ConformalState:
-        return self.state(self.n_records - 1)
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -351,17 +343,12 @@ class _Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Public single-state operations
+# Single-state entry points
 # ---------------------------------------------------------------------------
 
 def rhs_normalized(bg: Background, state: ConformalState, f: FSpec) -> ScalarField:
     """(n-2)/4 * (f(S) - A) * u.  Volume-stationary by construction."""
     return ScalarField(bg.grid, _Kernel(bg, f, normalized=True).rhs(state.u.values))
-
-
-def rhs_nonnormalized(bg: Background, state: ConformalState, f: FSpec) -> ScalarField:
-    """(n-2)/4 * f(S) * u; differs from the normalized rhs by (n-2)/4 * A * u."""
-    return ScalarField(bg.grid, _Kernel(bg, f, normalized=False).rhs(state.u.values))
 
 
 def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0.8) -> float:
@@ -392,23 +379,6 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
     u = state.u.values
     u_new = kern.advance(u, dt, scheme, kern.rhs(u))
     return ConformalState(ScalarField(bg.grid, u_new), state.t + dt)
-
-
-def renormalize_volume(state: ConformalState) -> ConformalState:
-    """Scale u so the total volume returns to one exactly (to rounding)."""
-    m = Constants.for_dimension(state.u.grid.ambient_n).vol_exp
-    u_new, _ = _renormalized(state.u.values, m)
-    return ConformalState(ScalarField(state.u.grid, u_new), state.t)
-
-
-def check_parabolic_validity(bg: Background, state: ConformalState, f: FSpec):
-    """(min u, min -f'(S)): both positive iff the state is uniformly positive
-    with f strictly decreasing on the attained curvature values."""
-    kern = _Kernel(bg, f, normalized=True)
-    S = kern.curvature(state.u.values)
-    kern.require_domain(S)
-    fp_margin = float((-f.eval_fp(S)).min())
-    return state.u.min(), fp_margin
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ symbolic proof, since f is user-extensible.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,18 +31,14 @@ __all__ = [
     "Interval",
     "Growth",
     "FSpec",
-    "check_decreasing",
     "homogeneity_check",
     "default_homogeneity_triples",
-    "shift",
-    "normalize_at_zero",
     "classical",
     "power_law",
     "reciprocal",
     "expdecay",
     "from_table",
     "from_config",
-    "from_spec_string",
 ]
 
 _CERT_SAMPLES = 10_000
@@ -125,18 +121,6 @@ def _certify_decreasing(f: FSpec, samples: int = _CERT_SAMPLES,
     return f
 
 
-def check_decreasing(f: FSpec, lo: float, hi: float, samples: int = 1000) -> float:
-    """Minimum of -f' over ``samples`` points of [lo, hi] (endpoints included).
-
-    A positive return value certifies a parabolicity constant c with
-    f' <= -c on the interval.
-    """
-    if not f.domain.contains_interval(lo, hi):
-        raise ValueError(f"[{lo:g}, {hi:g}] is not inside the domain {f.domain} of {f.name}")
-    xs = np.linspace(lo, hi, max(samples, 2))
-    return float((-f.eval_fp(xs)).min())
-
-
 def default_homogeneity_triples(domain: Interval) -> list[tuple[float, float, float]]:
     """(lambda, x, y) triples inside the domain, used by homogeneity_check."""
     if domain.contains(0.0):
@@ -164,29 +148,6 @@ def homogeneity_check(f: FSpec, alpha: float,
         rhs = lam ** alpha * float(f.eval_f(x) - f.eval_f(y))
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def shift(f: FSpec, const: float) -> FSpec:
-    """f + const; derivatives, domain and homogeneity degree are unchanged."""
-    c = float(const)
-    base = f.eval_f
-    new_growth = None
-    if f.growth is not None:
-        new_growth = Growth(f.growth.mu, max(f.growth.nu - c, 0.0), f.growth.kappa)
-    return replace(
-        f,
-        name=f"{f.name}{c:+g}",
-        eval_f=lambda x, _b=base, _c=c: _b(x) + _c,
-        growth=new_growth,
-        bounded_below=None if f.bounded_below is None else f.bounded_below + c,
-    )
-
-
-def normalize_at_zero(f: FSpec) -> FSpec:
-    """f - f(0); requires 0 to be in the domain."""
-    if not f.domain.contains(0.0):
-        raise ValueError(f"cannot normalize {f.name} at zero: 0 not in {f.domain}")
-    return shift(f, -float(f.eval_f(0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +266,4 @@ def from_config(cfg: dict, seed: int | None = None) -> FSpec:
         return expdecay(cfg.get("alpha", 1.0))
     if name == "table":
         return from_table(cfg["x"], cfg["f"], seed=seed)
-    raise ValueError(f"unknown response function {name!r}")
-
-
-def from_spec_string(spec: str) -> FSpec:
-    """Shorthand parser: 'classical', 'power:1.5', 'reciprocal:3', 'expdecay:1'."""
-    name, _, rest = spec.partition(":")
-    args = [float(s) for s in rest.split(",")] if rest else []
-    if name == "classical":
-        return classical()
-    if name == "power":
-        return power_law(*args)
-    if name == "reciprocal":
-        return reciprocal(*args)
-    if name == "expdecay":
-        return expdecay(*args)
     raise ValueError(f"unknown response function {name!r}")

@@ -2,26 +2,31 @@
 
 Conventions used throughout the package:
 
-* The discrete Laplacian ``laplacian0`` is the *negative* Laplacian
-  (nonpositive spectrum): on ``cos(x)`` it returns ``-cos(x)`` up to O(h^2).
-  Per active axis it is the standard second-order three-point stencil.
-* ``grad_inner(a, b)`` approximates the flat inner product of the gradients.
-  Per axis it averages the forward and backward difference products,
+* ``laplacian0_values`` is the discrete *negative* Laplacian (nonpositive
+  spectrum): on ``cos(x)`` it returns ``-cos(x)`` up to O(h^2).  Per active
+  axis it is the standard second-order three-point stencil.
+* ``grad_inner_values(grid, a, b)`` approximates the flat inner product of
+  the gradients.  Per axis it averages the forward and backward difference
+  products,
 
       0.5 * (D+a D+b + D-a D-b),
 
   which is second-order accurate, symmetric in (a, b), and makes the
   summation-by-parts identity
 
-      integrate0(a * laplacian0(b)) + integrate0(grad_inner(a, b)) == 0
+      mean(a * laplacian0_values(g, b)) + mean(grad_inner_values(g, a, b)) == 0
 
   hold exactly (to rounding) on a periodic grid.  The three-point Laplacian
   also satisfies the discrete maximum principle exactly: at a node where a
-  field attains its grid maximum, ``laplacian0`` is <= 0.
-* Quadrature weights are normalized so that ``integrate0(1) == 1``: the
-  background volume is pinned to one and suppressed ambient axes contribute
-  a factor one each.  Evolving-metric integrals are weighted by
-  ``u ** (2n/(n-2))``.
+  field attains its grid maximum, ``laplacian0_values`` is <= 0.
+* Both stencils act on the trailing ``active_dims`` axes, so a
+  ``(K, *grid.shape)`` stack of records gives each record's result.
+* Quadrature weights are normalized so that the background integral of 1 is
+  1: a background integral is the plain mean of the nodal values
+  (``record_means`` per record of a stack), the background volume is pinned
+  to one and suppressed ambient axes contribute a factor one each.
+  Evolving-metric integrals are weighted by ``u ** (2n/(n-2))``, the
+  exponent ``conformal.Constants.vol_exp``.
 """
 
 import functools
@@ -35,14 +40,11 @@ __all__ = [
     "ScalarField",
     "GridMismatchError",
     "PositivityError",
-    "laplacian0",
-    "grad_inner",
-    "integrate0",
+    "laplacian0_values",
+    "grad_inner_values",
+    "power",
     "record_blocks",
     "record_means",
-    "integrate_g",
-    "lp_norm_g",
-    "volume_weight",
     "field_from_spec",
     "write_field",
     "read_field",
@@ -50,7 +52,7 @@ __all__ = [
 
 
 class GridMismatchError(ValueError):
-    """Binary operation on fields living on different grids."""
+    """A snapshot file whose grid is not the one expected."""
 
 
 class PositivityError(ValueError):
@@ -142,11 +144,6 @@ class ScalarField:
         return float(self.values.max())
 
 
-def _check_same_grid(a: ScalarField, b: ScalarField):
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 @functools.lru_cache(maxsize=32)
 def _periodic_neighbours(grid: GridSpec) -> tuple:
     """Per active axis: (index of the next node, index of the previous node,
@@ -174,10 +171,6 @@ def laplacian0_values(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian0(field: ScalarField) -> ScalarField:
-    return ScalarField(field.grid, laplacian0_values(field.grid, field.values))
-
-
 def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetrized forward/backward gradient product on raw values; like
     ``laplacian0_values`` it acts on the trailing ``active_dims`` axes."""
@@ -187,16 +180,6 @@ def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarra
         dpb = (b.take(nxt, axis=ax) - b) / h
         out += 0.5 * (dpa * dpb + dpa.take(prv, axis=ax) * dpb.take(prv, axis=ax))
     return out
-
-
-def grad_inner(a: ScalarField, b: ScalarField) -> ScalarField:
-    """Pointwise <grad a, grad b> with the flat background metric.
-
-    Symmetric in (a, b) and compatible with ``laplacian0`` in the sense that
-    discrete integration by parts holds exactly.
-    """
-    _check_same_grid(a, b)
-    return ScalarField(a.grid, grad_inner_values(a.grid, a.values, b.values))
 
 
 # Node budget of one block of records: batched checks hold about this many
@@ -217,11 +200,6 @@ def record_means(v: np.ndarray) -> np.ndarray:
     return v.reshape(len(v), -1).mean(axis=1)
 
 
-def integrate0(field: ScalarField) -> float:
-    """Background integral with weights normalized so integrate0(1) == 1."""
-    return float(field.values.mean())
-
-
 def power(v: np.ndarray, exponent: float) -> np.ndarray:
     """v ** exponent with a fast path for small integer exponents."""
     k = round(exponent)
@@ -233,30 +211,6 @@ def power(v: np.ndarray, exponent: float) -> np.ndarray:
             out = out * v
         return out if k > 0 else 1.0 / out
     return np.power(v, exponent)
-
-
-def volume_weight(u: ScalarField, n: int) -> np.ndarray:
-    """Evolving volume density u ** (2n/(n-2)) against the background weights."""
-    if u.min() <= 0.0:
-        raise PositivityError("state outside positive cone")
-    return power(u.values, 2.0 * n / (n - 2.0))
-
-
-def integrate_g(field: ScalarField, u: ScalarField, n: int | None = None) -> float:
-    """Integral against the evolving volume measure defined by u."""
-    _check_same_grid(field, u)
-    m = n if n is not None else u.grid.ambient_n
-    return float((field.values * volume_weight(u, m)).mean())
-
-
-def lp_norm_g(field: ScalarField, p: float, u: ScalarField, n: int | None = None) -> float:
-    """L^p norm with respect to the evolving volume measure."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    _check_same_grid(field, u)
-    m = n if n is not None else u.grid.ambient_n
-    w = volume_weight(u, m)
-    return float((np.abs(field.values) ** p * w).mean() ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

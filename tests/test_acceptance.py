@@ -13,12 +13,13 @@ import pytest
 
 import conflow
 from conflow import diagnostics as dg
-from conflow.conformal import ConformalState, background_from_spec, scalar_curvature
+from conflow.conformal import Background, ConformalState, scalar_curvature_values
 from conflow.flow import DtPolicy, RunConfig, run
-from conflow.fzoo import classical, expdecay, power_law, shift
-from conflow.grid import ScalarField, lp_norm_g
+from conflow.fzoo import classical, expdecay, power_law
+from conflow.grid import ScalarField, field_from_spec
 
 from conftest import COS_PHASE, grid1d, smooth_field
+from reference import average_f, lp_norm_g, shift
 
 N1 = 128
 N4 = 256
@@ -37,7 +38,7 @@ def report(num, name, ok, detail):
 
 def neg_config(N=N1, **overrides):
     g = grid1d(N=N)
-    bg = background_from_spec(g, "sinusoidal:-1.5,0.4,0")
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
     kw = dict(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
               T_final=20.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
@@ -47,7 +48,7 @@ def neg_config(N=N1, **overrides):
 
 def flat_config(N=N4, **overrides):
     g = grid1d(N=N)
-    bg = background_from_spec(g, "constant:0")
+    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.3,0,{COS_PHASE}")
     kw = dict(background=bg, f=classical(), u0=u0, T_final=2.0,
               dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
@@ -58,7 +59,7 @@ def flat_config(N=N4, **overrides):
 
 def pos_config(N=N1, **overrides):
     g = grid1d(N=N)
-    bg = background_from_spec(g, "sinusoidal:1.0,0.5,0")
+    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"), g.ambient_n)
     kw = dict(background=bg, f=expdecay(1.0), u0=ScalarField.constant(g, 1.0),
               T_final=5.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
@@ -125,7 +126,7 @@ def test_criterion_3_u_bounds_and_convergence(run1):
     lo, hi = np.exp(-half_width), np.exp(half_width)
     in_band = bool(traj.columns["umin"].min() >= lo - 1e-12
                    and traj.columns["umax"].max() <= hi + 1e-12)
-    S = scalar_curvature(bg, traj.final_state).values
+    S = scalar_curvature_values(bg, traj.snapshots[-1])
     A = traj.columns["A"][-1]
     spread = float(S.max() - S.min())
     inv_gap = float(np.abs(S - (-A)).max())  # f(x) = -x inverts explicitly
@@ -163,9 +164,9 @@ def test_criterion_5_positive_bounded_f(run5):
     norm_half0 = traj.columns["lpn2"][0]
     p_ok = {}
     for p in (1.0, 2.0):
-        vals = np.array([lp_norm_g(scalar_curvature(bg, traj.state(k)), p,
-                                   traj.state(k).u)
-                         for k in range(traj.n_records)])
+        vals = np.array([lp_norm_g(ScalarField(traj.grid, scalar_curvature_values(bg, u)), p,
+                                   ScalarField(traj.grid, u))
+                         for u in traj.snapshots])
         p_ok[p] = bool(vals.max() <= norm_half0 + 1e-8)
     monotone = bool(np.diff(traj.columns["lpn2"]).max() <= 1e-8)
     a_obs = float((traj.columns["A"] - 1.0).min())  # f(0) = 1 for exp(-x)
@@ -221,17 +222,16 @@ def test_criterion_7_rescaling_equivalence():
 
 def test_criterion_8_frechet_slopes():
     g = grid1d(N=64)
-    bg = background_from_spec(g, "sinusoidal:-1.5,0.4,0")
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
     rng = np.random.default_rng(20240611)
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     slopes = []
 
     def raw(which, w, f):
-        st = ConformalState(w)
-        S = scalar_curvature(bg, st).values
+        S = scalar_curvature_values(bg, w.values)
         if which == "plain":
             return f.eval_f(S) * w.values
-        A = conflow.average_f(bg, st, f)
+        A = average_f(bg, ConformalState(w), f)
         return (f.eval_f(S) - A) * w.values
 
     for f, amp in ((classical(), 3.0), (expdecay(1.0), 1.0)):
@@ -270,7 +270,7 @@ def test_criterion_9_shift_invariance():
 def test_criterion_10_fixed_point_and_order():
     # exact fixed point: constant background curvature, unit factor
     g = grid1d(N=N1)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     st = ConformalState(ScalarField.constant(g, 1.0))
     f = classical()
     worst_rate = 0.0

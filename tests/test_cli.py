@@ -154,15 +154,48 @@ def test_sweep_serial(tmp_path):
         assert (out / rid / "series.csv").exists()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+@pytest.fixture(scope="module")
+def serial_and_parallel_sweep(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("sweeps")
     plan = sweep_plan(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert cli.main(["sweep", str(plan), "--out", str(out1), "--jobs", "1"]) == 0
     assert cli.main(["sweep", str(plan), "--out", str(out2), "--jobs", "2"]) == 0
+    return out1, out2
+
+
+@pytest.mark.parametrize("name", ["series.csv", "summary.json", "u_final.field"])
+def test_sweep_parallel_matches_serial(serial_and_parallel_sweep, name):
+    # sweep parallelism changes no member's output, byte for byte
+    out1, out2 = serial_and_parallel_sweep
     for rid in ("a", "b", "c", "d"):
-        assert (out1 / rid / "series.csv").read_bytes() == \
-            (out2 / rid / "series.csv").read_bytes()
+        assert (out1 / rid / name).read_bytes() == (out2 / rid / name).read_bytes()
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+def test_sweep_pool_is_bounded_by_the_run_count(tmp_path, monkeypatch):
+    # the pool forks all its workers at the first submit, so --jobs beyond
+    # the number of runs must not reach it; the stand-in maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    plan = sweep_plan(tmp_path)
+    assert cli.main(["sweep", str(plan), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
+    assert sizes == [4]
+    assert len((tmp_path / "s" / "aggregate.csv").read_text().splitlines()) == 5
 
 
 def test_sweep_duplicate_ids(tmp_path):
@@ -247,6 +280,34 @@ def test_compare_rescale_mode(tmp_path, monkeypatch):
     assert report["measured"]["matched_records"] == 8
     # wrong order: run_b must be the non-normalized one
     assert cli.main(["compare", str(out_b), str(out_a), "--mode", "rescale"]) == 1
+
+
+NON_NORMALIZED = {"time.normalized": False, "time.renormalize_volume": False}
+
+
+@pytest.mark.parametrize("mode,changes_a,changes_b,why", [
+    ("shift", {}, {"grid.points": [64]}, "different grids"),
+    ("rescale", {}, {"grid.points": [64], **NON_NORMALIZED}, "different grids"),
+    ("rescale", NON_NORMALIZED, NON_NORMALIZED, "needs a normalized run_a"),
+    ("shift", {}, NON_NORMALIZED, "needs a normalized run_b"),
+], ids=["shift-grids", "rescale-grids", "rescale-kind", "shift-kind"])
+def test_compare_mismatched_runs_is_one_line_exit_1(tmp_path, capsys, mode, changes_a,
+                                                    changes_b, why):
+    # two runs that cannot be compared end in one `compare:` line naming why
+    outs = []
+    for name, changes in (("a", changes_a), ("b", changes_b)):
+        cfg = base_config(T_final=0.1, dt={"policy": "fixed", "dt": 1e-3}, stop_tol=0.0)
+        for path, value in changes.items():
+            _set(cfg, path, value)
+        outs.append(str(tmp_path / name))
+        assert cli.main(["run", str(write_cfg(tmp_path, cfg, f"{name}.json")),
+                         "--out", outs[-1]]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", *outs, "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("compare:") and why in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_trajectory_roundtrip_bitwise(tmp_path):
@@ -372,10 +433,16 @@ def _set(cfg, path, value):
     ("time.renormalize_volume", "false"),
     ("time.log_cadence", 2.5),
     ("time.log_cadence", True),
+    ("outputs", 5),
+    ("outputs", {"dir": 5}),
+    ("checks", 5),
+    ("checks", None),
+    ("checks", "minmax"),
 ])
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     # a malformed section or a non-finite number (JSON NaN) ends in one
-    # `config error:` line before any run starts
+    # `config error:` line before any run starts, and `verify` of the same
+    # config in one `verify:` line
     cfg = base_config()
     _set(cfg, path, value)
     p = write_cfg(tmp_path, cfg)
@@ -384,6 +451,11 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     assert err.startswith("config error:")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+    assert cli.main(["verify", str(p), "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "v").exists()
 
 
 @pytest.mark.parametrize("key,value", [

@@ -3,12 +3,13 @@ import pytest
 
 import conflow
 from conflow import diagnostics as dg
-from conflow.conformal import ConformalState, background_from_spec, scalar_curvature
+from conflow.conformal import Background, ConformalState, scalar_curvature_values
 from conflow.flow import DtPolicy, RunConfig, Trajectory, _Kernel, run
 from conflow.fzoo import classical, expdecay, reciprocal
-from conflow.grid import ScalarField, grad_inner, power
+from conflow.grid import ScalarField, field_from_spec, grad_inner_values, power
 
 from conftest import COS_PHASE, grid1d
+from reference import metric_laplacian
 
 
 NEG_BG = "sinusoidal:-1.5,0.4,0"
@@ -18,7 +19,7 @@ POS_BG = "sinusoidal:1.0,0.5,0"
 def make_run(bgspec, f, u0spec="constant:1", N=64, T=1.0, stop_tol=1e-8,
              cadence=10, dt=None, renorm=True):
     g = grid1d(N=N)
-    bg = background_from_spec(g, bgspec)
+    bg = Background(field_from_spec(g, bgspec), g.ambient_n)
     u0 = conflow.field_from_spec(g, u0spec)
     policy = DtPolicy.adaptive(0.8) if dt is None else DtPolicy.fixed(dt)
     cfg = RunConfig(background=bg, f=f, u0=u0, T_final=T, dt_policy=policy,
@@ -182,7 +183,7 @@ def test_sobolev_info_positive(pos_run):
 
 def test_rescale_equivalence_fixed_point():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5)
     rep = dg.check_rescale_equivalence(run(cfg), bg, classical())
@@ -193,7 +194,7 @@ def test_rescale_equivalence_fixed_point():
 def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
     # the normalized trajectory under verification is not run again
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.2, stop_tol=0.0)
     traj = run(cfg)
@@ -245,7 +246,7 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     x = traj.grid.axis_coordinates(0)
     snaps = traj.snapshots.copy()
     snaps[6] = 1.0 + 0.5 * np.cos(x)
-    S = scalar_curvature(bg, ConformalState(ScalarField(traj.grid, snaps[6]))).values
+    S = scalar_curvature_values(bg, snaps[6])
     assert S.min() < -3.0
     domain_note = (f"checker could not run: f-domain violation: S range"
                    f" [{S.min():g}, {S.max():g}] not inside {f.domain}")
@@ -418,16 +419,16 @@ def test_curvature_evolution_pointwise_consistency():
         u = traj.snapshots[k]
         g = traj.grid
         st = ConformalState(ScalarField(g, u))
-        S = scalar_curvature(bg, st)
+        S = ScalarField(g, scalar_curvature_values(bg, u))
         kern = _Kernel(bg, f, normalized=True)
         w = kern.weight(u)
         A = float((f.eval_f(S.values) * w).mean() / w.mean())
-        lapg = conflow.metric_laplacian(bg, st, S).values
-        gsq = power(u, -2.0) * grad_inner(S, S).values
+        lapg = metric_laplacian(bg, st, S).values
+        gsq = power(u, -2.0) * grad_inner_values(g, S.values, S.values)
         rhs = (-3.0 * (f.eval_fp(S.values) * lapg + f.eval_fpp(S.values) * gsq)
                - S.values * (f.eval_f(S.values) - A))
-        Sm = scalar_curvature(bg, traj.state(k - 1)).values
-        Sp = scalar_curvature(bg, traj.state(k + 1)).values
+        Sm = scalar_curvature_values(bg, traj.snapshots[k - 1])
+        Sp = scalar_curvature_values(bg, traj.snapshots[k + 1])
         dSdt = (Sp - Sm) / (traj.times[k + 1] - traj.times[k - 1])
         defects.append(np.abs(dSdt - rhs).max() / np.abs(rhs).max())
     assert defects[0] / defects[1] > 3.0

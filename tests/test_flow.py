@@ -6,33 +6,25 @@ import pytest
 
 import conflow
 from conflow import flow
-from conflow.conformal import (
-    ConformalState,
-    FDomainError,
-    background_from_spec,
-    scalar_curvature,
-    scalar_curvature_values,
-)
+from conflow.conformal import Background, ConformalState, FDomainError, scalar_curvature_values
 from conflow.flow import (
     DtPolicy,
     ParabolicityError,
     RECORD_COLUMNS,
     RunConfig,
-    check_parabolic_validity,
     frechet_apply,
     frechet_normalized_apply,
     hamilton_rescale,
-    renormalize_volume,
-    rhs_nonnormalized,
     rhs_normalized,
     run,
     stable_dt,
     step,
 )
-from conflow.fzoo import FSpec, classical, expdecay, power_law, shift
-from conflow.grid import PositivityError, ScalarField, integrate_g, power
+from conflow.fzoo import FSpec, classical, expdecay, power_law
+from conflow.grid import PositivityError, ScalarField, field_from_spec, power
 
 from conftest import TWO_PI, grid1d, smooth_field
+from reference import average_f, integrate_g, shift, sigma, volume
 
 
 NEG_BG = "sinusoidal:-1.5,0.4,0"
@@ -40,7 +32,7 @@ NEG_BG = "sinusoidal:-1.5,0.4,0"
 
 def neg_setup(N=128):
     g = grid1d(N=N)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     return g, bg, classical(), ConformalState(ScalarField.constant(g, 1.0))
 
 
@@ -94,7 +86,7 @@ def dense_matrix(grid):
 
 def test_rhs_zero_at_constant_curvature():
     g, _, f, st = neg_setup()
-    bg = background_from_spec(g, "constant:-1.5")
+    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
     assert np.abs(rhs_normalized(bg, st, f).values).max() < 1e-15
 
 
@@ -104,8 +96,8 @@ def test_rhs_classical_is_curvature_deficit():
     rng = np.random.default_rng(0)
     st = ConformalState(ScalarField(g, 1.0 + 0.2 * smooth_field(g, rng).values))
     got = rhs_normalized(bg, st, f).values
-    S = scalar_curvature(bg, st).values
-    sig = conflow.sigma(bg, st)
+    S = scalar_curvature_values(bg, st.u.values)
+    sig = sigma(bg, st)
     want = -0.5 * (S - sig) * st.u.values
     assert np.abs(got - want).max() < 1e-13
 
@@ -114,14 +106,15 @@ def test_rhs_normalized_vs_nonnormalized_gap():
     g, bg, f, _ = neg_setup()
     rng = np.random.default_rng(1)
     st = ConformalState(ScalarField(g, 1.0 + 0.1 * smooth_field(g, rng).values))
-    A = conflow.average_f(bg, st, f)
-    gap = rhs_nonnormalized(bg, st, f).values - rhs_normalized(bg, st, f).values
+    A = average_f(bg, st, f)
+    rhs_nonnormalized = flow._Kernel(bg, f, normalized=False).rhs(st.u.values)
+    gap = rhs_nonnormalized - rhs_normalized(bg, st, f).values
     assert np.abs(gap - 0.5 * A * st.u.values).max() < 1e-14
 
 
 def test_rhs_dense_oracle():
     g = grid1d(N=256)
-    bg = background_from_spec(g, "constant:0")
+    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
     x = g.axis_coordinates(0)
     u = 1.0 + 0.3 * np.cos(x)
     st = ConformalState(ScalarField(g, u))
@@ -150,7 +143,7 @@ def test_rhs_volume_stationary():
 
 def test_stable_dt_plugin_value():
     g, _, f, st = neg_setup()
-    bg = background_from_spec(g, "constant:-1.5")
+    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
     h = TWO_PI / 128
     # kappa = (n-1) |f'| u^(1-beta) = 3 at u = 1
     for safety in (0.8, 0.4):
@@ -160,7 +153,7 @@ def test_stable_dt_plugin_value():
 
 def test_stable_dt_scaling_in_u():
     g, _, f, _ = neg_setup()
-    bg = background_from_spec(g, "constant:-1.5")
+    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
     dt1 = stable_dt(bg, ConformalState(ScalarField.constant(g, 1.0)), f)
     dt2 = stable_dt(bg, ConformalState(ScalarField.constant(g, 2.0)), f)
     assert abs(dt2 / dt1 - 4.0) < 1e-10  # u^(1-beta) = u^-2 for n = 4
@@ -168,7 +161,7 @@ def test_stable_dt_scaling_in_u():
 
 def test_stable_dt_parabolicity_lost():
     g, _, _, st = neg_setup()
-    bg = background_from_spec(g, "constant:-1.5")
+    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
     rogue = FSpec(
         name="rogue",
         eval_f=lambda x: np.asarray(x, dtype=float),
@@ -180,12 +173,21 @@ def test_stable_dt_parabolicity_lost():
 
 
 def test_check_parabolic_validity():
+    # (min u, min -f'(S)) on the curvature the run's kernel computes and
+    # admits: both positive iff the state is uniformly parabolic
     g, _, f, st = neg_setup()
-    bg = background_from_spec(g, "constant:-1.0")
-    assert check_parabolic_validity(bg, st, f) == (1.0, 1.0)
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    kern = flow._Kernel(bg, f, normalized=True)
+
+    def check_parabolic_validity(u):
+        S = kern.curvature(u)
+        kern.require_domain(S)
+        return float(u.min()), float((-f.eval_fp(S)).min())
+
+    assert check_parabolic_validity(st.u.values) == (1.0, 1.0)
     u = np.full(g.shape, 1.0)
     u[5] = 0.3
-    margin_u, margin_fp = check_parabolic_validity(bg, ConformalState(ScalarField(g, u)), f)
+    margin_u, margin_fp = check_parabolic_validity(u)
     assert margin_u == 0.3 and margin_fp == 1.0
 
 
@@ -206,7 +208,7 @@ def test_euler_step_is_exactly_one_increment():
 
 def test_step_fixed_point_unchanged():
     g = grid1d()
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     st = ConformalState(ScalarField.constant(g, 1.0))
     new = step(bg, st, classical(), 1e-3, scheme="rk4")
     assert np.abs(new.u.values - 1.0).max() < 1e-15
@@ -214,7 +216,7 @@ def test_step_fixed_point_unchanged():
 
 def test_step_positivity_guard():
     g = grid1d()
-    bg = background_from_spec(g, "constant:100.0")
+    bg = Background(field_from_spec(g, "constant:100.0"), g.ambient_n)
     st = ConformalState(ScalarField.constant(g, 1.0))
     with pytest.raises(PositivityError):
         step(bg, st, classical(), 0.05, scheme="euler", normalized=False)
@@ -222,10 +224,17 @@ def test_step_positivity_guard():
 
 def test_step_domain_guard():
     g = grid1d()
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     st = ConformalState(ScalarField.constant(g, 1.0))
     with pytest.raises(FDomainError):
         step(bg, st, power_law(1.5), 1e-4)
+
+
+def renormalize_volume(state):
+    """The run's volume renormalization applied to one state."""
+    m = conflow.Constants.for_dimension(state.u.grid.ambient_n).vol_exp
+    u_new, _ = flow._renormalized(state.u.values, m)
+    return ConformalState(ScalarField(state.u.grid, u_new), state.t)
 
 
 def test_renormalize_volume():
@@ -236,18 +245,18 @@ def test_renormalize_volume():
     st2 = ConformalState(ScalarField.constant(g, 1.7))
     out2 = renormalize_volume(st2)
     assert np.abs(out2.u.values - 1.0).max() < 1e-14
-    assert abs(conflow.volume(out2) - 1.0) < 1e-14
+    assert abs(volume(out2) - 1.0) < 1e-14
 
 
 def test_renormalize_curvature_scaling_law():
     # S picks up the factor Vol^(2/n) under the renormalizing rescale
     g = grid1d()
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     rng = np.random.default_rng(4)
     st = ConformalState(ScalarField(g, 1.1 + 0.2 * smooth_field(g, rng).values))
-    vol = conflow.volume(st)
-    S_before = scalar_curvature(bg, st).values
-    S_after = scalar_curvature(bg, renormalize_volume(st)).values
+    vol = volume(st)
+    S_before = scalar_curvature_values(bg, st.u.values)
+    S_after = scalar_curvature_values(bg, renormalize_volume(st).u.values)
     assert np.abs(S_after - S_before * vol ** (2.0 / 4.0)).max() < 1e-10
 
 
@@ -257,7 +266,7 @@ def test_renormalize_curvature_scaling_law():
 
 def test_run_stationary_at_fixed_point():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=1.0)
     traj = run(cfg)
@@ -268,7 +277,7 @@ def test_run_stationary_at_fixed_point():
 
 def test_run_time_reached_and_cadence():
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.02, dt_policy=DtPolicy.fixed(1e-3), stop_tol=0.0,
                     log_cadence=5)
@@ -284,7 +293,7 @@ def test_run_time_reached_and_cadence():
 
 def test_run_determinism():
     g = grid1d(N=64)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5, log_cadence=7)
     t1, t2 = run(cfg), run(cfg)
@@ -295,7 +304,7 @@ def test_run_determinism():
 
 def test_run_positivity_floor_termination():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     u0 = np.full(g.shape, 1.0)
     u0[0] = 5e-11  # below the positivity floor but still a valid state
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0), T_final=1.0)
@@ -307,7 +316,7 @@ def test_run_never_logs_nonpositive_states():
     # a coarse Euler step on a strongly contracting non-normalized flow
     # crashes through zero; the crossing state must not enter the log
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:50.0")
+    bg = Background(field_from_spec(g, "constant:50.0"), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=10.0, dt_policy=DtPolicy.fixed(0.03), scheme="euler",
                     normalized=False, renormalize_volume=False, stop_tol=0.0,
@@ -319,7 +328,7 @@ def test_run_never_logs_nonpositive_states():
 
 def test_run_blowup_termination():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     u0 = np.full(g.shape, 1.0)
     u0[0] = 2e-3  # curvature ~ u^-beta exceeds the blowup threshold
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0), T_final=1.0,
@@ -330,7 +339,7 @@ def test_run_blowup_termination():
 
 def test_run_domain_violation_records_nan():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "sinusoidal:0.0,1.0,0")  # mixed sign curvature
+    bg = Background(field_from_spec(g, "sinusoidal:0.0,1.0,0"), g.ambient_n)  # mixed sign curvature
     cfg = RunConfig(background=bg, f=power_law(1.5), u0=ScalarField.constant(g, 1.0),
                     T_final=1.0)
     traj = run(cfg)
@@ -352,7 +361,7 @@ def test_run_rejects_non_finite_step(scheme, steps):
         return base.eval_f(S) if len(calls) < 4 else np.full_like(S, np.nan)
 
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
                     u0=ScalarField.constant(g, 1.0), T_final=1.0,
                     dt_policy=DtPolicy.fixed(1e-3), scheme=scheme)
@@ -375,7 +384,7 @@ def test_run_nan_response_is_blowup(scheme):
         return np.where(S > -1.3, np.nan, base.eval_f(S))
 
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
                     u0=ScalarField.constant(g, 1.0), T_final=1.0, scheme=scheme)
     traj = run(cfg)
@@ -387,7 +396,7 @@ def test_run_nan_response_is_blowup(scheme):
 def test_run_step_budget_termination(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_STEPS", 5)
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=10.0, dt_policy=DtPolicy.fixed(1e-3), log_cadence=2)
     traj = run(cfg)
@@ -399,7 +408,7 @@ def test_run_step_budget_termination(monkeypatch):
 
 def test_run_config_rejects_nonpositive_u0():
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     with pytest.raises(PositivityError, match="u0 must be positive"):
         RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, -1.0),
                   T_final=1.0)
@@ -414,7 +423,7 @@ def test_run_config_rejects_non_finite_horizon_and_tolerance(field, value):
     g = grid1d(N=32)
     kwargs = {"T_final": 1.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be .* finite"):
-        RunConfig(background=background_from_spec(g, NEG_BG), f=classical(),
+        RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n), f=classical(),
                   u0=ScalarField.constant(g, 1.0), **kwargs)
 
 
@@ -451,7 +460,7 @@ def test_probe_matches_rhs_and_reference_row():
 
 def test_run_volume_pinned_with_renormalization():
     g = grid1d(N=64)
-    bg = background_from_spec(g, "constant:0")
+    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
     x = g.axis_coordinates(0)
     cfg = RunConfig(background=bg, f=classical(),
                     u0=ScalarField(g, 1.0 + 0.3 * np.cos(x)),
@@ -466,7 +475,7 @@ def test_run_volume_pinned_with_renormalization():
 def test_volume_drift_order_without_renormalization(scheme, lo, hi):
     # drift scales with dt^p, p the scheme order
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:0")
+    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
     x = g.axis_coordinates(0)
     u0 = ScalarField(g, 1.0 + 0.3 * np.cos(x))
     drifts = []
@@ -482,7 +491,7 @@ def test_volume_drift_order_without_renormalization(scheme, lo, hi):
 
 def test_config_validation():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     u0 = ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError, match="T_final"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=0.0)
@@ -499,7 +508,7 @@ def test_config_validation():
 
 def test_shift_invariance_of_runs():
     g = grid1d(N=64)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     u0 = ScalarField.constant(g, 1.0)
     trajs = []
     for f in (classical(), shift(classical(), 5.0)):
@@ -523,7 +532,7 @@ def nonnormalized_run(bg, f, u0, T, cadence=1):
 
 def test_hamilton_rescale_starts_at_zero():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.5)
     tau, rescaled = hamilton_rescale(traj, classical())
     assert tau[0] == 0.0
@@ -532,7 +541,7 @@ def test_hamilton_rescale_starts_at_zero():
 
 def test_hamilton_rescale_constant_state_stays_constant():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 1.0)
     # the non-normalized factor moves, the rescaled one must not
     # (up to the trapezoid quadrature error of eta, ~dt^2)
@@ -544,22 +553,22 @@ def test_hamilton_rescale_constant_state_stays_constant():
 def test_hamilton_rescale_curvature_consistency():
     # S(rescaled) = exp(eta) * R holds exactly, record by record
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     f = classical()
     traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.4)
     _, rescaled = hamilton_rescale(traj, f)
     t, A = traj.times, traj.columns["A"]
     eta = np.concatenate([[0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(t))])
     for k in (0, traj.n_records // 2, traj.n_records - 1):
-        R = scalar_curvature(bg, traj.state(k)).values
-        S = scalar_curvature(bg, ConformalState(ScalarField(g, rescaled[k]))).values
+        R = scalar_curvature_values(bg, traj.snapshots[k])
+        S = scalar_curvature_values(bg, rescaled[k])
         assert np.abs(S - np.exp(eta[k]) * R).max() < 1e-10 * max(1.0, np.abs(S).max())
 
 
 def test_kernel_rows_outside_the_domain_match_record():
     # records whose curvature leaves f's domain carry NaN in A and fSA_sup
     g = grid1d(N=32)
-    bg = background_from_spec(g, "sinusoidal:1.0,0.5,0")
+    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"), g.ambient_n)
     f = power_law(1.5)
     x = g.axis_coordinates(0)
     states = np.array([1.0 + a * np.cos(x) for a in (0.0, 0.5, 0.01, 0.6)])
@@ -590,7 +599,7 @@ def test_run_columns_do_not_depend_on_the_record_block(monkeypatch):
 
 def test_hamilton_rescale_guards():
     g = grid1d(N=32)
-    bg = background_from_spec(g, "constant:-1.0")
+    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.1)
     with pytest.raises(ValueError, match="homogeneity"):
         hamilton_rescale(traj, expdecay(1.0))
@@ -602,7 +611,7 @@ def test_hamilton_rescale_guards():
 
 def test_tau_stop_terminates_early():
     g = grid1d(N=32)
-    bg = background_from_spec(g, NEG_BG)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=1e6, normalized=False, renormalize_volume=False,
                     stop_tol=0.0, log_cadence=1, tau_stop=0.2)
@@ -648,7 +657,7 @@ def test_frechet_matches_central_differences():
     eps = 1e-5
 
     def F(w):
-        S = scalar_curvature(bg, ConformalState(w)).values
+        S = scalar_curvature_values(bg, w.values)
         return f.eval_f(S) * w.values
 
     up = ScalarField(g, u.values + eps * h.values)
@@ -670,9 +679,8 @@ def test_frechet_scaling_direction_of_normalized_flow():
     eps = 1e-6
 
     def N(w):
-        st = ConformalState(w)
-        S = scalar_curvature(bg, st).values
-        A = conflow.average_f(bg, st, f)
+        S = scalar_curvature_values(bg, w.values)
+        A = average_f(bg, ConformalState(w), f)
         return (f.eval_f(S) - A) * w.values
 
     up = ScalarField(g, u.values * (1 + eps))
@@ -688,7 +696,7 @@ def test_run_matches_independent_integrator():
     from scipy.integrate import solve_ivp
 
     g = grid1d(N=48)
-    bg = background_from_spec(g, "sinusoidal:-1.5,0.4,0")
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
     x = g.axis_coordinates(0)
     u0 = 1.0 + 0.1 * np.cos(x)
     D = dense_matrix(g)
@@ -716,7 +724,7 @@ def test_run_matches_independent_integrator():
 
 def test_two_dimensional_run():
     g = conflow.GridSpec(4, 2, (24, 24), (TWO_PI, TWO_PI))
-    bg = background_from_spec(g, "constant:0")
+    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
     X = g.coordinate_mesh()[0]
     u0 = ScalarField(g, np.broadcast_to(1.0 + 0.2 * np.cos(X), g.shape).copy())
     cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05, log_cadence=5)
