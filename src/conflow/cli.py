@@ -61,11 +61,12 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _flag(tcfg: dict, key: str, default: bool) -> bool:
-    """``time.<key>`` if it is a JSON boolean, else a ConfigError."""
-    value = tcfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"'time.{key}' must be true or false, got {value!r}")
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a JSON boolean (``kind`` bool) or a JSON integer
+    (``kind`` int, which excludes booleans), else a ConfigError naming ``what``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        must = "true or false" if kind is bool else "an integer"
+        raise ConfigError(f"'{what}' must be {must}, got {value!r}")
     return value
 
 
@@ -99,9 +100,10 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             raise ConfigError(f"'checks' must be a JSON list of strings, got {checks!r}")
         gspec = cfg["grid"]
         grid = GridSpec(
-            ambient_n=int(gspec["ambient_n"]),
-            active_dims=int(gspec.get("active_dims", len(gspec["points"]))),
-            points=tuple(gspec["points"]),
+            ambient_n=_typed(gspec["ambient_n"], int, "grid.ambient_n"),
+            active_dims=_typed(gspec.get("active_dims", len(gspec["points"])), int,
+                               "grid.active_dims"),
+            points=tuple(_typed(p, int, "grid.points") for p in gspec["points"]),
             periods=tuple(gspec["periods"]),
         )
         bg = Background(field_from_spec(grid, _resolve_field_spec(cfg["background"], base_dir)),
@@ -110,14 +112,12 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         f = fzoo.from_config(cfg["f"], seed=seed)
         tcfg = _object(cfg.get("time", {}), "'time'")
         dt_cfg = _object(tcfg.get("dt", {"policy": "adaptive"}), "'time.dt'")
-        if dt_cfg.get("policy", "adaptive") == "fixed":
+        mode = dt_cfg.get("policy", "adaptive")
+        if mode == "fixed":
             policy = DtPolicy.fixed(float(dt_cfg["dt"]))
-        else:
-            policy = DtPolicy.adaptive(float(dt_cfg.get("safety", 0.8)))
-        normalized = _flag(tcfg, "normalized", True)
-        log_cadence = tcfg.get("log_cadence", 10)
-        if isinstance(log_cadence, bool) or not isinstance(log_cadence, int):
-            raise ConfigError(f"'time.log_cadence' must be an integer, got {log_cadence!r}")
+        else:  # DtPolicy rejects a mode that is neither
+            policy = DtPolicy(mode, safety=float(dt_cfg.get("safety", 0.8)))
+        normalized = _typed(tcfg.get("normalized", True), bool, "time.normalized")
         return RunConfig(
             background=bg,
             f=f,
@@ -125,8 +125,9 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             T_final=float(tcfg.get("T_final", 1.0)),
             dt_policy=policy,
             stop_tol=float(tcfg.get("stop_tol", 1e-8)),
-            renormalize_volume=_flag(tcfg, "renormalize_volume", normalized),
-            log_cadence=log_cadence,
+            renormalize_volume=_typed(tcfg.get("renormalize_volume", normalized), bool,
+                                      "time.renormalize_volume"),
+            log_cadence=_typed(tcfg.get("log_cadence", 10), int, "time.log_cadence"),
             scheme=tcfg.get("scheme", "rk4"),
             normalized=normalized,
         )

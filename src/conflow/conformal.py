@@ -12,11 +12,14 @@ and a positive conformal factor u carries the curvature
 ``conformal_laplacian_values`` and ``scalar_curvature_values`` evaluate
 them on raw arrays, one field or a ``(K, *grid.shape)`` stack of records;
 ``Constants`` holds the exponents, the volume-density exponent 2n/(n-2)
-among them.  Every identity checked by this package uses only L, the volume
-weights and the discrete maximum principle, so all three sign cases of S0
-are exercised at desk scale even though e.g. a constant negative S0 is not
-realizable as a conformal factor over a flat torus.  Reports carry that
-caveat.
+among them.  ``Records`` evaluates the per-record quantities of a stack of
+logged states (volume weight, f-domain test, the mean A, ...) for the
+diagnostics columns and every theorem check alike.
+
+Every identity checked by this package uses only L, the volume weights and
+the discrete maximum principle, so all three sign cases of S0 are exercised
+at desk scale even though e.g. a constant negative S0 is not realizable as
+a conformal factor over a flat torus.  Reports carry that caveat.
 """
 
 import functools
@@ -24,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, PositivityError, ScalarField, laplacian0_values, power
+from .grid import (
+    GridSpec,
+    PositivityError,
+    ScalarField,
+    laplacian0_values,
+    power,
+    record_blocks,
+    record_means,
+)
 
 __all__ = [
     "Constants",
@@ -34,6 +45,7 @@ __all__ = [
     "require_f_domain",
     "conformal_laplacian_values",
     "scalar_curvature_values",
+    "Records",
 ]
 
 
@@ -124,3 +136,66 @@ def scalar_curvature_values(bg: Background, u: np.ndarray) -> np.ndarray:
     """Raw-array curvature u^(-beta) * L(u) (no validation).  ``u`` may be
     one field or a ``(K, *grid.shape)`` stack of records."""
     return power(u, -bg.constants.beta) * conformal_laplacian_values(bg, u)
+
+
+class Records:
+    """Per-record quantities of a ``(K, *grid.shape)`` stack ``U`` of states.
+
+    ``S`` is the curvature, ``w`` the volume weight u^(2n/(n-2)) and ``vol``
+    the volume of every record; the f-domain test ``in_domain``, f(S)
+    (``phi``), its mean ``A`` and ``dev`` = f(S) - A are evaluated on first
+    use (``f`` may be None for a stack that needs none of them).  Every
+    integral is ``grid.record_means`` with ``w`` as the last factor, so each
+    value is bit for bit what the same formula gives on that record alone.
+    """
+
+    def __init__(self, bg: Background, f, U: np.ndarray):
+        self.bg, self.f, self.U = bg, f, U
+        self.S = scalar_curvature_values(bg, U)
+        self.w = power(U, bg.constants.vol_exp)
+        self.vol = record_means(self.w)
+        self.Smin, self.Smax = self.extremes(self.S)
+
+    @classmethod
+    def blocks(cls, bg: Background, f, U: np.ndarray):
+        """Yield ``(slice, Records)`` for each ``grid.record_blocks`` block of U."""
+        for sl in record_blocks(bg.grid, len(U)):
+            yield sl, cls(bg, f, U[sl])
+
+    @staticmethod
+    def extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-record minimum and maximum of a stack."""
+        flat = v.reshape(len(v), -1)
+        return flat.min(axis=1), flat.max(axis=1)
+
+    def per_record(self, a: np.ndarray) -> np.ndarray:
+        """Per-record scalars shaped to broadcast against the stack."""
+        return a.reshape((-1,) + (1,) * (self.U.ndim - 1))
+
+    def integral(self, v: np.ndarray) -> np.ndarray:
+        """Integral of each record of ``v`` against its evolving volume."""
+        return record_means(v * self.w)
+
+    def mean(self, v: np.ndarray) -> np.ndarray:
+        return self.integral(v) / self.vol
+
+    @functools.cached_property
+    def in_domain(self) -> np.ndarray:
+        return np.array([self.f.domain.contains_interval(lo, hi)
+                         for lo, hi in zip(self.Smin.tolist(), self.Smax.tolist())], dtype=bool)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """f(S); FDomainError names the first record outside f's domain."""
+        if not self.in_domain.all():
+            k = int(np.argmin(self.in_domain))
+            require_f_domain(self.f, self.Smin[k], self.Smax[k])
+        return self.f.eval_f(self.S)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return self.mean(self.phi)
+
+    @functools.cached_property
+    def dev(self) -> np.ndarray:
+        return self.phi - self.per_record(self.A)

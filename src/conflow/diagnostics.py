@@ -13,20 +13,22 @@ satisfy the discrete maximum principle exactly, so measured violations sit
 orders of magnitude below this allowance; see tests).
 
 Checks that evaluate operators on the logged snapshots do so in blocks of
-records (``grid.record_blocks``): each operator is called once per block on
-a ``(B, *grid.shape)`` stack, and per-record means are ``grid.record_means``,
-bit for bit the record-by-record values.
+records through ``conformal.Records`` (``Records.blocks``): each operator is
+called once per block on a ``(B, *grid.shape)`` stack, and the curvature,
+the volume weight, the mean A and the f-domain test of every record are the
+same evaluation the diagnostics columns use, bit for bit the
+record-by-record values.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .conformal import Background, Constants, require_f_domain, scalar_curvature_values
+from .conformal import Background, Records
 from .flow import Trajectory, cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
-from .grid import PositivityError, grad_inner_values, power, record_blocks, record_means
+from .grid import PositivityError, grad_inner_values, power, record_means
 
 __all__ = [
     "TheoremReport",
@@ -91,15 +93,7 @@ class TheoremReport:
                 return [clean(v) for v in obj.tolist()]
             return obj
 
-        return {
-            "id": self.id,
-            "passed": self.passed,
-            "measured": clean(self.measured),
-            "predicted": clean(self.predicted),
-            "tolerances": clean(self.tolerances),
-            "notes": self.notes,
-            "segment": clean(self.segment),
-        }
+        return clean(asdict(self))
 
 
 @dataclass
@@ -135,51 +129,23 @@ def _require_normalized(check_id, traj):
     return None
 
 
-def _per_record(a: np.ndarray, ndim: int) -> np.ndarray:
-    """Per-record scalars shaped to broadcast against a stack of ``ndim`` axes."""
-    return a.reshape((-1,) + (1,) * (ndim - 1))
-
-
-def _extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record minimum and maximum of a stack."""
-    flat = v.reshape(len(v), -1)
-    return flat.min(axis=1), flat.max(axis=1)
-
-
-def _domain_end(f: FSpec, smin: np.ndarray, smax: np.ndarray) -> int:
-    """Index of the first record whose curvature range leaves f's domain,
-    or the number of records when none does."""
-    for k, (lo, hi) in enumerate(zip(smin.tolist(), smax.tolist())):
-        if not f.domain.contains_interval(lo, hi):
-            return k
-    return len(smin)
-
-
-def _curvature(traj: Trajectory, U: np.ndarray) -> np.ndarray:
-    """Curvature of a block of snapshots on the trajectory's own background."""
+def _own_blocks(traj: Trajectory):
+    """``Records.blocks`` of the trajectory's snapshots on its own
+    background and f."""
     if traj.config is None:
         raise ValueError("trajectory carries no configuration")
-    return scalar_curvature_values(traj.config.background, U)
+    return Records.blocks(traj.config.background, traj.config.f, traj.snapshots)
 
 
-def _rhs_sup(bg: Background, f: FSpec, U: np.ndarray) -> np.ndarray:
+def _rhs_sup(rec: Records) -> np.ndarray:
     """sup |du/dt| of the normalized flow at each state of a block.  Raises
     what a record-by-record right-hand side raises at the block's first
     nonpositive or out-of-domain record."""
-    nonpositive = np.flatnonzero(_extremes(U)[0] <= 0.0)
-    positive = int(nonpositive[0]) if nonpositive.size else len(U)
-    S = scalar_curvature_values(bg, U[:positive])
-    smin, smax = _extremes(S)
-    k = _domain_end(f, smin, smax)
-    if k < positive:
-        require_f_domain(f, smin[k], smax[k])
-    if positive < len(U):
+    positive = rec.extremes(rec.U)[0] > 0.0
+    bad = np.flatnonzero(~(positive & rec.in_domain))
+    if bad.size and not positive[bad[0]]:
         raise PositivityError("state outside positive cone")
-    phi = f.eval_f(S)
-    w = power(U, bg.constants.vol_exp)
-    A = record_means(phi * w) / record_means(w)
-    rate = 0.25 * (bg.n - 2.0) * (phi - _per_record(A, U.ndim)) * U
-    return np.abs(rate).reshape(len(U), -1).max(axis=1)
+    return rec.extremes(np.abs(0.25 * (rec.bg.n - 2.0) * rec.dev * rec.U))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +212,6 @@ def predicted_decay_constants(bg: Background, f: FSpec, samples: int = 10001):
     lo, hi = bg.S0.min(), bg.S0.max()
     xs = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
     fp = f.eval_fp(xs)
-    # B = c * |S0_max| with -c the largest value of f' on the range
     B = float(fp.max()) * hi if hi < 0 else math.nan
     C = float(np.abs(fp).max()) * (hi - lo)
     return B, C
@@ -340,9 +305,7 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
         B_pred, C_pred = predicted_decay_constants(bg, f)
         half_width = 0.25 * (n - 2.0) * C_pred / B_pred
         lo, hi = math.exp(-half_width), math.exp(half_width)
-        dudt = np.empty(traj.n_records)
-        for sl in record_blocks(traj.grid, traj.n_records):
-            dudt[sl] = _rhs_sup(bg, f, traj.snapshots[sl])
+        dudt = np.concatenate([_rhs_sup(rec) for _, rec in Records.blocks(bg, f, traj.snapshots)])
         ctilde = 0.25 * (n - 2.0) * C_pred * hi
         env = DECAY_ENVELOPE_FACTOR * ctilde * np.exp(-B_pred * t) + 1e-12
         measured = {
@@ -455,7 +418,6 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     grid = traj.grid
     t = traj.times
     halfn = 0.5 * n
-    vol_exp = bg.constants.vol_exp
 
     names = ["A", "sigma", "vol"]
     names += [f"int|S|^{p:g}" for p in ps]
@@ -464,56 +426,46 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     R = {name: np.empty(K) for name in names}
     sigma_gap = 0.0
 
-    def per_record(a):
-        return _per_record(a, traj.snapshots.ndim)
-
-    for sl in record_blocks(grid, K):
-        u = traj.snapshots[sl]
-        S = scalar_curvature_values(bg, u)
-        smin, smax = _extremes(S)
-        k = _domain_end(f, smin, smax)
-        if k < len(u):
+    for sl, rec in Records.blocks(bg, f, traj.snapshots):
+        if not rec.in_domain.all():
             return _inconclusive("evolution_identities", traj,
-                                 f"record {sl.start + k} leaves the domain of f")
-        w = power(u, vol_exp)
-        V = record_means(w)
-        phi = f.eval_f(S)
+                                 f"record {sl.start + int(np.argmin(rec.in_domain))}"
+                                 " leaves the domain of f")
+        S, V, phi, A, dev, per_record = rec.S, rec.vol, rec.phi, rec.A, rec.dev, rec.per_record
         fp = f.eval_fp(S)
         fpp = f.eval_fpp(S)
-        A = record_means(phi * w) / V
-        sig = record_means(S * w) / V
-        gsq = power(u, -4.0 / (n - 2.0)) * grad_inner_values(grid, S, S)
-        dev = phi - per_record(A)
+        sig = rec.mean(S)
+        gsq = power(rec.U, -4.0 / (n - 2.0)) * grad_inner_values(grid, S, S)
 
         Q["A"][sl] = A
         Q["sigma"][sl] = sig
         Q["vol"][sl] = V
-        RA = ((n - 1.0) * record_means(fp * fpp * gsq * w)
-              + record_means((halfn * phi - S * fp) * dev * w)) / V
+        RA = ((n - 1.0) * rec.integral(fp * fpp * gsq)
+              + rec.integral((halfn * phi - S * fp) * dev)) / V
         R["A"][sl] = RA
-        s1 = 0.5 * (n - 2.0) * record_means(S * dev * w) / V
-        s2 = 0.5 * (n - 2.0) * record_means((S - per_record(sig)) * dev * w) / V
+        s1 = 0.5 * (n - 2.0) * rec.integral(S * dev) / V
+        s2 = 0.5 * (n - 2.0) * rec.integral((S - per_record(sig)) * dev) / V
         sigma_gap = max(sigma_gap, float(np.abs(s1 - s2).max()))
         R["sigma"][sl] = s1
-        R["vol"][sl] = halfn * record_means(dev * w)
+        R["vol"][sl] = halfn * rec.integral(dev)
         absS = np.abs(S)
         for p in ps:
-            Q[f"int|S|^{p:g}"][sl] = record_means(absS ** p * w)
+            Q[f"int|S|^{p:g}"][sl] = rec.integral(absS ** p)
             R[f"int|S|^{p:g}"][sl] = (
-                p * (p - 1.0) * (n - 1.0) * record_means(absS ** (p - 2.0) * fp * gsq * w)
-                + (halfn - p) * record_means(absS ** p * dev * w))
+                p * (p - 1.0) * (n - 1.0) * rec.integral(absS ** (p - 2.0) * fp * gsq)
+                + (halfn - p) * rec.integral(absS ** p * dev))
         dS = S - per_record(sig)
-        Q["int|S-sigma|^2"][sl] = record_means(dS * dS * w)
+        Q["int|S-sigma|^2"][sl] = rec.integral(dS * dS)
         R["int|S-sigma|^2"][sl] = (
-            2.0 * (n - 1.0) * record_means(fp * gsq * w)
-            + (halfn - 2.0) * record_means(dev * dS * dS * w)
-            - 2.0 * record_means((per_record(s1) + per_record(sig) * dev) * dS * w))
-        Q["int|f-A|^2"][sl] = record_means(dev * dev * w)
+            2.0 * (n - 1.0) * rec.integral(fp * gsq)
+            + (halfn - 2.0) * rec.integral(dev * dS * dS)
+            - 2.0 * rec.integral((per_record(s1) + per_record(sig) * dev) * dS))
+        Q["int|f-A|^2"][sl] = rec.integral(dev * dev)
         R["int|f-A|^2"][sl] = (
-            2.0 * (n - 1.0) * record_means(dev * fp * fpp * gsq * w)
-            + 2.0 * (n - 1.0) * record_means(fp ** 3 * gsq * w)
-            + record_means(dev * dev * (halfn * dev - 2.0 * S * fp) * w)
-            - 2.0 * RA * record_means(dev * w))
+            2.0 * (n - 1.0) * rec.integral(dev * fp * fpp * gsq)
+            + 2.0 * (n - 1.0) * rec.integral(fp ** 3 * gsq)
+            + rec.integral(dev * dev * (halfn * dev - 2.0 * S * fp))
+            - 2.0 * RA * rec.integral(dev))
 
     # second-order three-point derivative, exact for quadratics on
     # nonuniform record spacing
@@ -569,20 +521,14 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     if float(traj.column("Smin").min()) < -EXACT_TOL:
         return _inconclusive("lp_monotonicity", traj,
                              "needs nonnegative curvature along the flow")
-    n = traj.n
-    halfn = 0.5 * n
-    vol_exp = Constants.for_dimension(n).vol_exp
+    halfn = 0.5 * traj.n
     norm_half = traj.column("lpn2")
     init = float(norm_half[0])
 
     norms = {halfn: norm_half}
     if 2.0 <= halfn:
         norms[2.0] = traj.column("lp2")
-    p1 = np.empty(traj.n_records)
-    for sl in record_blocks(traj.grid, traj.n_records):
-        u = traj.snapshots[sl]
-        p1[sl] = record_means(np.abs(_curvature(traj, u)) * power(u, vol_exp))
-    norms[1.0] = p1
+    norms[1.0] = np.concatenate([rec.integral(np.abs(rec.S)) for _, rec in _own_blocks(traj)])
 
     measured = {
         "max_rise_of_Lnhalf": float(np.diff(norm_half).max()) if traj.n_records > 1 else 0.0,
@@ -670,12 +616,9 @@ def check_flat_identity(traj: Trajectory, bg: Background) -> TheoremReport:
     if gate:
         return gate
     beta = bg.constants.beta
-    worst_integral = 0.0
-    for sl in record_blocks(traj.grid, traj.n_records):
-        u = traj.snapshots[sl]
-        S = scalar_curvature_values(bg, u)
-        integrals = np.abs(record_means(power(u, beta) * S))
-        worst_integral = max(worst_integral, float(integrals.max()))
+    integrals = np.concatenate([record_means(power(rec.U, beta) * rec.S)
+                                for _, rec in Records.blocks(bg, None, traj.snapshots)])
+    worst_integral = float(np.abs(integrals).max())
     smin = traj.column("Smin")
     measured = {
         "max_abs_integral": worst_integral,
@@ -787,12 +730,9 @@ def check_stationary_limit(traj: Trajectory, bg: Background, f: FSpec) -> Theore
     if traj.termination != "stationary":
         return _inconclusive("stationary_limit", traj,
                              f"run terminated with {traj.termination}, not stationary")
-    u = traj.snapshots[-1]
-    S = scalar_curvature_values(bg, u)
-    w = power(u, bg.constants.vol_exp)
-    A = float((f.eval_f(S) * w).mean() / w.mean())
-    sig = float((S * w).mean() / w.mean())
-    spread = float(S.max() - S.min())
+    rec = Records(bg, f, traj.snapshots[-1:])
+    A, sig = float(rec.A[0]), float(rec.mean(rec.S)[0])
+    spread, s_max = float(rec.Smax[0] - rec.Smin[0]), float(rec.Smax[0])
 
     lo = float(traj.column("Smin").min())
     hi = float(traj.column("Smax").max())
@@ -801,15 +741,15 @@ def check_stationary_limit(traj: Trajectory, bg: Background, f: FSpec) -> Theore
     hi = hi + pad if f.domain.contains(hi + pad) else hi
     try:
         s_star = _bisect_inverse(f, A, lo, hi)
-        inv_gap = float(np.abs(S - s_star).max())
+        inv_gap = float(np.abs(rec.S[0] - s_star).max())
     except ValueError as exc:
         return _inconclusive("stationary_limit", traj, str(exc))
 
     measured = {"S_spread": spread, "max_dev_from_f_inverse": inv_gap,
-                "S_max_final": float(S.max())}
+                "S_max_final": s_max}
     checks = [spread <= STATIONARY_TOL * max(1.0, abs(sig)), inv_gap <= STATIONARY_TOL]
     if bg.case_tag == "negative":
-        checks.append(float(S.max()) < 0.0)
+        checks.append(s_max < 0.0)
     return TheoremReport("stationary_limit", bool(all(checks)), measured,
                          {"f_inverse_of_A": s_star, "sigma": sig},
                          {"spread_tol": STATIONARY_TOL, "inverse_tol": STATIONARY_TOL},
@@ -830,14 +770,9 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
         return TheoremReport("sobolev_integral_info", None,
                              notes="skipped: curvature not nonnegative",
                              segment=_segment(traj))
-    m = Constants.for_dimension(n).vol_exp
-    means = []
-    for sl in record_blocks(traj.grid, traj.n_records):
-        u = traj.snapshots[sl]
-        S = np.maximum(_curvature(traj, u), 0.0)
-        means += record_means(S ** q * power(u, m)).tolist()
     # Python float powers, as record by record (numpy's may round differently)
-    vals = np.array([v ** ((n - 2.0) / n) for v in means])
+    vals = np.array([v ** ((n - 2.0) / n) for _, rec in _own_blocks(traj)
+                     for v in rec.integral(np.maximum(rec.S, 0.0) ** q).tolist()])
     integral = cumtrapz(vals, traj.times)
     return TheoremReport("sobolev_integral_info", None,
                          measured={"final_integral": float(integral[-1]),

@@ -13,12 +13,12 @@ Per-step work of ``run``: one evaluation of the curvature, f(S) and A at
 the current state (``_Kernel.probe``) serves the stop tests, the step size
 and, unchanged, the first RK4 stage; ``advance`` adds the other three, so
 an RK4 step costs four right-hand-side evaluations (Euler: one).  Logged
-and terminal steps only store their state; the diagnostics columns (sigma,
-vol, the curvature norms, ...) are built once from the logged states after
-the loop, one block of records at a time (``_Kernel.columns``).  The
-single-state entry points ``rhs_normalized``, ``stable_dt`` and ``step``
-run the same ``_Kernel`` on one ``ConformalState``; the benchmark's kernel
-microbench times them.
+and terminal steps only store their state; ``_Kernel.columns`` builds the
+diagnostics columns (sigma, vol, the curvature norms, ...) from the logged
+states after the loop with ``conformal.Records``, the theorem checks'
+evaluator.  The single-state entry points ``rhs_normalized``, ``stable_dt``
+and ``step`` run the same ``_Kernel`` on one ``ConformalState``; the
+benchmark's kernel microbench times them.
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -46,12 +46,13 @@ from .conformal import (
     Background,
     ConformalState,
     FDomainError,
+    Records,
     conformal_laplacian_values,
     require_f_domain,
     scalar_curvature_values,
 )
 from .fzoo import FSpec, homogeneity_check
-from .grid import GridSpec, PositivityError, ScalarField, power, record_blocks, record_means
+from .grid import GridSpec, PositivityError, ScalarField, power
 
 __all__ = [
     "DtPolicy",
@@ -186,13 +187,6 @@ def _mean(v: np.ndarray):
     return v.sum() / v.size
 
 
-def _renormalized(u: np.ndarray, m: float) -> tuple[np.ndarray, float]:
-    """u scaled to unit volume, and the volume (mean of u**m) before the
-    scaling."""
-    vol = float(_mean(power(u, m)))
-    return u * vol ** (-1.0 / m), vol
-
-
 class _Probe(NamedTuple):
     """What every step of a run needs from its current state.
 
@@ -210,10 +204,6 @@ class _Probe(NamedTuple):
     Smax: float
     umin: float
     umax: float
-
-    @property
-    def domain_ok(self) -> bool:
-        return self.phi is not None
 
 
 class _Kernel:
@@ -235,7 +225,6 @@ class _Kernel:
         self.beta = c.beta
         self.m = c.vol_exp
         self.pref = 0.25 * (bg.n - 2.0)
-        self.grid = bg.grid
         self.d = bg.grid.active_dims
         self.hmin2 = bg.grid.min_spacing ** 2
 
@@ -253,6 +242,11 @@ class _Kernel:
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         return power(u, self.m)
+
+    def renormalized(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """u scaled to unit volume, and its volume before the scaling."""
+        vol = float(_mean(self.weight(u)))
+        return u * vol ** (-1.0 / self.m), vol
 
     def mean_f(self, phi: np.ndarray, w: np.ndarray, wm: float) -> float:
         """A, the mean of phi weighted by w; wm is the mean of w."""
@@ -307,38 +301,29 @@ class _Kernel:
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
-        ``t`` after steps ``dt_used``, built one block of records
-        (``grid.record_blocks``) at a time; every per-record value is bit
-        for bit what the formulas give on that record alone.  A and fSA_sup
-        are NaN for a record whose curvature leaves f's domain."""
+        ``t`` after steps ``dt_used``, evaluated one block of records at a
+        time (``conformal.Records``); every per-record value is bit for bit
+        what the formulas give on that record alone.  A and fSA_sup are NaN
+        for a record whose curvature leaves f's domain."""
         K = len(U)
         cols = {k: np.full(K, math.nan) for k in RECORD_COLUMNS}
         cols["t"][:] = t
         cols["dt"][:] = dt_used
         halfn = 0.5 * self.n
-        for sl in record_blocks(self.grid, K):
-            u = U[sl]
-            S = self.curvature(u)
-            w = self.weight(u)
-            wm = record_means(w)
-            Sk, uk = S.reshape(len(u), -1), u.reshape(len(u), -1)
-            Smin, Smax = Sk.min(axis=1), Sk.max(axis=1)
-            ok = np.array([self.f.domain.contains_interval(lo, hi)
-                           for lo, hi in zip(Smin.tolist(), Smax.tolist())], dtype=bool)
+        for sl, rec in Records.blocks(self.bg, self.f, U):
+            ok = rec.in_domain
             if ok.any():
-                phi = self.f.eval_f(S[ok])
-                A = record_means(phi * w[ok]) / wm[ok]
-                dev = phi - A.reshape((-1,) + (1,) * (U.ndim - 1))
-                cols["A"][sl][ok] = A
-                cols["fSA_sup"][sl][ok] = np.abs(dev).reshape(len(dev), -1).max(axis=1)
-            cols["Smin"][sl], cols["Smax"][sl] = Smin, Smax
-            cols["sigma"][sl] = record_means(S * w) / wm
-            cols["vol"][sl] = wm
+                fin = rec if ok.all() else Records(self.bg, self.f, rec.U[ok])
+                cols["A"][sl][ok] = fin.A
+                cols["fSA_sup"][sl][ok] = fin.extremes(np.abs(fin.dev))[1]
+            cols["Smin"][sl], cols["Smax"][sl] = rec.Smin, rec.Smax
+            cols["sigma"][sl] = rec.mean(rec.S)
+            cols["vol"][sl] = rec.vol
             # Python float powers, record by record: numpy's `** 0.5` is a sqrt
-            cols["lp2"][sl] = [v ** 0.5 for v in record_means((S * S) * w).tolist()]
+            cols["lp2"][sl] = [v ** 0.5 for v in rec.integral(rec.S * rec.S).tolist()]
             cols["lpn2"][sl] = [v ** (1.0 / halfn)
-                                for v in record_means(np.abs(S) ** halfn * w).tolist()]
-            cols["umin"][sl], cols["umax"][sl] = uk.min(axis=1), uk.max(axis=1)
+                                for v in rec.integral(np.abs(rec.S) ** halfn).tolist()]
+            cols["umin"][sl], cols["umax"][sl] = rec.extremes(rec.U)
         return cols
 
 
@@ -386,8 +371,9 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 # ---------------------------------------------------------------------------
 
 def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
-    """S, L(h), f(S), f'(S) and DF(u)h, the derivative of u -> f(S)*u
-    applied to h, at a positive u whose curvature lies in f's domain."""
+    """The kernel, S, L(h), f(S), f'(S) and DF(u)h, the derivative of
+    u -> f(S)*u applied to h, at a positive u whose curvature lies in f's
+    domain."""
     kern = _Kernel(bg, f, normalized=False)
     uv, hv = u.values, h.values
     if uv.min() <= 0.0:
@@ -397,7 +383,7 @@ def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
     Lh = conformal_laplacian_values(bg, hv)
     phi, fp = f.eval_f(S), f.eval_fp(S)
     DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
-    return S, Lh, phi, fp, DF
+    return kern, S, Lh, phi, fp, DF
 
 
 def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
@@ -415,15 +401,14 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     f(S), of the volume density (2n/(n-2) * h/u per unit volume) and of the
     normalizing volume itself.
     """
-    S, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
-    c = bg.constants
+    kern, S, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
     uv, hv = u.values, h.values
-    dS = power(uv, -c.beta) * Lh - c.beta * S * hv / uv
-    w = power(uv, c.vol_exp)
+    dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
+    w = kern.weight(uv)
     wm = float(w.mean())
-    A = float((phi * w).mean()) / wm
+    A = kern.mean_f(phi, w, wm)
     dA = float((fp * dS * w).mean()) / wm \
-        + c.vol_exp * float(((phi - A) * hv / uv * w).mean()) / wm
+        + kern.m * float(((phi - A) * hv / uv * w).mean()) / wm
     return ScalarField(bg.grid, DF - A * hv - dA * uv)
 
 
@@ -446,7 +431,7 @@ def run(config: RunConfig) -> Trajectory:
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
     if config.renormalize_volume:
-        u, _ = _renormalized(u, kern.m)
+        u, _ = kern.renormalized(u)
 
     times, dts, snaps, vol_pre = [], [], [], []
     last_pre = float(_mean(kern.weight(u)))
@@ -490,7 +475,7 @@ def run(config: RunConfig) -> Trajectory:
             termination = "positivity_lost"
         elif p.umax > BLOWUP_SUP or max(abs(p.Smin), abs(p.Smax)) > BLOWUP_SUP:
             termination = "blowup"
-        elif not p.domain_ok:
+        elif p.phi is None:
             termination = "f_domain_violation"
         elif config.normalized and p.fSA_sup <= config.stop_tol:
             termination = "stationary"
@@ -544,7 +529,7 @@ def run(config: RunConfig) -> Trajectory:
             break
 
         if config.renormalize_volume:
-            u_new, last_pre = _renormalized(u_new, kern.m)
+            u_new, last_pre = kern.renormalized(u_new)
         u = u_new
         t += dt
         dt_used = dt

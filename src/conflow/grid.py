@@ -25,8 +25,8 @@ Conventions used throughout the package:
   1: a background integral is the plain mean of the nodal values
   (``record_means`` per record of a stack), the background volume is pinned
   to one and suppressed ambient axes contribute a factor one each.
-  Evolving-metric integrals are weighted by ``u ** (2n/(n-2))``, the
-  exponent ``conformal.Constants.vol_exp``.
+  Evolving-metric integrals of a stack of states are
+  ``conformal.Records.integral``, the one coding of the volume weight.
 """
 
 import functools
@@ -87,8 +87,8 @@ class GridSpec:
             raise ValueError("points and periods must have one entry per active axis")
         if any(p < 8 for p in self.points):
             raise ValueError("need at least 8 points per active axis")
-        if any(L <= 0 for L in self.periods):
-            raise ValueError("periods must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.periods):
+            raise ValueError(f"periods must be finite and positive, got {self.periods}")
 
     @property
     def spacing(self) -> tuple[float, ...]:

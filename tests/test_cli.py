@@ -438,11 +438,16 @@ def _set(cfg, path, value):
     ("checks", 5),
     ("checks", None),
     ("checks", "minmax"),
+    ("time.dt", {"policy": "fixd", "dt": 0.001}),
+    ("grid.ambient_n", 4.7),
+    ("grid.points", [32.5]),
+    ("grid.periods", [math.inf]),
 ])
+@pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     # a malformed section or a non-finite number (JSON NaN) ends in one
     # `config error:` line before any run starts, and `verify` of the same
-    # config in one `verify:` line
+    # config in one `verify:` line; a numpy warning would be one more line
     cfg = base_config()
     _set(cfg, path, value)
     p = write_cfg(tmp_path, cfg)

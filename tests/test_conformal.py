@@ -7,6 +7,7 @@ from conflow.conformal import (
     ConformalState,
     Constants,
     FDomainError,
+    Records,
     conformal_laplacian_values,
     scalar_curvature_values,
 )
@@ -18,8 +19,16 @@ from conflow.grid import (
     laplacian0_values,
 )
 
-from conftest import grid1d, smooth_field
-from reference import average_f, einstein_hilbert, metric_laplacian, shift, sigma, volume
+from conftest import TWO_PI, grid1d, smooth_field
+from reference import (
+    average_f,
+    einstein_hilbert,
+    integrate_g,
+    metric_laplacian,
+    shift,
+    sigma,
+    volume,
+)
 
 
 def dense_laplacian_matrix(grid):
@@ -246,3 +255,34 @@ def test_background_dimension_check():
     g = grid1d(n=4)
     with pytest.raises(ValueError, match="ambient_n"):
         Background(ScalarField.constant(g, 1.0), n=5)
+
+
+@pytest.mark.parametrize("grid", [
+    conflow.GridSpec(4, 1, (32,), (TWO_PI,)),
+    conflow.GridSpec(5, 2, (16, 12), (TWO_PI, 1.5 * TWO_PI)),
+], ids=["1d", "2d"])
+def test_records_match_the_single_record_formulas(grid):
+    # a stack of five states on a negative background; record 3 has a
+    # curvature range reaching below -3, outside the domain (-3, inf) of f
+    f = conflow.reciprocal(3.0)
+    bg = Background(field_from_spec(grid, "sinusoidal:-1.5,0.4,0"), grid.ambient_n)
+    x = grid.coordinate_mesh()[0]
+    amps = [0.0, 0.02, 0.05, 0.5, 0.1]
+    U = np.stack([np.broadcast_to(1.0 + a * np.cos(x + a), grid.shape) for a in amps])
+    rec = Records(bg, f, U)
+    assert rec.in_domain.tolist() == [True, True, True, False, True]
+    ok = rec.in_domain
+    fin = Records(bg, f, U[ok])
+    for j, k in enumerate(np.flatnonzero(ok)):
+        state = ConformalState(ScalarField(grid, U[k]))
+        S = scalar_curvature_values(bg, U[k])
+        assert np.array_equal(rec.S[k], S)
+        assert (rec.Smin[k], rec.Smax[k]) == (S.min(), S.max())
+        assert rec.vol[k] == volume(state)
+        assert rec.integral(rec.S)[k] == integrate_g(ScalarField(grid, S), state.u)
+        assert fin.A[j] == average_f(bg, state, f)
+    # the out-of-domain record is named by f(S) of the whole stack
+    S3 = scalar_curvature_values(bg, U[3])
+    assert S3.min() < -3.0
+    with pytest.raises(FDomainError, match=f"S range \\[{S3.min():g}, {S3.max():g}\\]"):
+        rec.phi

@@ -232,8 +232,9 @@ def test_step_domain_guard():
 
 def renormalize_volume(state):
     """The run's volume renormalization applied to one state."""
-    m = conflow.Constants.for_dimension(state.u.grid.ambient_n).vol_exp
-    u_new, _ = flow._renormalized(state.u.values, m)
+    g = state.u.grid
+    kern = flow._Kernel(Background(ScalarField.constant(g, 0.0), g.ambient_n), classical(), True)
+    u_new, _ = kern.renormalized(state.u.values)
     return ConformalState(ScalarField(state.u.grid, u_new), state.t)
 
 
