@@ -18,8 +18,6 @@ run, two different grids, or a run of the wrong kind for the mode.
 Identical configs produce bit-identical CSV and summaries.
 """
 
-import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -354,7 +352,8 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 
     out_root.mkdir(parents=True, exist_ok=True)
@@ -408,6 +407,8 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="conflow",
         description="run, verify and compare conformal curvature flows",

@@ -181,10 +181,14 @@ class Trajectory:
         return self.columns[name]
 
 
+# ndarray.min/max/sum bit for bit, without their Python-level wrappers
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
 def _mean(v: np.ndarray):
     """v.mean() bit for bit (the same pairwise sum divided by the size),
     without numpy's Python-level mean wrapper."""
-    return v.sum() / v.size
+    return _sum(v, None) / v.size
 
 
 class _Probe(NamedTuple):
@@ -213,7 +217,7 @@ class _Kernel:
     state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
     bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
     diagnostics columns of a stack of logged states, one block of records
-    at a time, for ``run``.
+    at a time, for ``run``.  What does not depend on the state is bound once.
     """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
@@ -225,8 +229,9 @@ class _Kernel:
         self.beta = c.beta
         self.m = c.vol_exp
         self.pref = 0.25 * (bg.n - 2.0)
-        self.d = bg.grid.active_dims
+        self.eval_f, self.eval_fp = f.eval_f, f.eval_fp
         self.hmin2 = bg.grid.min_spacing ** 2
+        self.two_d = 2.0 * bg.grid.active_dims
 
     def curvature(self, u: np.ndarray) -> np.ndarray:
         return scalar_curvature_values(self.bg, u)
@@ -235,7 +240,7 @@ class _Kernel:
         """Raise FloatingPointError for a non-finite S (NaN fails every
         domain test, so it is caught first) and FDomainError for an S range
         outside f's domain."""
-        smin, smax = float(S.min()), float(S.max())
+        smin, smax = float(_min(S, None)), float(_max(S, None))
         if not (math.isfinite(smin) and math.isfinite(smax)):
             raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
         require_f_domain(self.f, smin, smax)
@@ -259,11 +264,11 @@ class _Kernel:
         return self.pref * phi * u
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        if u.min() <= 0.0:
+        if _min(u, None) <= 0.0:
             raise PositivityError("state outside positive cone")
         S = self.curvature(u)
         self.require_domain(S)
-        phi = self.f.eval_f(S)
+        phi = self.eval_f(S)
         A = math.nan
         if self.normalized:
             w = self.weight(u)
@@ -280,24 +285,24 @@ class _Kernel:
         return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def stable_dt(self, u: np.ndarray, S: np.ndarray, safety: float) -> float:
-        fp = self.f.eval_fp(S)
-        if float(fp.max()) >= 0.0:
+        fp = self.eval_fp(S)
+        if float(_max(fp, None)) >= 0.0:
             raise ParabolicityError("parabolicity lost: f' >= 0 on the attained S range")
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
-        return safety * self.hmin2 / (2.0 * self.d * float(kappa.max()))
+        return safety * self.hmin2 / (self.two_d * float(_max(kappa, None)))
 
     def probe(self, u: np.ndarray) -> _Probe:
         S = self.curvature(u)
         w = self.weight(u)
         wm = float(_mean(w))
-        Smin, Smax = float(S.min()), float(S.max())
+        Smin, Smax = float(_min(S, None)), float(_max(S, None))
         if self.f.domain.contains_interval(Smin, Smax):
-            phi = self.f.eval_f(S)
+            phi = self.eval_f(S)
             A = self.mean_f(phi, w, wm)
-            fsa = float(np.abs(phi - A).max())
+            fsa = float(_max(np.abs(phi - A), None))
         else:
             phi, A, fsa = None, math.nan, math.nan
-        return _Probe(S, wm, phi, A, fsa, Smin, Smax, float(u.min()), float(u.max()))
+        return _Probe(S, wm, phi, A, fsa, Smin, Smax, float(_min(u, None)), float(_max(u, None)))
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
@@ -508,9 +513,9 @@ def run(config: RunConfig) -> Trajectory:
             u_new = kern.advance(u, dt, config.scheme, kern.rate(p.phi, p.A, u))
             # never accept (or log) a state at or under the positivity floor,
             # nor a non-finite one (NaN fails every comparison)
-            if float(u_new.min()) <= POSITIVITY_FLOOR:
+            if float(_min(u_new, None)) <= POSITIVITY_FLOOR:
                 termination = "positivity_lost"
-            elif not math.isfinite(float(u_new.max())):
+            elif not math.isfinite(float(_max(u_new, None))):
                 termination = "blowup"
                 notes = f"non-finite state after the step from t={t:g}"
         except PositivityError:

@@ -21,6 +21,8 @@ on the declared domain; monotonicity is certified by dense sampling, not
 symbolic proof, since f is user-extensible.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import Callable

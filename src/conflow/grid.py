@@ -165,9 +165,10 @@ def laplacian0_values(grid: GridSpec, v: np.ndarray) -> np.ndarray:
 
     The stencil acts on the trailing ``active_dims`` axes, so a
     ``(K, *grid.shape)`` stack of records gives each record's Laplacian."""
-    out = np.zeros_like(v)
+    out = None
     for ax, (nxt, prv, _, h2) in enumerate(_periodic_neighbours(grid), -grid.active_dims):
-        out += (v.take(nxt, axis=ax) - 2.0 * v + v.take(prv, axis=ax)) / h2
+        term = (v.take(nxt, axis=ax) - 2.0 * v + v.take(prv, axis=ax)) / h2
+        out = term if out is None else np.add(out, term, out=out)
     return out
 
 

@@ -109,6 +109,80 @@ def einstein_hilbert(bg: Background, state: ConformalState) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The flow's kernel on one state, from numpy primitives
+# ---------------------------------------------------------------------------
+#
+# np.roll stencils and explicit product chains, apart from the package's
+# operators (grid.laplacian0_values, grid.power, scalar_curvature_values),
+# in the order of operations the package promises, so that every value
+# matches flow._Kernel bit for bit.
+
+def chain_power(v: np.ndarray, exponent: float) -> np.ndarray:
+    """v ** exponent: repeated products, and a reciprocal for a negative
+    exponent, when the exponent is an integer of size at most 8; np.power
+    otherwise."""
+    k = round(exponent)
+    if abs(exponent - k) >= 1e-13 or abs(k) > 8:
+        return np.power(v, exponent)
+    out = np.ones_like(v)
+    if k != 0:
+        out = v
+        for _ in range(abs(k) - 1):
+            out = out * v
+    return out if k >= 0 else 1.0 / out
+
+
+def rolled_laplacian(grid, v: np.ndarray) -> np.ndarray:
+    """Three-point periodic Laplacian by np.roll, summed over the active axes."""
+    return sum((np.roll(v, -1, ax) - 2.0 * v + np.roll(v, 1, ax)) / (h * h)
+               for ax, h in zip(range(-grid.active_dims, 0), grid.spacing))
+
+
+def curvature(bg: Background, u: np.ndarray) -> np.ndarray:
+    """u^(-beta) * (S0*u - c_n * Laplacian(u))."""
+    c = bg.constants
+    return chain_power(u, -c.beta) * (bg.S0.values * u - c.c_n * rolled_laplacian(bg.grid, u))
+
+
+def flow_terms(bg: Background, f, u: np.ndarray) -> dict:
+    """S, the volume weight and its mean, f(S), its weighted mean A and
+    sup |f(S) - A| of one state inside f's domain."""
+    S = curvature(bg, u)
+    w = chain_power(u, bg.constants.vol_exp)
+    phi = f.eval_f(S)
+    A = float((phi * w).mean() / w.mean())
+    return {"S": S, "wm": float(w.mean()), "phi": phi, "A": A,
+            "fSA_sup": float(np.abs(phi - A).max())}
+
+
+def flow_rhs(bg: Background, f, u: np.ndarray, normalized: bool) -> np.ndarray:
+    """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
+    t = flow_terms(bg, f, u)
+    return 0.25 * (bg.n - 2.0) * (t["phi"] - t["A"] if normalized else t["phi"]) * u
+
+
+def flow_stable_dt(bg: Background, f, u: np.ndarray, safety: float) -> float:
+    """safety * h_min^2 / (2 d max kappa), kappa = (n-1) |f'(S)| u^(1-beta)."""
+    kappa = (bg.n - 1.0) * np.abs(f.eval_fp(curvature(bg, u))) \
+        * chain_power(u, 1.0 - bg.constants.beta)
+    return safety * bg.grid.min_spacing ** 2 / (2.0 * bg.grid.active_dims * float(kappa.max()))
+
+
+def rk4_step(rhs, u: np.ndarray, dt: float) -> np.ndarray:
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def renormalized(bg: Background, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """u scaled to unit volume, and its volume before the scaling."""
+    vol = float(chain_power(u, bg.constants.vol_exp).mean())
+    return u * vol ** (-1.0 / bg.constants.vol_exp), vol
+
+
+# ---------------------------------------------------------------------------
 # Response-function helpers
 # ---------------------------------------------------------------------------
 

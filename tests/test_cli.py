@@ -1,9 +1,15 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conflow
 from conflow import cli, diagnostics
 
 TWO_PI = 2.0 * math.pi
@@ -106,12 +112,37 @@ def test_verify_missing_target(tmp_path):
     assert cli.main(["verify", str(tmp_path / "nothere.json")]) == 1
 
 
-def test_verify_misapplied_check_fails(tmp_path):
-    # flat-background identity on a negative run: detector must fire
-    cfg = write_cfg(tmp_path, base_config())
+def verify_flat_identity(tmp_path, cfg, capsys) -> dict:
+    """Run ``cfg``, verify its output with the flat identity alone (exit 0
+    expected) and return that one report."""
     out = tmp_path / "out"
-    cli.main(["run", str(cfg), "--out", str(out)])
-    assert cli.main(["verify", str(out), "--checks", "flat_identity"]) == 2
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out), "--checks", "flat_identity"]) == 0
+    assert "flat_background_identity  INCONCLUSIVE" in capsys.readouterr().out
+    (rep,) = json.loads((out / "report.json").read_text())["reports"]
+    return rep
+
+
+def test_verify_misapplied_check_is_inconclusive(tmp_path, capsys):
+    # the flat-background identity on a negative run: its hypothesis does
+    # not hold, so it neither passes nor fails
+    rep = verify_flat_identity(tmp_path, base_config(), capsys)
+    assert rep["passed"] is None
+    assert rep["notes"] == "the flat identity needs a flat background, got negative"
+
+
+def test_verify_flat_identity_on_a_positive_2d_run_is_inconclusive(tmp_path, capsys):
+    # 2-D 16x12, n=5 (fractional exponents), positive background
+    cfg = {
+        "grid": {"ambient_n": 5, "points": [16, 12], "periods": [TWO_PI, TWO_PI]},
+        "background": "sinusoidal:1.0,0.3,0",
+        "u0": "constant:1",
+        "f": {"name": "expdecay", "alpha": 1.0},
+        "time": {"T_final": 0.2},
+    }
+    rep = verify_flat_identity(tmp_path, cfg, capsys)
+    assert rep["passed"] is None
+    assert rep["notes"].endswith("got positive")
 
 
 def test_verify_reruns_bit_identical(tmp_path):
@@ -122,6 +153,32 @@ def test_verify_reruns_bit_identical(tmp_path):
     first = (out / "report.json").read_bytes()
     cli.main(["verify", str(out), "--checks", "minmax,decay"])
     assert (out / "report.json").read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# Process start
+# ---------------------------------------------------------------------------
+
+FOOTPRINT = """
+import json, sys
+import conflow, conflow.cli, conflow.diagnostics, conflow.flow
+loaded = [m for m in ("numpy.random", "concurrent.futures", "argparse") if m in sys.modules]
+f = conflow.fzoo.from_table([-2.0, 0.0, 1.0, 3.0], [4.0, 1.0, 0.5, -1.0], seed=1)
+print(json.dumps({"loaded": loaded, "table": f.name, "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_import_footprint_leaves_out_what_no_run_uses():
+    # a fresh interpreter, so that neither pytest nor earlier tests have
+    # imported the modules already: numpy.random (only a seeded table's
+    # certification draws from it), the sweep pool and argparse load where
+    # they are used
+    src = str(Path(conflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "table": "table", "random": True}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +248,7 @@ def test_sweep_pool_is_bounded_by_the_run_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     plan = sweep_plan(tmp_path)
     assert cli.main(["sweep", str(plan), "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
     assert sizes == [4]

@@ -115,6 +115,31 @@ def test_decay_vacuous_on_constant_background():
     assert "vacuous" in rep.notes
 
 
+def test_decay_inconclusive_on_a_run_too_short_to_fit():
+    # the curvature leaves reciprocal(3)'s domain (-3, inf) at the first
+    # record: no point to fit, and the series never reached the floor
+    f = reciprocal(3.0)
+    traj, bg = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.45,0", N=32)
+    assert traj.termination == "f_domain_violation"
+    rep = dg.compare_decay(traj, bg, f)
+    assert rep.passed is None
+    assert rep.measured["n_points"] == 0
+    assert f"of a {traj.n_records}-record run" in rep.notes
+    assert "vacuous" not in rep.notes
+
+
+def test_decay_fails_a_short_run_above_the_envelope():
+    # two records, one of them in the fit window: no rate to fit, but the
+    # initial sup |f(S) - A| of this u0 lies above 1.1 * C
+    f = classical()
+    traj, bg = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.2,0", N=32, T=0.05, cadence=1000)
+    assert (traj.termination, traj.n_records) == ("time_reached", 2)
+    rep = dg.compare_decay(traj, bg, f)
+    assert rep.passed is False
+    assert rep.measured["n_points"] == 1 and rep.measured["envelope_margin"] < 0.0
+    assert rep.notes.endswith("of a 2-record run; the envelope is exceeded")
+
+
 def test_decay_inconclusive_on_noisy_fit(neg_run):
     # a series the exponential model explains poorly must not pass or fail
     traj, bg = neg_run
@@ -380,10 +405,19 @@ def test_positive_bounds_fail_on_collapsing_curvature(pos_run):
     assert rep.passed is False
 
 
-def test_flat_identity_fails_when_misapplied(neg_run):
+def test_flat_identity_inconclusive_when_misapplied(neg_run):
     traj, bg = neg_run
     rep = dg.check_flat_identity(traj, bg)
+    assert rep.passed is None
+    assert rep.notes == "the flat identity needs a flat background, got negative"
+
+
+def test_flat_identity_fails_on_a_flat_run_reversed_in_time(flat_run):
+    # on its own hypothesis the check still fires: run backwards, S_min drops
+    traj, bg = flat_run
+    rep = dg.check_flat_identity(reverse_in_time(traj), bg)
     assert rep.passed is False
+    assert rep.measured["containment_margin"] < -dg.MINMAX_BASE_TOL
 
 
 def test_stationary_limit_fails_with_loose_stop():

@@ -20,9 +20,10 @@ from conflow.flow import (
     stable_dt,
     step,
 )
-from conflow.fzoo import FSpec, classical, expdecay, power_law
+from conflow.fzoo import FSpec, Interval, classical, expdecay, power_law
 from conflow.grid import PositivityError, ScalarField, field_from_spec, power
 
+import reference
 from conftest import TWO_PI, grid1d, smooth_field
 from reference import average_f, integrate_g, shift, sigma, volume
 
@@ -440,6 +441,85 @@ def test_kernel_mean_is_numpy_mean_bitwise():
         for _ in range(20):
             v = rng.lognormal(sigma=2.0, size=shape)
             assert flow._mean(v) == v.mean()
+
+
+KERNEL_POINTS = {1: (32,), 2: (16, 12), 3: (8, 10, 8)}
+
+
+def kernel_case(dims, n):
+    """A background, a state and f on a ``dims``-D grid for ambient n: both
+    fields vary along the first and the last axis."""
+    g = conflow.GridSpec(n, dims, KERNEL_POINTS[dims], (TWO_PI,) * dims)
+    mesh = g.coordinate_mesh()
+    S0 = -1.5 + 0.4 * np.sin(mesh[0]) + 0.2 * np.cos(mesh[-1])
+    u = 1.0 + 0.1 * np.cos(mesh[0]) + 0.05 * np.sin(2.0 * mesh[-1])
+    bg = Background(ScalarField(g, np.broadcast_to(S0, g.shape).copy()), n)
+    return bg, np.broadcast_to(u, g.shape).copy(), expdecay(0.5)
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("dims", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
+    # n = 3 and 4 take the product chains (beta 5 and 3), n = 5 np.power
+    # (beta 7/3); every kernel entry point equals the numpy formulas exactly
+    bg, u, f = kernel_case(dims, n)
+    kern = flow._Kernel(bg, f, normalized=normalized)
+
+    def rhs(v):
+        return reference.flow_rhs(bg, f, v, normalized)
+
+    assert np.array_equal(kern.rhs(u), rhs(u))
+    p, ref = kern.probe(u), reference.flow_terms(bg, f, u)
+    for key in ("S", "phi"):
+        assert np.array_equal(getattr(p, key), ref[key]), key
+    assert (p.wm, p.A, p.fSA_sup) == (ref["wm"], ref["A"], ref["fSA_sup"])
+    assert (p.Smin, p.Smax, p.umin, p.umax) == (ref["S"].min(), ref["S"].max(), u.min(), u.max())
+    assert np.array_equal(kern.rate(p.phi, p.A, u), rhs(u))
+    dt = kern.stable_dt(u, p.S, 0.8)
+    assert dt == reference.flow_stable_dt(bg, f, u, 0.8)
+    stepped = kern.advance(u, dt, "rk4", kern.rhs(u))
+    assert np.array_equal(stepped, reference.rk4_step(rhs, u, dt))
+    assert np.array_equal(kern.advance(u, dt, "euler", rhs(u)), u + dt * rhs(u))
+    got, want = kern.renormalized(stepped), reference.renormalized(bg, stepped)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def stage_failure_config(kind):
+    """A fixed-dt RK4 run whose probe at t=0 passes and one of whose first
+    step's later stages fails: it leaves the positive cone, its curvature
+    turns NaN, or its curvature leaves f's domain."""
+    g = grid1d(N=32)
+    if kind == "nan_curvature":
+        # f(S) is NaN above -1.3, so k1 and then the second stage are NaN
+        base = classical()
+        f = dataclasses.replace(base, eval_f=lambda S: np.where(
+            np.asarray(S) > -1.3, np.nan, base.eval_f(S)))
+        return RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n),
+                         f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
+                         dt_policy=DtPolicy.fixed(1e-3))
+    # S0 = 100, u = 1: du/dt = -50 u without normalization, so u shrinks and
+    # S = 100 u^-2 grows past the probe's S = 100
+    if kind == "nonpositive":
+        f, dt = classical(), 0.05      # the second stage is 1 - 0.025 * 50 < 0
+    else:
+        f, dt = dataclasses.replace(classical(), domain=Interval(hi=100.0)), 1e-3
+    return RunConfig(background=Background(ScalarField.constant(g, 100.0), g.ambient_n),
+                     f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
+                     dt_policy=DtPolicy.fixed(dt), normalized=False,
+                     renormalize_volume=False)
+
+
+@pytest.mark.parametrize("kind,termination,notes", [
+    ("nonpositive", "positivity_lost", ""),
+    ("nan_curvature", "blowup", "non-finite curvature in a stage of the step from t=0"),
+    ("out_of_domain", "f_domain_violation", ""),
+])
+def test_run_stage_failures_keep_their_tags(kind, termination, notes):
+    traj = run(stage_failure_config(kind))
+    assert (traj.termination, traj.notes) == (termination, notes)
+    assert traj.n_records == 1 and traj.times.tolist() == [0.0]
+    assert np.array_equal(traj.snapshots[0], np.ones(32))
 
 
 def test_probe_matches_rhs_and_reference_row():
