@@ -60,10 +60,12 @@ def _object(value, what: str) -> dict:
 
 
 def _typed(value, kind: type, what: str):
-    """``value`` if it is a JSON boolean (``kind`` bool) or a JSON integer
-    (``kind`` int, which excludes booleans), else a ConfigError naming ``what``."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        must = "true or false" if kind is bool else "an integer"
+    """``value`` if it is a JSON boolean (``kind`` bool), a JSON integer
+    (``kind`` int) or a JSON number (``kind`` float, integers included),
+    else a ConfigError naming ``what``; a boolean is neither number."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
+        must = {bool: "true or false", int: "an integer", float: "a number"}[kind]
         raise ConfigError(f"'{what}' must be {must}, got {value!r}")
     return value
 
@@ -102,7 +104,7 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             active_dims=_typed(gspec.get("active_dims", len(gspec["points"])), int,
                                "grid.active_dims"),
             points=tuple(_typed(p, int, "grid.points") for p in gspec["points"]),
-            periods=tuple(gspec["periods"]),
+            periods=tuple(_typed(p, float, "grid.periods") for p in gspec["periods"]),
         )
         bg = Background(field_from_spec(grid, _resolve_field_spec(cfg["background"], base_dir)),
                         n=grid.ambient_n)
@@ -112,17 +114,18 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         dt_cfg = _object(tcfg.get("dt", {"policy": "adaptive"}), "'time.dt'")
         mode = dt_cfg.get("policy", "adaptive")
         if mode == "fixed":
-            policy = DtPolicy.fixed(float(dt_cfg["dt"]))
+            policy = DtPolicy.fixed(_typed(dt_cfg["dt"], float, "time.dt.dt"))
         else:  # DtPolicy rejects a mode that is neither
-            policy = DtPolicy(mode, safety=float(dt_cfg.get("safety", 0.8)))
+            safety = _typed(dt_cfg.get("safety", 0.8), float, "time.dt.safety")
+            policy = DtPolicy(mode, safety=float(safety))
         normalized = _typed(tcfg.get("normalized", True), bool, "time.normalized")
         return RunConfig(
             background=bg,
             f=f,
             u0=u0,
-            T_final=float(tcfg.get("T_final", 1.0)),
+            T_final=float(_typed(tcfg.get("T_final", 1.0), float, "time.T_final")),
             dt_policy=policy,
-            stop_tol=float(tcfg.get("stop_tol", 1e-8)),
+            stop_tol=float(_typed(tcfg.get("stop_tol", 1e-8), float, "time.stop_tol")),
             renormalize_volume=_typed(tcfg.get("renormalize_volume", normalized), bool,
                                       "time.renormalize_volume"),
             log_cadence=_typed(tcfg.get("log_cadence", 10), int, "time.log_cadence"),
@@ -131,7 +134,7 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -163,15 +166,13 @@ def write_series_csv(path: Path, traj: Trajectory):
 def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_series_csv(out / "series.csv", traj)
-    write_field(out / "u_initial.field", ScalarField(traj.grid, traj.snapshots[0]))
-    write_field(out / "u_final.field", ScalarField(traj.grid, traj.snapshots[-1]))
+    grid = traj.config.background.grid
+    write_field(out / "u_initial.field", ScalarField(grid, traj.snapshots[0]))
+    write_field(out / "u_final.field", ScalarField(grid, traj.snapshots[-1]))
     np.savez_compressed(
         out / "trajectory.npz",
         snapshots=traj.snapshots,
         vol_pre=traj.vol_pre,
-        kind=traj.kind,
-        termination=traj.termination,
-        notes=traj.notes,
         **{f"col_{k}": traj.columns[k] for k in RECORD_COLUMNS},
     )
     last = {k: float(traj.columns[k][-1]) for k in RECORD_COLUMNS}
@@ -182,7 +183,7 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
         "n_records": traj.n_records,
         "final": last,
         "max_volume_drift": float(np.abs(traj.vol_pre - 1.0).max()),
-        "case_tag": traj.config.background.case_tag if traj.config is not None else None,
+        "case_tag": traj.config.background.case_tag,
         "config": cfg,
     }
     with open(out / "summary.json", "w") as fh:
@@ -192,24 +193,24 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
 
 
 def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
-    summary = _load_json(out / "summary.json")
-    cfg = summary.get("config")
-    if cfg is None:
-        raise ConfigError(f"{out}: summary.json carries no config")
+    """The stored run in ``out``: its config, termination and notes from
+    summary.json, its records from trajectory.npz."""
+    summary = _object(_load_json(out / "summary.json"), str(out / "summary.json"))
+    missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
+    if missing:
+        raise ConfigError(f"{out}: summary.json carries no {' or '.join(missing)}")
+    cfg = summary["config"]
     rc = build_run_config(cfg, out)
     path = out / "trajectory.npz"
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             traj = Trajectory(
-                kind=str(data["kind"]),
-                termination=str(data["termination"]),
+                config=rc,
+                termination=summary["termination"],
                 columns={k: np.asarray(data[f"col_{k}"], dtype=float) for k in RECORD_COLUMNS},
                 snapshots=np.asarray(data["snapshots"], dtype=float),
-                grid=rc.background.grid,
-                n=rc.background.n,
                 vol_pre=np.asarray(data["vol_pre"], dtype=float),
-                config=rc,
-                notes=str(data["notes"]),
+                notes=summary["notes"],
             )
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path}: not a readable trajectory ({exc})") from exc
@@ -330,10 +331,7 @@ def cmd_sweep(args) -> int:
         ids = [_object(r, "each entry of 'runs'")["id"] for r in runs]
         if len(set(ids)) != len(ids):
             raise ConfigError("sweep run ids must be unique")
-        try:
-            jobs = args.jobs or int(plan.get("jobs", 1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'jobs' must be an integer, got {plan['jobs']!r}") from exc
+        jobs = args.jobs or _typed(plan.get("jobs", 1), int, "jobs")
         out_root = Path(args.out) if args.out else Path(
             plan.get("out", Path(os.environ.get("CONFLOW_OUT", "out")) / plan_path.stem))
         payloads = []
@@ -377,9 +375,9 @@ def cmd_compare(args) -> int:
     try:
         traj_a, _ = load_trajectory(Path(args.run_a))
         traj_b, _ = load_trajectory(Path(args.run_b))
-        if traj_a.grid != traj_b.grid:
-            raise ConfigError(f"the runs live on different grids:"
-                              f" {traj_a.grid} vs {traj_b.grid}")
+        grid_a, grid_b = traj_a.config.background.grid, traj_b.config.background.grid
+        if grid_a != grid_b:
+            raise ConfigError(f"the runs live on different grids: {grid_a} vs {grid_b}")
         for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
             if traj.kind != kind:
                 raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")

@@ -61,6 +61,7 @@ class Constants:
     beta: float
     c_n: float
     vol_exp: float  # 2n/(n-2), the volume-density exponent
+    pref: float  # (n-2)/4, the flow's rate prefactor
 
     @classmethod
     def for_dimension(cls, n: int) -> "Constants":
@@ -71,6 +72,7 @@ class Constants:
             beta=(n + 2.0) / (n - 2.0),
             c_n=4.0 * (n - 1.0) / (n - 2.0),
             vol_exp=2.0 * n / (n - 2.0),
+            pref=0.25 * (n - 2.0),
         )
 
 

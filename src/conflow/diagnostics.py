@@ -116,7 +116,7 @@ def _segment(traj: Trajectory) -> dict:
 
 
 def minmax_tolerance(traj: Trajectory) -> float:
-    h = traj.grid.min_spacing
+    h = traj.config.background.grid.min_spacing
     return MINMAX_BASE_TOL + MINMAX_H2_COEF * h * h
 
 
@@ -130,14 +130,6 @@ def _require_normalized(check_id, traj):
     return None
 
 
-def _own_blocks(traj: Trajectory):
-    """``Records.blocks`` of the trajectory's snapshots on its own
-    background and f."""
-    if traj.config is None:
-        raise ValueError("trajectory carries no configuration")
-    return Records.blocks(traj.config.background, traj.config.f, traj.snapshots)
-
-
 def _rhs_sup(rec: Records) -> np.ndarray:
     """sup |du/dt| of the normalized flow at each state of a block.  Raises
     what a record-by-record right-hand side raises at the block's first
@@ -146,7 +138,7 @@ def _rhs_sup(rec: Records) -> np.ndarray:
     bad = np.flatnonzero(~(positive & rec.in_domain))
     if bad.size and not positive[bad[0]]:
         raise PositivityError("state outside positive cone")
-    return rec.extremes(np.abs(0.25 * (rec.bg.n - 2.0) * rec.dev * rec.U))[1]
+    return rec.extremes(np.abs(rec.bg.constants.pref * rec.dev * rec.U))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +158,8 @@ def check_minmax_principle(traj: Trajectory, bg: Background, f: FSpec,
     if gate:
         return gate
     eta = minmax_tolerance(traj) if tol is None else float(tol)
-    smin = traj.column("Smin")
-    smax = traj.column("Smax")
+    smin = traj.columns["Smin"]
+    smax = traj.columns["Smax"]
     s0min, s0max = float(smin[0]), float(smax[0])
 
     measured = {}
@@ -222,7 +214,7 @@ def fit_decay(traj: Trajectory, skip_frac: float = 0.1) -> DecayFit:
     """Least squares on log ||f(S)-A||_inf vs t, skipping the initial
     transient (first 10 percent of the run by default)."""
     t = traj.times
-    y = traj.column("fSA_sup")
+    y = traj.columns["fSA_sup"]
     t0 = t[0] + skip_frac * (t[-1] - t[0])
     mask = (t >= t0) & np.isfinite(y) & (y > DECAY_FLOOR)
     n_pts = int(mask.sum())
@@ -254,7 +246,7 @@ def compare_decay(traj: Trajectory, bg: Background, f: FSpec,
         fit = fit_decay(traj)
     B_pred, C_pred = predicted_decay_constants(bg, f)
     t = traj.times
-    y = traj.column("fSA_sup")
+    y = traj.columns["fSA_sup"]
     env = DECAY_ENVELOPE_FACTOR * C_pred * np.exp(-B_pred * t) + 1e-12
     env_margin = float((env - y).min())
 
@@ -306,18 +298,18 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
     gate = _require_normalized("conformal_factor_bounds", traj)
     if gate:
         return gate
-    n = traj.n
+    pref = traj.config.background.constants.pref
     t = traj.times
-    umin = traj.column("umin")
-    umax = traj.column("umax")
+    umin = traj.columns["umin"]
+    umax = traj.columns["umax"]
     seg = _segment(traj)
 
     if bg.case_tag == "negative":
         B_pred, C_pred = predicted_decay_constants(bg, f)
-        half_width = 0.25 * (n - 2.0) * C_pred / B_pred
+        half_width = pref * C_pred / B_pred
         lo, hi = math.exp(-half_width), math.exp(half_width)
         dudt = np.concatenate([_rhs_sup(rec) for _, rec in Records.blocks(bg, f, traj.snapshots)])
-        ctilde = 0.25 * (n - 2.0) * C_pred * hi
+        ctilde = pref * C_pred * hi
         env = DECAY_ENVELOPE_FACTOR * ctilde * np.exp(-B_pred * t) + 1e-12
         measured = {
             "umin_min": float(umin.min()),
@@ -332,7 +324,7 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
                              {"envelope_factor": DECAY_ENVELOPE_FACTOR}, "", seg)
 
     if bg.case_tag == "flat":
-        vol = traj.column("vol")
+        vol = traj.columns["vol"]
         m = bg.constants.vol_exp
         r = umin / umax
         r0 = float(r[0])
@@ -358,7 +350,7 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
         if abs(float(umin[0]) - 1.0) > 1e-9 or abs(float(umax[0]) - 1.0) > 1e-9:
             return _inconclusive("conformal_factor_bounds", traj,
                                  "positive-case band assumes u(0) = 1")
-        rate = 0.25 * (n - 2.0) * (float(f.eval_f(0.0)) - f.bounded_below)
+        rate = pref * (float(f.eval_f(0.0)) - f.bounded_below)
         lo_env = np.exp(-rate * t)
         hi_env = np.exp(rate * t)
         measured = {
@@ -407,7 +399,7 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     gate = _require_normalized("evolution_identities", traj)
     if gate:
         return gate
-    n = traj.n
+    n = traj.config.background.n
     if p_list is None:
         p_list = [2.0, n / 2.0]
     ps = sorted({float(p) for p in p_list})
@@ -417,7 +409,7 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     if K < 3:
         return _inconclusive("evolution_identities", traj, "need at least 3 records")
     note = ""
-    if float(traj.column("Smin").min()) < 0.0 < float(traj.column("Smax").max()):
+    if float(traj.columns["Smin"].min()) < 0.0 < float(traj.columns["Smax"].max()):
         # |S|^(p-2) kinks at the sign change for non-integer p, and the
         # quadrature of a kink is not second-order accurate
         dropped = [p for p in ps if abs(p - round(p)) > 1e-12]
@@ -426,7 +418,7 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
             note = (f"dropped p={dropped} for the |S|^p family:"
                     " S changes sign and fractional powers kink there")
 
-    grid = traj.grid
+    grid = traj.config.background.grid
     t = traj.times
     halfn = 0.5 * n
 
@@ -529,17 +521,18 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     gate = _require_normalized("lp_monotonicity", traj)
     if gate:
         return gate
-    if float(traj.column("Smin").min()) < -EXACT_TOL:
+    if float(traj.columns["Smin"].min()) < -EXACT_TOL:
         return _inconclusive("lp_monotonicity", traj,
                              "needs nonnegative curvature along the flow")
-    halfn = 0.5 * traj.n
-    norm_half = traj.column("lpn2")
+    halfn = 0.5 * traj.config.background.n
+    norm_half = traj.columns["lpn2"]
     init = float(norm_half[0])
 
     norms = {halfn: norm_half}
     if 2.0 <= halfn:
-        norms[2.0] = traj.column("lp2")
-    norms[1.0] = np.concatenate([rec.integral(np.abs(rec.S)) for _, rec in _own_blocks(traj)])
+        norms[2.0] = traj.columns["lp2"]
+    blocks = Records.blocks(traj.config.background, traj.config.f, traj.snapshots)
+    norms[1.0] = np.concatenate([rec.integral(np.abs(rec.S)) for _, rec in blocks])
 
     measured = {
         "max_rise_of_Lnhalf": float(np.diff(norm_half).max()) if traj.n_records > 1 else 0.0,
@@ -567,8 +560,8 @@ def check_positive_S_bounds(traj: Trajectory, bg: Background, f: FSpec) -> Theor
     gate = _require_normalized("positive_curvature_bounds", traj)
     if gate:
         return gate
-    smin = traj.column("Smin")
-    smax = traj.column("Smax")
+    smin = traj.columns["Smin"]
+    smax = traj.columns["Smax"]
     if float(smin[0]) <= 0.0:
         return _inconclusive("positive_curvature_bounds", traj,
                              "needs strictly positive initial curvature")
@@ -583,7 +576,7 @@ def check_positive_S_bounds(traj: Trajectory, bg: Background, f: FSpec) -> Theor
                              "cannot normalize f at zero: 0 outside its domain")
 
     t = traj.times
-    A = traj.column("A")
+    A = traj.columns["A"]
     A_shift = A - f0
     a_running = np.minimum.accumulate(A_shift)
     envelope = smin[0] * np.exp(a_running * t)
@@ -606,7 +599,7 @@ def check_positive_S_bounds(traj: Trajectory, bg: Background, f: FSpec) -> Theor
 
     if f.growth is not None:
         nu_shift = max(f.growth.nu + f0, 0.0)
-        a_pred = -(f.growth.mu * float(traj.column("lpn2")[0]) ** f.growth.kappa + nu_shift)
+        a_pred = -(f.growth.mu * float(traj.columns["lpn2"][0]) ** f.growth.kappa + nu_shift)
         predicted["a_from_growth_certificate"] = a_pred
         measured["a_certificate_margin"] = measured["a_observed"] - a_pred + EXACT_TOL
         checks.append(measured["a_certificate_margin"] >= 0.0)
@@ -633,7 +626,7 @@ def check_flat_identity(traj: Trajectory, bg: Background) -> TheoremReport:
     integrals = np.concatenate([record_means(power(rec.U, beta) * rec.S)
                                 for _, rec in Records.blocks(bg, None, traj.snapshots)])
     worst_integral = float(np.abs(integrals).max())
-    smin = traj.column("Smin")
+    smin = traj.columns["Smin"]
     measured = {
         "max_abs_integral": worst_integral,
         "containment_margin": float((smin - smin[0]).min()),
@@ -703,8 +696,6 @@ def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
     gate = _require_normalized("rescale_equivalence", traj)
     if gate:
         return gate
-    if traj.config is None:
-        return _inconclusive("rescale_equivalence", traj, "no configuration attached")
     cfg_nn = replace(
         traj.config,
         normalized=False,
@@ -748,8 +739,8 @@ def check_stationary_limit(traj: Trajectory, bg: Background, f: FSpec) -> Theore
     A, sig = float(rec.A[0]), float(rec.mean(rec.S)[0])
     spread, s_max = float(rec.Smax[0] - rec.Smin[0]), float(rec.Smax[0])
 
-    lo = float(traj.column("Smin").min())
-    hi = float(traj.column("Smax").max())
+    lo = float(traj.columns["Smin"].min())
+    hi = float(traj.columns["Smax"].max())
     pad = max(1e-6, 1e-6 * (hi - lo))
     lo = lo - pad if f.domain.contains(lo - pad) else lo
     hi = hi + pad if f.domain.contains(hi + pad) else hi
@@ -778,14 +769,15 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
     """Informational: the running time integral of
     (integral of S^(n^2/(2(n-2))) dVol)^((n-2)/n), logged for positive runs.
     No pass/fail is attached."""
-    n = traj.n
+    n = traj.config.background.n
     q = n * n / (2.0 * (n - 2.0))
-    if float(traj.column("Smin").min()) < -EXACT_TOL:
+    if float(traj.columns["Smin"].min()) < -EXACT_TOL:
         return TheoremReport("sobolev_integral_info", None,
                              notes="skipped: curvature not nonnegative",
                              segment=_segment(traj))
     # Python float powers, as record by record (numpy's may round differently)
-    vals = np.array([v ** ((n - 2.0) / n) for _, rec in _own_blocks(traj)
+    blocks = Records.blocks(traj.config.background, traj.config.f, traj.snapshots)
+    vals = np.array([v ** ((n - 2.0) / n) for _, rec in blocks
                      for v in rec.integral(np.maximum(rec.S, 0.0) ** q).tolist()])
     integral = cumtrapz(vals, traj.times)
     return TheoremReport("sobolev_integral_info", None,

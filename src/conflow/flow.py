@@ -52,7 +52,7 @@ from .conformal import (
     scalar_curvature_values,
 )
 from .fzoo import FSpec, homogeneity_check
-from .grid import GridSpec, PositivityError, ScalarField, power
+from .grid import PositivityError, ScalarField, power
 
 __all__ = [
     "DtPolicy",
@@ -150,24 +150,26 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    """Logged time series of a run: diagnostics plus u snapshots.
+    """The run of ``config``: what it logged and how it ended.
 
-    ``columns`` holds one array per RECORD_COLUMNS entry; ``snapshots`` has
-    one u field per record.  Times are strictly increasing and every logged
-    state is positive.  ``vol_pre`` keeps the conservation defect
-    measurable: the pre-correction volume when renormalization is on, the
-    plain volume otherwise.
+    The config is the one source of the run's kind, grid, dimension n,
+    background and f.  ``columns`` holds one array per RECORD_COLUMNS entry;
+    ``snapshots`` has one u field per record.  Times are strictly increasing
+    and every logged state is positive.  ``vol_pre`` keeps the conservation
+    defect measurable: the pre-correction volume when renormalization is
+    on, the plain volume otherwise.
     """
 
-    kind: str
+    config: RunConfig
     termination: str
     columns: dict
     snapshots: np.ndarray
-    grid: GridSpec
-    n: int
     vol_pre: np.ndarray
-    config: RunConfig | None = None
     notes: str = ""
+
+    @property
+    def kind(self) -> str:
+        return "normalized" if self.config.normalized else "non_normalized"
 
     @property
     def times(self) -> np.ndarray:
@@ -176,9 +178,6 @@ class Trajectory:
     @property
     def n_records(self) -> int:
         return len(self.columns["t"])
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
 
 # ndarray.min/max/sum bit for bit, without their Python-level wrappers
@@ -228,7 +227,7 @@ class _Kernel:
         self.n = bg.n
         self.beta = c.beta
         self.m = c.vol_exp
-        self.pref = 0.25 * (bg.n - 2.0)
+        self.pref = c.pref
         self.eval_f, self.eval_fp = f.eval_f, f.eval_fp
         self.hmin2 = bg.grid.min_spacing ** 2
         self.two_d = 2.0 * bg.grid.active_dims
@@ -542,14 +541,11 @@ def run(config: RunConfig) -> Trajectory:
 
     snapshots = np.asarray(snaps)
     return Trajectory(
-        kind="normalized" if config.normalized else "non_normalized",
+        config=config,
         termination=termination,
         columns=kern.columns(snapshots, times, dts),
         snapshots=snapshots,
-        grid=bg.grid,
-        n=bg.n,
         vol_pre=np.asarray(vol_pre, dtype=float),
-        config=config,
         notes=notes,
     )
 
@@ -583,7 +579,7 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"{f.name} is not {alpha:g}-homogeneous (defect {defect:.3g})")
 
     t = traj.times
-    eta = cumtrapz(traj.column("A"), t)
+    eta = cumtrapz(traj.columns["A"], t)
     tau = cumtrapz(np.exp(-alpha * eta), t)
-    scale = np.exp(-0.25 * (traj.n - 2.0) * eta)
+    scale = np.exp(-traj.config.background.constants.pref * eta)
     return tau, traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))

@@ -164,8 +164,8 @@ def test_criterion_5_positive_bounded_f(run5):
     norm_half0 = traj.columns["lpn2"][0]
     p_ok = {}
     for p in (1.0, 2.0):
-        vals = np.array([lp_norm_g(ScalarField(traj.grid, scalar_curvature_values(bg, u)), p,
-                                   ScalarField(traj.grid, u))
+        vals = np.array([lp_norm_g(ScalarField(bg.grid, scalar_curvature_values(bg, u)), p,
+                                   ScalarField(bg.grid, u))
                          for u in traj.snapshots])
         p_ok[p] = bool(vals.max() <= norm_half0 + 1e-8)
     monotone = bool(np.diff(traj.columns["lpn2"]).max() <= 1e-8)

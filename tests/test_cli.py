@@ -367,22 +367,79 @@ def test_compare_mismatched_runs_is_one_line_exit_1(tmp_path, capsys, mode, chan
     assert len(captured.err.strip().splitlines()) == 1
 
 
-def test_trajectory_roundtrip_bitwise(tmp_path):
-    import conflow
+def test_trajectory_roundtrip_bitwise(tmp_path, monkeypatch):
+    # every field of a stored run reloads bit for bit: a plain run, one
+    # whose step budget leaves a note, and a non-normalized run
+    from conflow import flow
     from conflow.flow import RECORD_COLUMNS, run as run_flow
 
-    cfg_dict = base_config(T_final=0.2)
-    p = write_cfg(tmp_path, cfg_dict)
+    cases = [("plain", {}, None, 0),
+             ("budget", {}, 3, 2),
+             ("nonnormalized", {"normalized": False, "renormalize_volume": False}, None, 0)]
+    for name, overrides, max_steps, code in cases:
+        cfg_dict = base_config(T_final=0.2, **overrides)
+        p = write_cfg(tmp_path, cfg_dict, f"{name}.json")
+        out = tmp_path / name
+        with monkeypatch.context() as m:
+            if max_steps is not None:
+                m.setattr(flow, "_MAX_STEPS", max_steps)
+            assert cli.main(["run", str(p), "--out", str(out)]) == code
+            in_memory = run_flow(cli.build_run_config(cfg_dict, tmp_path))
+        loaded, _ = cli.load_trajectory(out)
+        assert bool(in_memory.notes) == (max_steps is not None)
+        for field in ("kind", "termination", "notes"):
+            assert getattr(loaded, field) == getattr(in_memory, field)
+        assert loaded.config.background.grid == in_memory.config.background.grid
+        assert loaded.config.background.n == in_memory.config.background.n
+        assert np.array_equal(in_memory.snapshots, loaded.snapshots)
+        assert np.array_equal(in_memory.vol_pre, loaded.vol_pre)
+        for k in RECORD_COLUMNS:
+            assert np.array_equal(in_memory.columns[k], loaded.columns[k], equal_nan=True)
+        assert loaded.config.background.case_tag == "negative"
+
+
+def test_verify_reads_a_trajectory_with_the_old_members(tmp_path):
+    # trajectory.npz holds the snapshots, vol_pre and the columns; a file
+    # that also holds kind, termination and notes verifies to the same report
+    from conflow.flow import RECORD_COLUMNS
+
+    p = write_cfg(tmp_path, base_config(T_final=0.2))
     out = tmp_path / "out"
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
-    rc = cli.build_run_config(cfg_dict, tmp_path)
-    in_memory = run_flow(rc)
-    loaded, _ = cli.load_trajectory(out)
-    assert np.array_equal(in_memory.snapshots, loaded.snapshots)
-    for k in RECORD_COLUMNS:
-        assert np.array_equal(in_memory.columns[k], loaded.columns[k])
-    assert in_memory.termination == loaded.termination
-    assert loaded.config.background.case_tag == "negative"
+    code = cli.main(["verify", str(out)])
+    report = (out / "report.json").read_bytes()
+    npz = out / "trajectory.npz"
+    with np.load(npz) as data:
+        members = dict(data)
+    assert sorted(members) == sorted(["snapshots", "vol_pre",
+                                      *(f"col_{k}" for k in RECORD_COLUMNS)])
+    summary = json.loads((out / "summary.json").read_text())
+    np.savez_compressed(npz, **members, kind=summary["kind"],
+                        termination=summary["termination"], notes=summary["notes"])
+    (out / "report.json").unlink()
+    assert cli.main(["verify", str(out)]) == code
+    assert (out / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("damage", [
+    lambda summary: {k: v for k, v in summary.items() if k != "termination"},
+    lambda summary: {k: v for k, v in summary.items() if k != "notes"},
+    lambda summary: [summary],
+], ids=["no_termination", "no_notes", "not_an_object"])
+def test_verify_unreadable_summary_is_one_line_exit_1(tmp_path, capsys, damage):
+    # a stored run's termination and notes live in summary.json only
+    p = write_cfg(tmp_path, base_config(T_final=0.05))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    (out / "summary.json").write_text(json.dumps(damage(summary)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify:") and "summary.json" in err
+    assert "trajectory.npz" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "report.json").exists()
 
 
 def test_file_field_spec_roundtrip(tmp_path, monkeypatch):
@@ -499,6 +556,17 @@ def _set(cfg, path, value):
     ("grid.ambient_n", 4.7),
     ("grid.points", [32.5]),
     ("grid.periods", [math.inf]),
+    ("time.T_final", "0.3"),
+    ("time.T_final", True),
+    ("time.stop_tol", True),
+    ("time.stop_tol", "1e-8"),
+    ("time.dt", {"policy": "fixed", "dt": "0.001"}),
+    ("time.dt", {"policy": "fixed", "dt": True}),
+    ("time.dt", {"policy": "adaptive", "safety": "0.8"}),
+    ("time.dt", {"policy": "adaptive", "safety": True}),
+    ("grid.periods", ["6.283185307179586"]),
+    ("grid.periods", [True]),
+    pytest.param("time.T_final", 10 ** 400, id="time.T_final-too_large_for_a_float"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
@@ -527,6 +595,8 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     ("base", "oops"),
     ("overrides", "oops"),
     ("base_path", 7),
+    ("jobs", 2.5),
+    ("jobs", True),
 ])
 def test_sweep_malformed_plan_is_one_line_exit_1(tmp_path, capsys, key, value):
     plan = json.loads(sweep_plan(tmp_path).read_text())

@@ -34,14 +34,11 @@ def rebuild(traj, snapshots, times=None):
     times = traj.times if times is None else np.asarray(times, dtype=float)
     snapshots = np.asarray(snapshots, dtype=float)
     return Trajectory(
-        kind="normalized",
+        config=cfg,
         termination=traj.termination,
         columns=kern.columns(snapshots, times, np.diff(times, prepend=times[0])),
         snapshots=snapshots,
-        grid=traj.grid,
-        n=traj.n,
         vol_pre=np.ones(len(snapshots)),
-        config=cfg,
         notes="crafted",
     )
 
@@ -268,7 +265,7 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     monkeypatch.setattr(conflow.grid, "BLOCK_NODES", 4 * 32)
     f = reciprocal(3.0)
     traj, bg = make_run(NEG_BG, f, N=32, T=0.1, dt=1e-3, cadence=5, stop_tol=0.0)
-    x = traj.grid.axis_coordinates(0)
+    x = traj.config.background.grid.axis_coordinates(0)
     snaps = traj.snapshots.copy()
     snaps[6] = 1.0 + 0.5 * np.cos(x)
     S = scalar_curvature_values(bg, snaps[6])
@@ -313,7 +310,7 @@ def test_gates_report_inconclusive(neg_run, pos_run, flat_run):
     mixed_traj, mixed_bg = make_run("sinusoidal:0.0,0.2,0", classical(), T=0.02, N=32)
     assert dg.check_u_bounds(mixed_traj, mixed_bg, classical()).passed is None
     nn_cfg = RunConfig(background=neg_bg, f=classical(),
-                       u0=ScalarField.constant(neg.grid, 1.0), T_final=0.1,
+                       u0=ScalarField.constant(neg.config.background.grid, 1.0), T_final=0.1,
                        normalized=False, renormalize_volume=False, stop_tol=0.0)
     nn = run(nn_cfg)
     assert dg.check_minmax_principle(nn, neg_bg, classical()).passed is None
@@ -393,7 +390,7 @@ def test_lnhalf_fails_on_reversed_positive_run(pos_run):
 
 def test_positive_bounds_fail_on_collapsing_curvature(pos_run):
     traj, bg = pos_run
-    g = traj.grid
+    g = traj.config.background.grid
     x = g.axis_coordinates(0)
     # amplitude grows fast enough to drive S_min toward 0 faster than exp(a t)
     snaps = []
@@ -451,7 +448,7 @@ def test_curvature_evolution_pointwise_consistency():
                             stop_tol=0.0)
         k = traj.n_records // 2
         u = traj.snapshots[k]
-        g = traj.grid
+        g = traj.config.background.grid
         st = ConformalState(ScalarField(g, u))
         S = ScalarField(g, scalar_curvature_values(bg, u))
         kern = _Kernel(bg, f, normalized=True)
