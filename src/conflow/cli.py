@@ -169,7 +169,8 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
     grid = traj.config.background.grid
     write_field(out / "u_initial.field", ScalarField(grid, traj.snapshots[0]))
     write_field(out / "u_final.field", ScalarField(grid, traj.snapshots[-1]))
-    np.savez_compressed(
+    # stored members: deflating held ~2.8x the snapshots and took ~4x as long
+    np.savez(
         out / "trajectory.npz",
         snapshots=traj.snapshots,
         vol_pre=traj.vol_pre,

@@ -31,6 +31,7 @@ from .grid import (
     GridSpec,
     PositivityError,
     ScalarField,
+    chain_exponent,
     laplacian0_values,
     power,
     record_blocks,
@@ -134,10 +135,18 @@ def conformal_laplacian_values(bg: Background, h: np.ndarray) -> np.ndarray:
     return bg.S0.values * h - bg.constants.c_n * laplacian0_values(bg.grid, h)
 
 
-def scalar_curvature_values(bg: Background, u: np.ndarray) -> np.ndarray:
-    """Raw-array curvature u^(-beta) * L(u) (no validation).  ``u`` may be
-    one field or a ``(K, *grid.shape)`` stack of records."""
-    return power(u, -bg.constants.beta) * conformal_laplacian_values(bg, u)
+def scalar_curvature_values(bg: Background, u: np.ndarray, with_weight: bool = False):
+    """Raw-array curvature u^(-beta) * L(u) (no validation) of one field or a
+    ``(K, *grid.shape)`` stack.  ``with_weight=True`` adds the volume weight
+    u^(2n/(n-2)) = u^(beta+1); for an integer beta both come from one chain
+    ``power(u, beta)``, as 1/chain and chain*u, bit for bit the two powers."""
+    c = bg.constants
+    L = conformal_laplacian_values(bg, u)
+    if with_weight and chain_exponent(c.beta) is not None:
+        chain = power(u, c.beta)
+        return (1.0 / chain) * L, chain * u
+    S = power(u, -c.beta) * L
+    return (S, power(u, c.vol_exp)) if with_weight else S
 
 
 class Records:
@@ -153,8 +162,7 @@ class Records:
 
     def __init__(self, bg: Background, f, U: np.ndarray):
         self.bg, self.f, self.U = bg, f, U
-        self.S = scalar_curvature_values(bg, U)
-        self.w = power(U, bg.constants.vol_exp)
+        self.S, self.w = scalar_curvature_values(bg, U, with_weight=True)
         self.vol = record_means(self.w)
         self.Smin, self.Smax = self.extremes(self.S)
 

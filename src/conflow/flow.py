@@ -193,14 +193,15 @@ def _mean(v: np.ndarray):
 class _Probe(NamedTuple):
     """What every step of a run needs from its current state.
 
-    ``phi`` is f(S) and ``A`` its volume-weighted mean; outside f's domain
-    ``phi`` is None and ``A`` and ``fSA_sup`` are NaN.  ``wm`` is the mean
-    volume weight (the volume).
+    ``phi`` is f(S), ``A`` its volume-weighted mean and ``dev`` f(S) - A;
+    outside f's domain ``phi`` and ``dev`` are None and ``A`` and
+    ``fSA_sup`` are NaN.  ``wm`` is the mean volume weight (the volume).
     """
 
     S: np.ndarray
     wm: float
     phi: np.ndarray | None
+    dev: np.ndarray | None
     A: float
     fSA_sup: float
     Smin: float
@@ -213,8 +214,8 @@ class _Kernel:
     """Raw-array right-hand-side evaluations shared by one run.
 
     Per RK4 step ``run`` makes four rhs evaluations: ``probe`` of the current
-    state, whose f(S) and A give the first stage ``rate(phi, A, u)`` bit for
-    bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
+    state, whose f(S) - A (or f(S)) gives the first stage ``rate(p, u)`` bit
+    for bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
     diagnostics columns of a stack of logged states, one block of records
     at a time, for ``run``.  What does not depend on the state is bound once.
     """
@@ -232,9 +233,6 @@ class _Kernel:
         self.hmin2 = bg.grid.min_spacing ** 2
         self.two_d = 2.0 * bg.grid.active_dims
 
-    def curvature(self, u: np.ndarray) -> np.ndarray:
-        return scalar_curvature_values(self.bg, u)
-
     def require_domain(self, S: np.ndarray):
         """Raise FloatingPointError for a non-finite S (NaN fails every
         domain test, so it is caught first) and FDomainError for an S range
@@ -244,35 +242,31 @@ class _Kernel:
             raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
         require_f_domain(self.f, smin, smax)
 
-    def weight(self, u: np.ndarray) -> np.ndarray:
-        return power(u, self.m)
-
-    def renormalized(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """u scaled to unit volume, and its volume before the scaling."""
-        vol = float(_mean(self.weight(u)))
-        return u * vol ** (-1.0 / self.m), vol
+    def unit_scale(self, u: np.ndarray) -> tuple[float, float]:
+        """The factor that scales u to unit volume, and the volume of u."""
+        vol = float(_mean(power(u, self.m)))
+        return vol ** (-1.0 / self.m), vol
 
     def mean_f(self, phi: np.ndarray, w: np.ndarray, wm: float) -> float:
         """A, the mean of phi weighted by w; wm is the mean of w."""
         return float(_mean(phi * w) / wm)
 
-    def rate(self, phi: np.ndarray, A: float, u: np.ndarray) -> np.ndarray:
-        """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
-        if self.normalized:
-            return self.pref * (phi - A) * u
-        return self.pref * phi * u
+    def rate(self, p: _Probe, u: np.ndarray) -> np.ndarray:
+        """rhs(u) from the probe ``p`` of u, bit for bit."""
+        return self.pref * (p.dev if self.normalized else p.phi) * u
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
+        """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
         if _min(u, None) <= 0.0:
             raise PositivityError("state outside positive cone")
-        S = self.curvature(u)
+        if not self.normalized:
+            S = scalar_curvature_values(self.bg, u)
+            self.require_domain(S)
+            return self.pref * self.eval_f(S) * u
+        S, w = scalar_curvature_values(self.bg, u, with_weight=True)
         self.require_domain(S)
         phi = self.eval_f(S)
-        A = math.nan
-        if self.normalized:
-            w = self.weight(u)
-            A = self.mean_f(phi, w, _mean(w))
-        return self.rate(phi, A, u)
+        return self.pref * (phi - self.mean_f(phi, w, _mean(w))) * u
 
     def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
         """One Euler or RK4 step from u; k1 must be rhs(u)."""
@@ -290,18 +284,19 @@ class _Kernel:
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
         return safety * self.hmin2 / (self.two_d * float(_max(kappa, None)))
 
-    def probe(self, u: np.ndarray) -> _Probe:
-        S = self.curvature(u)
-        w = self.weight(u)
+    def probe(self, u: np.ndarray, umin: float, umax: float) -> _Probe:
+        """The probe of u; ``run`` carries u's extremes from the step that made u."""
+        S, w = scalar_curvature_values(self.bg, u, with_weight=True)
         wm = float(_mean(w))
         Smin, Smax = float(_min(S, None)), float(_max(S, None))
         if self.f.domain.contains_interval(Smin, Smax):
             phi = self.eval_f(S)
             A = self.mean_f(phi, w, wm)
-            fsa = float(_max(np.abs(phi - A), None))
+            dev = phi - A
+            fsa = float(_max(np.abs(dev), None))
         else:
-            phi, A, fsa = None, math.nan, math.nan
-        return _Probe(S, wm, phi, A, fsa, Smin, Smax, float(_min(u, None)), float(_max(u, None)))
+            phi, dev, A, fsa = None, None, math.nan, math.nan
+        return _Probe(S, wm, phi, dev, A, fsa, Smin, Smax, umin, umax)
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
@@ -348,7 +343,7 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     """
     kern = _Kernel(bg, f, normalized=True)
     u = state.u.values
-    S = kern.curvature(u)
+    S = scalar_curvature_values(bg, u)
     kern.require_domain(S)
     return kern.stable_dt(u, S, safety)
 
@@ -382,7 +377,7 @@ def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
     uv, hv = u.values, h.values
     if uv.min() <= 0.0:
         raise PositivityError("state outside positive cone")
-    S = kern.curvature(uv)
+    S = scalar_curvature_values(bg, uv)
     kern.require_domain(S)
     Lh = conformal_laplacian_values(bg, hv)
     phi, fp = f.eval_f(S), f.eval_fp(S)
@@ -408,7 +403,7 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     kern, S, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
     uv, hv = u.values, h.values
     dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
-    w = kern.weight(uv)
+    w = power(uv, kern.m)
     wm = float(w.mean())
     A = kern.mean_f(phi, w, wm)
     dA = float((fp * dS * w).mean()) / wm \
@@ -435,10 +430,12 @@ def run(config: RunConfig) -> Trajectory:
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
     if config.renormalize_volume:
-        u, _ = kern.renormalized(u)
+        u = u * kern.unit_scale(u)[0]
+    # every later state's extremes come from the step that made it
+    umin, umax = float(_min(u, None)), float(_max(u, None))
 
     times, dts, snaps, vol_pre = [], [], [], []
-    last_pre = float(_mean(kern.weight(u)))
+    last_pre = float(_mean(power(u, kern.m)))
 
     track_tau = config.tau_stop is not None
     alpha = f.alpha_homogeneous
@@ -466,7 +463,7 @@ def run(config: RunConfig) -> Trajectory:
         logged_idx = step_idx
 
     while True:
-        p = kern.probe(u)
+        p = kern.probe(u, umin, umax)
 
         if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(p.A):
             d = t - prev_t
@@ -509,12 +506,13 @@ def run(config: RunConfig) -> Trajectory:
                 dt = remaining
             # the probe passed the positivity and domain tests, so its f(S)
             # and A give the first stage exactly as rhs(u) would
-            u_new = kern.advance(u, dt, config.scheme, kern.rate(p.phi, p.A, u))
+            u_new = kern.advance(u, dt, config.scheme, kern.rate(p, u))
             # never accept (or log) a state at or under the positivity floor,
             # nor a non-finite one (NaN fails every comparison)
-            if float(_min(u_new, None)) <= POSITIVITY_FLOOR:
+            umin, umax = float(_min(u_new, None)), float(_max(u_new, None))
+            if umin <= POSITIVITY_FLOOR:
                 termination = "positivity_lost"
-            elif not math.isfinite(float(_max(u_new, None))):
+            elif not math.isfinite(umax):
                 termination = "blowup"
                 notes = f"non-finite state after the step from t={t:g}"
         except PositivityError:
@@ -533,7 +531,10 @@ def run(config: RunConfig) -> Trajectory:
             break
 
         if config.renormalize_volume:
-            u_new, last_pre = kern.renormalized(u_new)
+            # rounding is monotone, so the extremes of the scaled state are
+            # the scaled extremes, bit for bit
+            scale, last_pre = kern.unit_scale(u_new)
+            u_new, umin, umax = u_new * scale, umin * scale, umax * scale
         u = u_new
         t += dt
         dt_used = dt

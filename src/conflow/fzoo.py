@@ -257,6 +257,12 @@ def from_config(cfg: dict, seed: int | None = None) -> FSpec:
     """Build an FSpec from a config table like {"name": "power", "kappa": 1.5}."""
     if not isinstance(cfg, dict):
         raise ValueError(f"response function config must be a table, got {cfg!r}")
+    for key in ("kappa", "alpha", "exponent", "x", "f"):
+        value = cfg.get(key, 0)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float))
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"'f.{key}' must be a JSON number (a table's x and f lists"
+                             f" of them), got {value!r}")
     name = cfg.get("name")
     if name == "classical":
         return classical()

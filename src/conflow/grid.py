@@ -42,6 +42,7 @@ __all__ = [
     "PositivityError",
     "laplacian0_values",
     "grad_inner_values",
+    "chain_exponent",
     "power",
     "record_blocks",
     "record_means",
@@ -116,6 +117,20 @@ class GridSpec:
         axes = [self.axis_coordinates(k) for k in range(self.active_dims)]
         return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
+    @functools.cached_property
+    def neighbours(self) -> tuple:
+        """Per active axis: (index of the next node, index of the previous
+        node, h, h*h), so the stencils gather neighbours with ``take``; the
+        index arrays are shared by every caller and therefore read-only."""
+        axes = []
+        for N, h in zip(self.points, self.spacing):
+            idx = np.arange(N)
+            nxt, prv = (idx + 1) % N, (idx - 1) % N
+            nxt.setflags(write=False)
+            prv.setflags(write=False)
+            axes.append((nxt, prv, h, h * h))
+        return tuple(axes)
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
@@ -144,29 +159,13 @@ class ScalarField:
         return float(self.values.max())
 
 
-@functools.lru_cache(maxsize=32)
-def _periodic_neighbours(grid: GridSpec) -> tuple:
-    """Per active axis: (index of the next node, index of the previous node,
-    h, h*h), so the stencils gather neighbours with ``take`` instead of
-    allocating two rolled copies per call.  The index arrays are shared by
-    every caller and therefore read-only."""
-    axes = []
-    for N, h in zip(grid.points, grid.spacing):
-        idx = np.arange(N)
-        nxt, prv = (idx + 1) % N, (idx - 1) % N
-        nxt.setflags(write=False)
-        prv.setflags(write=False)
-        axes.append((nxt, prv, h, h * h))
-    return tuple(axes)
-
-
 def laplacian0_values(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """Three-point periodic Laplacian on raw values (negative spectrum).
 
     The stencil acts on the trailing ``active_dims`` axes, so a
     ``(K, *grid.shape)`` stack of records gives each record's Laplacian."""
     out = None
-    for ax, (nxt, prv, _, h2) in enumerate(_periodic_neighbours(grid), -grid.active_dims):
+    for ax, (nxt, prv, _, h2) in enumerate(grid.neighbours, -grid.active_dims):
         term = (v.take(nxt, axis=ax) - 2.0 * v + v.take(prv, axis=ax)) / h2
         out = term if out is None else np.add(out, term, out=out)
     return out
@@ -176,7 +175,7 @@ def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """Symmetrized forward/backward gradient product on raw values; like
     ``laplacian0_values`` it acts on the trailing ``active_dims`` axes."""
     out = np.zeros_like(a)
-    for ax, (nxt, prv, h, _) in enumerate(_periodic_neighbours(grid), -grid.active_dims):
+    for ax, (nxt, prv, h, _) in enumerate(grid.neighbours, -grid.active_dims):
         dpa = (a.take(nxt, axis=ax) - a) / h
         dpb = (b.take(nxt, axis=ax) - b) / h
         out += 0.5 * (dpa * dpb + dpa.take(prv, axis=ax) * dpb.take(prv, axis=ax))
@@ -201,10 +200,18 @@ def record_means(v: np.ndarray) -> np.ndarray:
     return v.reshape(len(v), -1).mean(axis=1)
 
 
+@functools.lru_cache(maxsize=64)
+def chain_exponent(exponent: float) -> int | None:
+    """k when ``power`` takes v ** exponent as a chain of |k| factors (an
+    integer within 1e-13, |k| <= 8, a reciprocal for k < 0), else None."""
+    k = round(exponent)
+    return k if abs(exponent - k) < 1e-13 and abs(k) <= 8 else None
+
+
 def power(v: np.ndarray, exponent: float) -> np.ndarray:
     """v ** exponent with a fast path for small integer exponents."""
-    k = round(exponent)
-    if abs(exponent - k) < 1e-13 and abs(k) <= 8:
+    k = chain_exponent(exponent)
+    if k is not None:
         if k == 0:
             return np.ones_like(v)
         out = v

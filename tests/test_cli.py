@@ -255,6 +255,20 @@ def test_sweep_pool_is_bounded_by_the_run_count(tmp_path, monkeypatch):
     assert len((tmp_path / "s" / "aggregate.csv").read_text().splitlines()) == 5
 
 
+def test_sweep_override_with_a_string_f_parameter_is_a_config_error(tmp_path):
+    # the member fails with exit 1 before it runs; the others still run
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["runs"][1]["overrides"] = {"f": {"name": "expdecay", "alpha": "2"}}
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(p), "--out", str(out), "--jobs", "1"]) == 2
+    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+    assert rows[1].startswith("b,invalid,config error:") and ",1,nan,nan" in rows[1]
+    assert not (out / "b").exists()
+    assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
+
+
 def test_sweep_duplicate_ids(tmp_path):
     plan = {"base": base_config(), "runs": [{"id": "x"}, {"id": "x"}]}
     p = tmp_path / "plan.json"
@@ -399,8 +413,11 @@ def test_trajectory_roundtrip_bitwise(tmp_path, monkeypatch):
 
 
 def test_verify_reads_a_trajectory_with_the_old_members(tmp_path):
-    # trajectory.npz holds the snapshots, vol_pre and the columns; a file
-    # that also holds kind, termination and notes verifies to the same report
+    # trajectory.npz holds the snapshots, vol_pre and the columns as stored
+    # (not deflated) members; the same members deflated, and a deflated file
+    # that also holds kind, termination and notes, verify to the same report
+    import zipfile
+
     from conflow.flow import RECORD_COLUMNS
 
     p = write_cfg(tmp_path, base_config(T_final=0.2))
@@ -409,16 +426,26 @@ def test_verify_reads_a_trajectory_with_the_old_members(tmp_path):
     code = cli.main(["verify", str(out)])
     report = (out / "report.json").read_bytes()
     npz = out / "trajectory.npz"
+    with zipfile.ZipFile(npz) as zf:
+        assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_STORED}
     with np.load(npz) as data:
         members = dict(data)
     assert sorted(members) == sorted(["snapshots", "vol_pre",
                                       *(f"col_{k}" for k in RECORD_COLUMNS)])
     summary = json.loads((out / "summary.json").read_text())
-    np.savez_compressed(npz, **members, kind=summary["kind"],
-                        termination=summary["termination"], notes=summary["notes"])
-    (out / "report.json").unlink()
-    assert cli.main(["verify", str(out)]) == code
-    assert (out / "report.json").read_bytes() == report
+    old_files = {
+        "compressed": members,
+        "compressed_with_run_fields": {**members, "kind": summary["kind"],
+                                       "termination": summary["termination"],
+                                       "notes": summary["notes"]},
+    }
+    for name, content in old_files.items():
+        np.savez_compressed(npz, **content)
+        with zipfile.ZipFile(npz) as zf:
+            assert {m.compress_type for m in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        (out / "report.json").unlink()
+        assert cli.main(["verify", str(out)]) == code, name
+        assert (out / "report.json").read_bytes() == report, name
 
 
 @pytest.mark.parametrize("damage", [
@@ -567,6 +594,13 @@ def _set(cfg, path, value):
     ("grid.periods", ["6.283185307179586"]),
     ("grid.periods", [True]),
     pytest.param("time.T_final", 10 ** 400, id="time.T_final-too_large_for_a_float"),
+    ("f", {"name": "power", "kappa": "1.5"}),
+    ("f", {"name": "power", "kappa": True}),
+    ("f", {"name": "expdecay", "alpha": "2"}),
+    ("f", {"name": "reciprocal", "alpha": True}),
+    ("f", {"name": "reciprocal", "alpha": 3.0, "exponent": "2"}),
+    ("f", {"name": "table", "x": [-4, "0", 4], "f": [4, 0, -4]}),
+    ("f", {"name": "table", "x": [-4, 0, 4], "f": [True, False, -4]}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):

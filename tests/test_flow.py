@@ -6,7 +6,13 @@ import pytest
 
 import conflow
 from conflow import flow
-from conflow.conformal import Background, ConformalState, FDomainError, scalar_curvature_values
+from conflow.conformal import (
+    Background,
+    ConformalState,
+    FDomainError,
+    conformal_laplacian_values,
+    scalar_curvature_values,
+)
 from conflow.flow import (
     DtPolicy,
     ParabolicityError,
@@ -181,7 +187,7 @@ def test_check_parabolic_validity():
     kern = flow._Kernel(bg, f, normalized=True)
 
     def check_parabolic_validity(u):
-        S = kern.curvature(u)
+        S = scalar_curvature_values(bg, u)
         kern.require_domain(S)
         return float(u.min()), float((-f.eval_fp(S)).min())
 
@@ -235,8 +241,8 @@ def renormalize_volume(state):
     """The run's volume renormalization applied to one state."""
     g = state.u.grid
     kern = flow._Kernel(Background(ScalarField.constant(g, 0.0), g.ambient_n), classical(), True)
-    u_new, _ = kern.renormalized(state.u.values)
-    return ConformalState(ScalarField(state.u.grid, u_new), state.t)
+    u = state.u.values
+    return ConformalState(ScalarField(state.u.grid, u * kern.unit_scale(u)[0]), state.t)
 
 
 def test_renormalize_volume():
@@ -457,32 +463,85 @@ def kernel_case(dims, n):
     return bg, np.broadcast_to(u, g.shape).copy(), expdecay(0.5)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("dims", [1, 2, 3], ids=["1d", "2d", "3d"])
 def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
-    # n = 3 and 4 take the product chains (beta 5 and 3), n = 5 np.power
-    # (beta 7/3); every kernel entry point equals the numpy formulas exactly
+    # n = 3, 4 and 6 take the product chains (beta 5, 3 and 2), n = 5
+    # np.power (beta 7/3); every kernel entry point equals the numpy formulas
+    # exactly, and the curvature with its volume weight, on one field or a
+    # stack of records, equals the two separate powers
     bg, u, f = kernel_case(dims, n)
+    c = bg.constants
+    for v in (u, np.stack([u, 0.9 * u, u * u])):
+        S, w = scalar_curvature_values(bg, v, with_weight=True)
+        assert same_bits(S, power(v, -c.beta) * conformal_laplacian_values(bg, v))
+        assert same_bits(S, scalar_curvature_values(bg, v))
+        assert same_bits(w, power(v, c.vol_exp))
     kern = flow._Kernel(bg, f, normalized=normalized)
 
     def rhs(v):
         return reference.flow_rhs(bg, f, v, normalized)
 
     assert np.array_equal(kern.rhs(u), rhs(u))
-    p, ref = kern.probe(u), reference.flow_terms(bg, f, u)
+    p, ref = kern.probe(u, float(u.min()), float(u.max())), reference.flow_terms(bg, f, u)
     for key in ("S", "phi"):
         assert np.array_equal(getattr(p, key), ref[key]), key
+    assert np.array_equal(p.dev, ref["phi"] - ref["A"])
     assert (p.wm, p.A, p.fSA_sup) == (ref["wm"], ref["A"], ref["fSA_sup"])
-    assert (p.Smin, p.Smax, p.umin, p.umax) == (ref["S"].min(), ref["S"].max(), u.min(), u.max())
-    assert np.array_equal(kern.rate(p.phi, p.A, u), rhs(u))
+    assert (p.Smin, p.Smax) == (ref["S"].min(), ref["S"].max())
+    assert np.array_equal(kern.rate(p, u), rhs(u))
     dt = kern.stable_dt(u, p.S, 0.8)
     assert dt == reference.flow_stable_dt(bg, f, u, 0.8)
     stepped = kern.advance(u, dt, "rk4", kern.rhs(u))
     assert np.array_equal(stepped, reference.rk4_step(rhs, u, dt))
     assert np.array_equal(kern.advance(u, dt, "euler", rhs(u)), u + dt * rhs(u))
-    got, want = kern.renormalized(stepped), reference.renormalized(bg, stepped)
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    (scale, vol), want = kern.unit_scale(stepped), reference.renormalized(bg, stepped)
+    assert np.array_equal(stepped * scale, want[0]) and vol == want[1]
+
+
+def test_scaled_extremes_are_the_extremes_scaled():
+    # rounding is monotone, so scaling by a positive factor commutes with
+    # min and max bit for bit, down to subnormals and up to overflow: run
+    # carries a renormalized state's extremes this way
+    rng = np.random.default_rng(11)
+    for mag in (-307, -300, -150, 0, 150, 300, 307):
+        for _ in range(20):
+            u = rng.uniform(0.1, 10.0, size=int(rng.integers(1, 300))) * 10.0 ** mag
+            for s in (float(rng.lognormal(sigma=3.0)), 10.0 ** -float(rng.uniform(0, 20)),
+                      10.0 ** float(rng.uniform(0, 20))):
+                with np.errstate(over="ignore", under="ignore"):
+                    us = u * s
+                assert float(us.min()) == float(u.min()) * s
+                assert float(us.max()) == float(u.max()) * s
+
+
+@pytest.mark.parametrize("scheme,normalized", [
+    ("rk4", True), ("euler", True), ("rk4", False)], ids=["rk4", "euler", "rk4-plain"])
+def test_run_carries_exact_extremes_into_every_probe(monkeypatch, scheme, normalized):
+    # series.csv does not log the probe's umin/umax, so no golden digest
+    # would catch a carried extreme that differs from a fresh reduction
+    g = grid1d(N=32)
+    cfg = RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n),
+                    f=classical(), u0=field_from_spec(g, "sinusoidal:1.0,0.3,0"),
+                    T_final=0.3, scheme=scheme, normalized=normalized,
+                    renormalize_volume=normalized)
+    seen = []
+    probe = flow._Kernel.probe
+
+    def checked(self, u, umin, umax):
+        seen.append((umin, umax, float(u.min()), float(u.max())))
+        return probe(self, u, umin, umax)
+
+    monkeypatch.setattr(flow._Kernel, "probe", checked)
+    assert run(cfg).termination == "time_reached"
+    assert len(seen) > 20
+    for umin, umax, fresh_min, fresh_max in seen:
+        assert (umin, umax) == (fresh_min, fresh_max)
 
 
 def stage_failure_config(kind):
@@ -530,8 +589,8 @@ def test_probe_matches_rhs_and_reference_row():
     u = 1.0 + 0.1 * np.cos(g.axis_coordinates(0))
     for normalized in (False, True):
         kern = flow._Kernel(bg, f, normalized=normalized)
-        p = kern.probe(u)
-        assert np.array_equal(kern.rate(p.phi, p.A, u), kern.rhs(u))
+        p = kern.probe(u, float(u.min()), float(u.max()))
+        assert np.array_equal(kern.rate(p, u), kern.rhs(u))
     cols = kern.columns(u[None], [0.25], [1e-3])
     expected = reference_row(bg, f, u, 0.25, 1e-3)
     assert {key: cols[key][0] for key in RECORD_COLUMNS} == expected

@@ -277,6 +277,20 @@ def test_stencils_on_record_stacks_match_per_record_bitwise(grid):
         assert means[k] == (a[k] * b[k]).mean()
 
 
+def test_neighbour_tables_are_built_once_per_grid_and_read_only():
+    grid = GridSpec(5, 2, (16, 24), (1.0, 2.7))
+    tables = grid.neighbours
+    assert grid.neighbours is tables
+    for (nxt, prv, h, h2), N, spacing in zip(tables, grid.points, grid.spacing):
+        assert nxt.tolist() == [(i + 1) % N for i in range(N)]
+        assert prv.tolist() == [(i - 1) % N for i in range(N)]
+        assert (h, h2) == (spacing, spacing * spacing)
+        assert not (nxt.flags.writeable or prv.flags.writeable)
+    # the cache is no field: equality and hashing see the grid alone
+    twin = GridSpec(5, 2, (16, 24), (1.0, 2.7))
+    assert twin == grid and hash(twin) == hash(grid)
+
+
 @pytest.mark.parametrize("points, records, size", [
     ((128,), 130, 64), ((9,), 5, 910), ((100, 100), 3, 1),
 ])
