@@ -355,11 +355,15 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 
+    import csv
+
     out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "aggregate.csv", "w") as fh:
-        fh.write("id,case,termination,exit,B_pred,B_fit\n")
-        for rid, case, term, code, bp, bf in rows:
-            fh.write(f"{rid},{case},{term},{code},{_fmt(bp)},{_fmt(bf)}\n")
+    with open(out_root / "aggregate.csv", "w", newline="") as fh:
+        # minimal quoting: only a field with a comma (a config error) is quoted
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("id", "case", "termination", "exit", "B_pred", "B_fit"))
+        writer.writerows((rid, case, term, code, _fmt(bp), _fmt(bf))
+                         for rid, case, term, code, bp, bf in rows)
     bad = [r for r in rows if r[3] != 0]
     print(f"sweep: {len(rows) - len(bad)}/{len(rows)} runs ok; table in {out_root / 'aggregate.csv'}")
     return 2 if bad else 0
@@ -395,7 +399,7 @@ def cmd_compare(args) -> int:
               f" (tolerance {SHIFT_TOL:g})")
         return 0 if (tgap <= 1e-12 and ugap <= SHIFT_TOL) else 2
     try:
-        rep = diagnostics.compare_rescaled(traj_a, traj_b, traj_b.config.f)
+        rep = diagnostics.compare_rescaled(traj_a, traj_b)
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Theorem checks over logged trajectories.
 
-Every checker is a pure function of (trajectory, background, f): rerunning
-it on the same inputs yields a bit-identical report.  Checkers never raise
-on a failing property; they return a TheoremReport whose ``passed`` field is
-True, False, or None (inconclusive, for misapplied hypotheses or fits that
-explain the data poorly).
+Every checker is a pure function of the trajectory, which carries the
+background and f in ``traj.config``; rerunning it yields a bit-identical
+report.  Checkers never raise on a failing property; they return a
+TheoremReport whose ``passed`` field is True, False, or None (inconclusive,
+for misapplied hypotheses or fits that explain the data poorly).
 
 Discretization slack: the theorem inequalities hold in the continuum; the
 min/max checks use an additive tolerance 1e-6 + 3e-3 * h**2.  The h**2
@@ -20,6 +20,7 @@ same evaluation the diagnostics columns use, bit for bit the
 record-by-record values.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -33,7 +34,6 @@ from .grid import PositivityError, grad_inner_values, power, record_means
 __all__ = [
     "TheoremReport",
     "DecayFit",
-    "minmax_tolerance",
     "predicted_decay_constants",
     "check_minmax_principle",
     "fit_decay",
@@ -88,10 +88,8 @@ class TheoremReport:
                 return {k: clean(v) for k, v in obj.items()}
             if isinstance(obj, (list, tuple)):
                 return [clean(v) for v in obj]
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, np.ndarray):
-                return [clean(v) for v in obj.tolist()]
+            if isinstance(obj, (np.generic, np.ndarray)):
+                return obj.tolist()
             return obj
 
         return clean(asdict(self))
@@ -115,19 +113,22 @@ def _segment(traj: Trajectory) -> dict:
     }
 
 
-def minmax_tolerance(traj: Trajectory) -> float:
-    h = traj.config.background.grid.min_spacing
-    return MINMAX_BASE_TOL + MINMAX_H2_COEF * h * h
-
-
 def _inconclusive(check_id, traj, why):
     return TheoremReport(id=check_id, passed=None, notes=why, segment=_segment(traj))
 
 
-def _require_normalized(check_id, traj):
-    if traj.kind != "normalized":
-        return _inconclusive(check_id, traj, f"requires a normalized trajectory, got {traj.kind}")
-    return None
+def _normalized_only(check_id):
+    """A checker that reports ``check_id`` inconclusive on a trajectory that
+    is not normalized, and runs the decorated checker otherwise."""
+    def decorate(checker):
+        @functools.wraps(checker)
+        def gated(traj, *args, **kwargs):
+            if traj.kind != "normalized":
+                return _inconclusive(check_id, traj,
+                                     f"requires a normalized trajectory, got {traj.kind}")
+            return checker(traj, *args, **kwargs)
+        return gated
+    return decorate
 
 
 def _rhs_sup(rec: Records) -> np.ndarray:
@@ -145,8 +146,8 @@ def _rhs_sup(rec: Records) -> np.ndarray:
 # Min/max principle
 # ---------------------------------------------------------------------------
 
-def check_minmax_principle(traj: Trajectory, bg: Background, f: FSpec,
-                           tol: float | None = None) -> TheoremReport:
+@_normalized_only("minmax_principle")
+def check_minmax_principle(traj: Trajectory, tol: float | None = None) -> TheoremReport:
     """Maximum-principle consequences for the curvature extremes.
 
     While S_max <= 0 it must not increase; while S_min <= 0 it must not
@@ -154,10 +155,8 @@ def check_minmax_principle(traj: Trajectory, bg: Background, f: FSpec,
     negative case S(t) remains inside the initial range, all within the
     discretization tolerance.
     """
-    gate = _require_normalized("minmax_principle", traj)
-    if gate:
-        return gate
-    eta = minmax_tolerance(traj) if tol is None else float(tol)
+    h = traj.config.background.grid.min_spacing
+    eta = MINMAX_BASE_TOL + MINMAX_H2_COEF * h * h if tol is None else float(tol)
     smin = traj.columns["Smin"]
     smax = traj.columns["Smax"]
     s0min, s0max = float(smin[0]), float(smax[0])
@@ -228,17 +227,15 @@ def fit_decay(traj: Trajectory, skip_frac: float = 0.1) -> DecayFit:
                     window=(float(tt[0]), float(tt[-1])), residual=resid, n_points=n_pts)
 
 
-def compare_decay(traj: Trajectory, bg: Background, f: FSpec,
-                  fit: DecayFit | None = None) -> TheoremReport:
+@_normalized_only("exponential_decay")
+def compare_decay(traj: Trajectory, fit: DecayFit | None = None) -> TheoremReport:
     """Negative case: ||f(S)-A||_inf must decay at least at the predicted
     rate B, under the predicted envelope C * exp(-B t) up to a factor 1.1.
     Fits with log-residual above 0.1 are inconclusive.  With under 3 points
     to fit, the envelope alone decides: a series that reached the floor holds
     vacuously under it; any other short series fails above it and is
     inconclusive under it."""
-    gate = _require_normalized("exponential_decay", traj)
-    if gate:
-        return gate
+    bg, f = traj.config.background, traj.config.f
     if bg.case_tag != "negative":
         return _inconclusive("exponential_decay", traj,
                              f"decay prediction needs a negative background, got {bg.case_tag}")
@@ -286,7 +283,8 @@ def compare_decay(traj: Trajectory, bg: Background, f: FSpec,
 # Conformal factor bounds
 # ---------------------------------------------------------------------------
 
-def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
+@_normalized_only("conformal_factor_bounds")
+def check_u_bounds(traj: Trajectory) -> TheoremReport:
     """Case-dependent bounds on the conformal factor.
 
     negative: u inside exp(+-(n-2)C/(4B)) with the predicted constants, and
@@ -295,10 +293,8 @@ def check_u_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
     u_min**(2n/(n-2)) stays above that ratio's power times the volume.
     positive with f bounded below: u inside exp(+-(n-2)/4 * (f(0)-inf f) * t).
     """
-    gate = _require_normalized("conformal_factor_bounds", traj)
-    if gate:
-        return gate
-    pref = traj.config.background.constants.pref
+    bg, f = traj.config.background, traj.config.f
+    pref = bg.constants.pref
     t = traj.times
     umin = traj.columns["umin"]
     umax = traj.columns["umax"]
@@ -382,8 +378,9 @@ def _truncation_floor(rhs: np.ndarray, t: np.ndarray) -> float:
     return float((dp * dm / 6.0 * np.abs(d2)).max())
 
 
-def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
-                               p_list=None, rel_tol: float = IDENTITY_REL_TOL) -> TheoremReport:
+@_normalized_only("evolution_identities")
+def check_evolution_identities(traj: Trajectory, p_list=None,
+                               rel_tol: float = IDENTITY_REL_TOL) -> TheoremReport:
     """Centered time differences of the logged functionals against their
     analytic rates.
 
@@ -396,10 +393,8 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
     accurate.  All rates are evaluated with the same discrete gradient and
     quadrature operators the flow uses.
     """
-    gate = _require_normalized("evolution_identities", traj)
-    if gate:
-        return gate
-    n = traj.config.background.n
+    bg, f = traj.config.background, traj.config.f
+    n = bg.n
     if p_list is None:
         p_list = [2.0, n / 2.0]
     ps = sorted({float(p) for p in p_list})
@@ -418,7 +413,6 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
             note = (f"dropped p={dropped} for the |S|^p family:"
                     " S changes sign and fractional powers kink there")
 
-    grid = traj.config.background.grid
     t = traj.times
     halfn = 0.5 * n
 
@@ -438,7 +432,7 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
         fp = f.eval_fp(S)
         fpp = f.eval_fpp(S)
         sig = rec.mean(S)
-        gsq = power(rec.U, -4.0 / (n - 2.0)) * grad_inner_values(grid, S, S)
+        gsq = power(rec.U, -4.0 / (n - 2.0)) * grad_inner_values(bg.grid, S, S)
 
         Q["A"][sl] = A
         Q["sigma"][sl] = sig
@@ -512,15 +506,13 @@ def check_evolution_identities(traj: Trajectory, bg: Background, f: FSpec,
 # L^p monotonicity (positive case)
 # ---------------------------------------------------------------------------
 
+@_normalized_only("lp_monotonicity")
 def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     """Positive case: the L^(n/2) norm of S never increases, and every
     L^p norm with p <= n/2 stays below the initial L^(n/2) norm.
 
     The comparison covers p in {1, 2, n/2} restricted to p <= n/2 (at unit
     volume the norms grow with p, so larger p carry no bound)."""
-    gate = _require_normalized("lp_monotonicity", traj)
-    if gate:
-        return gate
     if float(traj.columns["Smin"].min()) < -EXACT_TOL:
         return _inconclusive("lp_monotonicity", traj,
                              "needs nonnegative curvature along the flow")
@@ -551,20 +543,19 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
 # Positive-case curvature bounds
 # ---------------------------------------------------------------------------
 
-def check_positive_S_bounds(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
+@_normalized_only("positive_curvature_bounds")
+def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     """Positive case with f(0) normalized away: S_min stays above the
     envelope S_min(0) * exp(a t), a the running minimum of the shifted mean.
     For f bounded below, S_max stays under S_max(0) * exp(C t) with C the
     observed supremum of the shifted mean (the growth constant is not pinned
     a priori; the report states which C was used)."""
-    gate = _require_normalized("positive_curvature_bounds", traj)
-    if gate:
-        return gate
     smin = traj.columns["Smin"]
     smax = traj.columns["Smax"]
     if float(smin[0]) <= 0.0:
         return _inconclusive("positive_curvature_bounds", traj,
                              "needs strictly positive initial curvature")
+    f = traj.config.f
     if f.domain.contains(0.0):
         f0 = float(f.eval_f(0.0))
         f0_note = ""
@@ -612,13 +603,12 @@ def check_positive_S_bounds(traj: Trajectory, bg: Background, f: FSpec) -> Theor
 # Flat case
 # ---------------------------------------------------------------------------
 
-def check_flat_identity(traj: Trajectory, bg: Background) -> TheoremReport:
+@_normalized_only("flat_background_identity")
+def check_flat_identity(traj: Trajectory) -> TheoremReport:
     """Flat background: the integral of u^beta * S against the background
     volume vanishes at every state, S_min never exceeds 0, and S_min stays
     above its initial value.  Inconclusive on any other background."""
-    gate = _require_normalized("flat_background_identity", traj)
-    if gate:
-        return gate
+    bg = traj.config.background
     if bg.case_tag != "flat":
         return _inconclusive("flat_background_identity", traj,
                              f"the flat identity needs a flat background, got {bg.case_tag}")
@@ -645,11 +635,12 @@ def check_flat_identity(traj: Trajectory, bg: Background) -> TheoremReport:
 # Rescaling equivalence
 # ---------------------------------------------------------------------------
 
-def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray,
-                           tau: np.ndarray, rescaled: np.ndarray) -> tuple[float, int]:
+def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray, tau: np.ndarray,
+                           raw: np.ndarray, scale: np.ndarray) -> tuple[float, int]:
     """Sup-norm gap between snapshots at ``times`` and the tau-indexed
-    rescaled snapshots, linearly interpolated in tau.  Returns (gap, count)
-    over the overlapping times."""
+    rescaled snapshots ``raw[k] * scale[k]``, linearly interpolated in tau.
+    Only the two records bracketing each time are rescaled.  Returns
+    (gap, count) over the overlapping times."""
     worst = 0.0
     count = 0
     for j, tj in enumerate(times):
@@ -659,20 +650,21 @@ def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray,
         i = min(max(i, 0), len(tau) - 2)
         span = tau[i + 1] - tau[i]
         wgt = 0.0 if span <= 0 else (tj - tau[i]) / span
-        interp = (1.0 - wgt) * rescaled[i] + wgt * rescaled[i + 1]
+        interp = (1.0 - wgt) * (raw[i] * scale[i]) + wgt * (raw[i + 1] * scale[i + 1])
         worst = max(worst, float(np.abs(interp - snaps[j]).max()))
         count += 1
     return worst, count
 
 
-def compare_rescaled(traj: Trajectory, traj_nn: Trajectory, f: FSpec,
+def compare_rescaled(traj: Trajectory, traj_nn: Trajectory,
                      tol: float = RESCALE_TOL) -> TheoremReport:
-    """Rescale the non-normalized ``traj_nn`` (``hamilton_rescale``) and
-    compare its conformal factors with ``traj``'s on matched times.  Passes
-    when the sup gap is within ``tol`` at every record of ``traj``.  Raises
-    ValueError when ``traj_nn`` cannot be rescaled."""
-    tau, rescaled = hamilton_rescale(traj_nn, f)
-    gap, count = sup_deviation_on_times(traj.times, traj.snapshots, tau, rescaled)
+    """Rescale the non-normalized ``traj_nn`` (``hamilton_rescale``, with
+    its own f) and compare its conformal factors with ``traj``'s on matched
+    times.  Passes when the sup gap is within ``tol`` at every record of
+    ``traj``.  Raises ValueError when ``traj_nn`` cannot be rescaled."""
+    tau, scale = hamilton_rescale(traj_nn)
+    gap, count = sup_deviation_on_times(traj.times, traj.snapshots, tau,
+                                        traj_nn.snapshots, scale)
     notes = ""
     if count < traj.n_records:
         notes = (f"rescaled run covers {count} of {traj.n_records} normalized records"
@@ -681,21 +673,18 @@ def compare_rescaled(traj: Trajectory, traj_nn: Trajectory, f: FSpec,
         id="rescale_equivalence",
         passed=bool(gap <= tol and count == traj.n_records),
         measured={"sup_gap": gap, "matched_records": count},
-        predicted={"alpha": f.alpha_homogeneous},
+        predicted={"alpha": traj_nn.config.f.alpha_homogeneous},
         tolerances={"sup_tol": tol},
         notes=notes,
         segment=_segment(traj),
     )
 
 
-def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
-                              tol: float = RESCALE_TOL) -> TheoremReport:
+@_normalized_only("rescale_equivalence")
+def check_rescale_equivalence(traj: Trajectory, tol: float = RESCALE_TOL) -> TheoremReport:
     """Runs the non-normalized flow of the normalized trajectory's config
     (stopped once its rescaled time covers the trajectory's horizon) and
     compares it with the trajectory (``compare_rescaled``)."""
-    gate = _require_normalized("rescale_equivalence", traj)
-    if gate:
-        return gate
     cfg_nn = replace(
         traj.config,
         normalized=False,
@@ -705,7 +694,7 @@ def check_rescale_equivalence(traj: Trajectory, bg: Background, f: FSpec,
         T_final=max(1e9, 10.0 * traj.config.T_final),
         tau_stop=float(traj.times[-1]) * (1.0 + 1e-9) + 1e-12,
     )
-    return compare_rescaled(traj, run(cfg_nn), f, tol)
+    return compare_rescaled(traj, run(cfg_nn), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +715,14 @@ def _bisect_inverse(f: FSpec, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_stationary_limit(traj: Trajectory, bg: Background, f: FSpec) -> TheoremReport:
+@_normalized_only("stationary_limit")
+def check_stationary_limit(traj: Trajectory) -> TheoremReport:
     """At a stationary termination the curvature must be constant, equal to
     the preimage of A under f, and negative in the negative case."""
-    gate = _require_normalized("stationary_limit", traj)
-    if gate:
-        return gate
     if traj.termination != "stationary":
         return _inconclusive("stationary_limit", traj,
                              f"run terminated with {traj.termination}, not stationary")
+    bg, f = traj.config.background, traj.config.f
     rec = Records(bg, f, traj.snapshots[-1:])
     A, sig = float(rec.A[0]), float(rec.mean(rec.S)[0])
     spread, s_max = float(rec.Smax[0] - rec.Smin[0]), float(rec.Smax[0])
@@ -794,16 +782,16 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
 # Every check by short name, in the order help texts list them.  The
 # checkers are looked up when called, so a patched module attribute is used.
 _CHECKERS = {
-    "minmax": lambda traj, bg, f: check_minmax_principle(traj, bg, f),
-    "decay": lambda traj, bg, f: compare_decay(traj, bg, f),
-    "u_bounds": lambda traj, bg, f: check_u_bounds(traj, bg, f),
-    "identities": lambda traj, bg, f: check_evolution_identities(traj, bg, f),
-    "lnhalf": lambda traj, bg, f: check_Lnhalf_monotone(traj),
-    "positive_bounds": lambda traj, bg, f: check_positive_S_bounds(traj, bg, f),
-    "flat_identity": lambda traj, bg, f: check_flat_identity(traj, bg),
-    "rescale": lambda traj, bg, f: check_rescale_equivalence(traj, bg, f),
-    "stationary": lambda traj, bg, f: check_stationary_limit(traj, bg, f),
-    "sobolev_info": lambda traj, bg, f: sobolev_program_series(traj),
+    "minmax": lambda traj: check_minmax_principle(traj),
+    "decay": lambda traj: compare_decay(traj),
+    "u_bounds": lambda traj: check_u_bounds(traj),
+    "identities": lambda traj: check_evolution_identities(traj),
+    "lnhalf": lambda traj: check_Lnhalf_monotone(traj),
+    "positive_bounds": lambda traj: check_positive_S_bounds(traj),
+    "flat_identity": lambda traj: check_flat_identity(traj),
+    "rescale": lambda traj: check_rescale_equivalence(traj),
+    "stationary": lambda traj: check_stationary_limit(traj),
+    "sobolev_info": lambda traj: sobolev_program_series(traj),
 }
 CHECK_NAMES = tuple(_CHECKERS)
 
@@ -829,14 +817,19 @@ def require_known_checks(names: list[str]):
 
 def run_checks(traj: Trajectory, bg: Background, f: FSpec,
                names: list[str]) -> list[TheoremReport]:
-    """Dispatch checks by short name.  Unknown names raise ValueError before
-    any check runs; a checker that cannot evaluate its hypotheses, or fails
-    in any other way, reports inconclusive instead of raising."""
+    """Dispatch checks by short name.  The checks read the background and f
+    from ``traj.config``; ``bg`` and ``f`` must be those, and unknown names or
+    a foreign ``bg`` or ``f`` raise ValueError before any check runs.  A
+    checker that cannot evaluate its hypotheses, or fails in any other way,
+    reports inconclusive instead of raising."""
     require_known_checks(names)
+    if bg != traj.config.background or f != traj.config.f:
+        raise ValueError("the checks read the background and f from the trajectory's"
+                         " config; bg and f must be the trajectory's own")
     reports = []
     for name in names:
         try:
-            reports.append(_CHECKERS[name](traj, bg, f))
+            reports.append(_CHECKERS[name](traj))
         except Exception as exc:  # report, never throw
             reports.append(_inconclusive(name, traj, f"checker could not run: {exc}"))
     return reports

@@ -33,7 +33,8 @@ For homogeneous f of degree alpha, a non-normalized run can be mapped onto
 the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
 the time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of
 the logged A series; ``hamilton_rescale`` implements this with trapezoid
-quadrature (``cumtrapz``) and returns the tau times and the rescaled states.
+quadrature (``cumtrapz``) and returns the tau times and each record's
+rescaling factor.
 """
 
 import math
@@ -434,7 +435,8 @@ def run(config: RunConfig) -> Trajectory:
     # every later state's extremes come from the step that made it
     umin, umax = float(_min(u, None)), float(_max(u, None))
 
-    times, dts, snaps, vol_pre = [], [], [], []
+    # the logged states' bytes go into one buffer: the stack is held once
+    times, dts, vol_pre, snaps = [], [], [], bytearray()
     last_pre = float(_mean(power(u, kern.m)))
 
     track_tau = config.tau_stop is not None
@@ -456,7 +458,7 @@ def run(config: RunConfig) -> Trajectory:
         nonlocal logged_idx
         times.append(t)
         dts.append(dt_used)
-        snaps.append(u.copy())
+        snaps.extend(u.data)
         # with renormalization on this is the volume before the correction
         # that produced the state; otherwise the drift lives in vol itself
         vol_pre.append(last_pre if config.renormalize_volume else p.wm)
@@ -540,7 +542,7 @@ def run(config: RunConfig) -> Trajectory:
         dt_used = dt
         step_idx += 1
 
-    snapshots = np.asarray(snaps)
+    snapshots = np.frombuffer(snaps, dtype=float).reshape((len(times), *u.shape))
     return Trajectory(
         config=config,
         termination=termination,
@@ -561,17 +563,18 @@ def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 HOMOGENEITY_TOL = 1e-8
 
 
-def hamilton_rescale(traj: Trajectory, f: FSpec) -> tuple[np.ndarray, np.ndarray]:
+def hamilton_rescale(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Map a non-normalized trajectory onto the normalized flow.
 
     eta is the trapezoid integral of the logged A series, the new time is
     tau with d(tau)/dt = exp(-alpha*eta), and the conformal factor becomes
-    exp(-(n-2)/4 * eta) * v.  Requires f homogeneous of a known degree; both
-    eta(0) and tau(0) are zero.  Returns tau and the rescaled snapshots, one
-    per record.
+    exp(-(n-2)/4 * eta) * v.  Requires the run's f homogeneous of a known
+    degree; both eta(0) and tau(0) are zero.  Returns tau and the factor
+    ``scale`` per record: record k rescales to ``traj.snapshots[k] * scale[k]``.
     """
     if traj.kind != "non_normalized":
         raise ValueError("hamilton_rescale expects a non-normalized trajectory")
+    f = traj.config.f
     alpha = f.alpha_homogeneous
     if alpha is None:
         raise ValueError(f"{f.name} declares no homogeneity degree")
@@ -582,5 +585,4 @@ def hamilton_rescale(traj: Trajectory, f: FSpec) -> tuple[np.ndarray, np.ndarray
     t = traj.times
     eta = cumtrapz(traj.columns["A"], t)
     tau = cumtrapz(np.exp(-alpha * eta), t)
-    scale = np.exp(-traj.config.background.constants.pref * eta)
-    return tau, traj.snapshots * scale.reshape((-1,) + (1,) * (traj.snapshots.ndim - 1))
+    return tau, np.exp(-traj.config.background.constants.pref * eta)

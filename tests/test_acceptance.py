@@ -98,7 +98,7 @@ def test_criterion_1_negative_decay(run1):
     fit = dg.fit_decay(traj)
     env_ok = bool(np.all(traj.columns["fSA_sup"]
                          <= 1.1 * C_PRED * np.exp(-B_PRED * traj.times) + 1e-12))
-    rep = dg.compare_decay(traj, bg, f, fit)
+    rep = dg.compare_decay(traj, fit)
     ok = (fit.B_fit >= 0.9 * B_PRED and fit.B_fit >= 0.99 and env_ok
           and rep.passed is True and wall < 60.0)
     report(1, "negative-case decay", ok,
@@ -106,13 +106,13 @@ def test_criterion_1_negative_decay(run1):
 
 
 def test_criterion_2_minmax_containment(run1):
-    traj, cfg, _ = run1
+    traj, _, _ = run1
     eta = 1e-5
     smin, smax = traj.columns["Smin"], traj.columns["Smax"]
     contained = bool(smin.min() >= -1.9 - eta and smax.max() <= -1.1 + eta)
     max_rise = float(np.diff(smax).max())
     max_drop = float((-np.diff(smin)).max())
-    rep = dg.check_minmax_principle(traj, cfg.background, cfg.f, tol=eta)
+    rep = dg.check_minmax_principle(traj, tol=eta)
     ok = contained and max_rise <= eta and max_drop <= eta and rep.passed is True
     report(2, "min/max containment", ok,
            f"S in [{smin.min():.6f}, {smax.max():.6f}], rise={max_rise:.2e},"
@@ -121,7 +121,7 @@ def test_criterion_2_minmax_containment(run1):
 
 def test_criterion_3_u_bounds_and_convergence(run1):
     traj, cfg, _ = run1
-    bg, f = cfg.background, cfg.f
+    bg = cfg.background
     half_width = (4 - 2) * C_PRED / (4.0 * B_PRED)  # (n-2)C/(4B) with n = 4
     lo, hi = np.exp(-half_width), np.exp(half_width)
     in_band = bool(traj.columns["umin"].min() >= lo - 1e-12
@@ -130,7 +130,7 @@ def test_criterion_3_u_bounds_and_convergence(run1):
     A = traj.columns["A"][-1]
     spread = float(S.max() - S.min())
     inv_gap = float(np.abs(S - (-A)).max())  # f(x) = -x inverts explicitly
-    rep = dg.check_stationary_limit(traj, bg, f)
+    rep = dg.check_stationary_limit(traj)
     ok = (traj.termination == "stationary" and in_band
           and spread <= 1e-6 and float(S.max()) < 0.0 and inv_gap <= 1e-6
           and rep.passed is True)
@@ -140,9 +140,8 @@ def test_criterion_3_u_bounds_and_convergence(run1):
 
 
 def test_criterion_4_flat_case(run4):
-    traj, cfg = run4
-    bg = cfg.background
-    rep = dg.check_flat_identity(traj, bg)
+    traj, _ = run4
+    rep = dg.check_flat_identity(traj)
     integral = rep.measured["max_abs_integral"]
     r0 = 0.7 / 1.3
     k = r0**4
@@ -159,7 +158,7 @@ def test_criterion_4_flat_case(run4):
 
 def test_criterion_5_positive_bounded_f(run5):
     traj, cfg = run5
-    bg, f = cfg.background, cfg.f
+    bg = cfg.background
     nonneg = bool(traj.columns["Smin"].min() >= -1e-8)
     norm_half0 = traj.columns["lpn2"][0]
     p_ok = {}
@@ -173,7 +172,7 @@ def test_criterion_5_positive_bounded_f(run5):
     envelope = 0.5 * np.exp(a_obs * traj.times)     # S0_min = 0.5 on the grid
     env_ok = bool(np.all(traj.columns["Smin"] >= envelope - 1e-8))
     rep_l = dg.check_Lnhalf_monotone(traj)
-    rep_p = dg.check_positive_S_bounds(traj, bg, f)
+    rep_p = dg.check_positive_S_bounds(traj)
     ok = (nonneg and p_ok[1.0] and p_ok[2.0] and monotone and env_ok
           and rep_l.passed is True and rep_p.passed is True)
     report(5, "positive case, bounded f", ok,
@@ -185,7 +184,7 @@ def _identity_defects(cfg_builder, dt, cadence, T):
     cfg = cfg_builder(dt_policy=DtPolicy.fixed(dt), log_cadence=cadence,
                       T_final=T, stop_tol=0.0)
     traj = run(cfg)
-    rep = dg.check_evolution_identities(traj, cfg.background, cfg.f)
+    rep = dg.check_evolution_identities(traj)
     return {k: v for k, v in rep.measured.items() if k != "sigma_forms_gap"}, rep
 
 
@@ -210,10 +209,9 @@ def test_criterion_6_evolution_identities(run1, run4):
 
 
 def test_criterion_7_rescaling_equivalence():
-    rep_neg = dg.check_rescale_equivalence(
-        run(neg_config()), neg_config().background, classical())
+    rep_neg = dg.check_rescale_equivalence(run(neg_config()))
     cfg_pos = pos_config(f=power_law(1.5))
-    rep_pos = dg.check_rescale_equivalence(run(cfg_pos), cfg_pos.background, power_law(1.5))
+    rep_pos = dg.check_rescale_equivalence(run(cfg_pos))
     ok = rep_neg.passed is True and rep_pos.passed is True
     report(7, "rescaling equivalence", ok,
            f"classical gap={rep_neg.measured['sup_gap']:.2e},"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -263,8 +264,13 @@ def test_sweep_override_with_a_string_f_parameter_is_a_config_error(tmp_path):
     p.write_text(json.dumps(plan))
     out = tmp_path / "sweep"
     assert cli.main(["sweep", str(p), "--out", str(out), "--jobs", "1"]) == 2
-    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
-    assert rows[1].startswith("b,invalid,config error:") and ",1,nan,nan" in rows[1]
+    # the message holds a comma, so its field is quoted: every row of the
+    # table still parses to the header's six fields
+    with open(out / "aggregate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 6 and all(len(row) == 6 for row in rows)
+    assert rows[1] == ["b", "invalid", "config error: invalid config: 'f.alpha' must be a"
+                       " JSON number (a table's x and f lists of them), got '2'", "1", "nan", "nan"]
     assert not (out / "b").exists()
     assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
 

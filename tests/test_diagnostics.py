@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import conflow
 from conflow import diagnostics as dg
 from conflow.conformal import Background, ConformalState, scalar_curvature_values
-from conflow.flow import DtPolicy, RunConfig, Trajectory, _Kernel, run
+from conflow.flow import DtPolicy, RunConfig, Trajectory, _Kernel, hamilton_rescale, run
 from conflow.fzoo import classical, expdecay, reciprocal
 from conflow.grid import ScalarField, field_from_spec, grad_inner_values, power
 
@@ -73,8 +75,8 @@ def flat_run():
 # ---------------------------------------------------------------------------
 
 def test_minmax_passes_on_negative_run(neg_run):
-    traj, bg = neg_run
-    rep = dg.check_minmax_principle(traj, bg, classical())
+    traj, _ = neg_run
+    rep = dg.check_minmax_principle(traj)
     assert rep.passed is True
     assert rep.segment["records"] == traj.n_records
 
@@ -82,8 +84,8 @@ def test_minmax_passes_on_negative_run(neg_run):
 def test_minmax_tolerance_calibration():
     # resolution study: measured violations sit far below the h^2 allowance
     for N in (64, 128):
-        traj, bg = make_run(NEG_BG, classical(), T=2.0, N=N)
-        rep = dg.check_minmax_principle(traj, bg, classical())
+        traj, _ = make_run(NEG_BG, classical(), T=2.0, N=N)
+        rep = dg.check_minmax_principle(traj)
         assert rep.passed is True
         assert rep.measured["max_rise_of_Smax"] <= 1e-8
         assert rep.measured["max_drop_of_Smin"] <= 1e-8
@@ -99,15 +101,15 @@ def test_decay_fit_window_skips_transient(neg_run):
 
 
 def test_decay_passes_on_negative_run(neg_run):
-    traj, bg = neg_run
-    rep = dg.compare_decay(traj, bg, classical())
+    traj, _ = neg_run
+    rep = dg.compare_decay(traj)
     assert rep.passed is True
     assert rep.measured["B_fit"] >= 0.9 * rep.predicted["B"]
 
 
 def test_decay_vacuous_on_constant_background():
-    traj, bg = make_run("constant:-1.0", classical(), T=1.0, N=32)
-    rep = dg.compare_decay(traj, bg, classical())
+    traj, _ = make_run("constant:-1.0", classical(), T=1.0, N=32)
+    rep = dg.compare_decay(traj)
     assert rep.passed is True
     assert "vacuous" in rep.notes
 
@@ -116,9 +118,9 @@ def test_decay_inconclusive_on_a_run_too_short_to_fit():
     # the curvature leaves reciprocal(3)'s domain (-3, inf) at the first
     # record: no point to fit, and the series never reached the floor
     f = reciprocal(3.0)
-    traj, bg = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.45,0", N=32)
+    traj, _ = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.45,0", N=32)
     assert traj.termination == "f_domain_violation"
-    rep = dg.compare_decay(traj, bg, f)
+    rep = dg.compare_decay(traj)
     assert rep.passed is None
     assert rep.measured["n_points"] == 0
     assert f"of a {traj.n_records}-record run" in rep.notes
@@ -129,9 +131,9 @@ def test_decay_fails_a_short_run_above_the_envelope():
     # two records, one of them in the fit window: no rate to fit, but the
     # initial sup |f(S) - A| of this u0 lies above 1.1 * C
     f = classical()
-    traj, bg = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.2,0", N=32, T=0.05, cadence=1000)
+    traj, _ = make_run(NEG_BG, f, u0spec="sinusoidal:1.0,0.2,0", N=32, T=0.05, cadence=1000)
     assert (traj.termination, traj.n_records) == ("time_reached", 2)
-    rep = dg.compare_decay(traj, bg, f)
+    rep = dg.compare_decay(traj)
     assert rep.passed is False
     assert rep.measured["n_points"] == 1 and rep.measured["envelope_margin"] < 0.0
     assert rep.notes.endswith("of a 2-record run; the envelope is exceeded")
@@ -139,29 +141,29 @@ def test_decay_fails_a_short_run_above_the_envelope():
 
 def test_decay_inconclusive_on_noisy_fit(neg_run):
     # a series the exponential model explains poorly must not pass or fail
-    traj, bg = neg_run
+    traj, _ = neg_run
     rng = np.random.default_rng(9)
     doctored = rebuild(traj, traj.snapshots)
     noise = np.exp(rng.normal(scale=1.5, size=traj.n_records))
     doctored.columns["fSA_sup"] = traj.columns["fSA_sup"] * noise
-    rep = dg.compare_decay(doctored, bg, classical())
+    rep = dg.compare_decay(doctored)
     assert rep.passed is None
     assert rep.measured["residual"] > 0.1
 
 
 def test_u_bounds_flat_and_negative(neg_run, flat_run):
-    traj, bg = neg_run
-    assert dg.check_u_bounds(traj, bg, classical()).passed is True
-    traj2, bg2 = flat_run
-    rep = dg.check_u_bounds(traj2, bg2, classical())
+    traj, _ = neg_run
+    assert dg.check_u_bounds(traj).passed is True
+    traj2, _ = flat_run
+    rep = dg.check_u_bounds(traj2)
     assert rep.passed is True
     assert abs(rep.measured["ratio_initial"] - 0.7 / 1.3) < 1e-12
 
 
 def test_identities_pass_on_fixed_dt_run():
-    traj, bg = make_run(NEG_BG, classical(), T=0.4, N=64, dt=2e-4, cadence=20,
+    traj, _ = make_run(NEG_BG, classical(), T=0.4, N=64, dt=2e-4, cadence=20,
                         stop_tol=0.0)
-    rep = dg.check_evolution_identities(traj, bg, classical())
+    rep = dg.check_evolution_identities(traj)
     assert rep.passed is True
     assert rep.measured["sigma_forms_gap"] < 1e-12
 
@@ -173,23 +175,23 @@ def test_lnhalf_passes_on_positive_run(pos_run):
 
 
 def test_positive_bounds_pass(pos_run):
-    traj, bg = pos_run
-    rep = dg.check_positive_S_bounds(traj, bg, expdecay(1.0))
+    traj, _ = pos_run
+    rep = dg.check_positive_S_bounds(traj)
     assert rep.passed is True
     assert "C taken as the observed supremum" in rep.notes
     assert rep.predicted["a_from_growth_certificate"] <= rep.measured["a_observed"]
 
 
 def test_flat_identity_passes(flat_run):
-    traj, bg = flat_run
-    rep = dg.check_flat_identity(traj, bg)
+    traj, _ = flat_run
+    rep = dg.check_flat_identity(traj)
     assert rep.passed is True
     assert rep.measured["max_abs_integral"] < 1e-12
 
 
 def test_stationary_limit_passes(neg_run):
-    traj, bg = neg_run
-    rep = dg.check_stationary_limit(traj, bg, classical())
+    traj, _ = neg_run
+    rep = dg.check_stationary_limit(traj)
     assert rep.passed is True
     # f(x) = -x inverts exactly: the limit curvature is -A
     A_final = traj.columns["A"][-1]
@@ -208,7 +210,7 @@ def test_rescale_equivalence_fixed_point():
     bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5)
-    rep = dg.check_rescale_equivalence(run(cfg), bg, classical())
+    rep = dg.check_rescale_equivalence(run(cfg))
     assert rep.passed is True
     assert rep.measured["sup_gap"] < 1e-8
 
@@ -227,7 +229,7 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
         return run(config)
 
     monkeypatch.setattr(dg, "run", counting_run)
-    rep = dg.check_rescale_equivalence(traj, bg, classical())
+    rep = dg.check_rescale_equivalence(traj)
     assert [c.normalized for c in runs] == [False]
     assert rep.passed is True
     assert rep.segment == dg._segment(traj)
@@ -236,9 +238,66 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
     nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                        T_final=0.05, normalized=False, renormalize_volume=False,
                        stop_tol=0.0))
-    rep = dg.check_rescale_equivalence(nn, bg, classical())
+    rep = dg.check_rescale_equivalence(nn)
     assert rep.passed is None and "normalized" in rep.notes
     assert runs == []
+
+
+def rescale_pair(N=128, T=0.3):
+    """A normalized run and its non-normalized companion, logged every step."""
+    g = grid1d(N=N)
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                    T_final=T, stop_tol=0.0)
+    nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                       T_final=1.5 * T, normalized=False, renormalize_volume=False,
+                       stop_tol=0.0, log_cadence=1))
+    return run(cfg), nn
+
+
+def test_compare_rescaled_keeps_one_copy_of_the_companion():
+    # the rescaled states are formed two records at a time, never as a stack
+    traj, nn = rescale_pair()
+    tracemalloc.start()
+    try:
+        rep = dg.compare_rescaled(traj, nn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed is True and rep.measured["matched_records"] == traj.n_records
+    assert peak <= 0.25 * nn.snapshots.nbytes, (peak, nn.snapshots.nbytes)
+
+
+def test_sup_gap_of_the_factors_is_the_gap_of_the_rescaled_stack():
+    traj, nn = rescale_pair(N=32)
+    tau, scale = hamilton_rescale(nn)
+    stack = nn.snapshots * scale[:, None]
+    ones = np.ones(nn.n_records)
+    assert (dg.sup_deviation_on_times(traj.times, traj.snapshots, tau, nn.snapshots, scale)
+            == dg.sup_deviation_on_times(traj.times, traj.snapshots, tau, stack, ones))
+    assert dg.compare_rescaled(traj, nn).predicted == {"alpha": 1.0}
+
+
+def test_every_checker_takes_the_trajectory_alone():
+    traj, _ = make_run(NEG_BG, classical(), T=0.2, N=32, stop_tol=0.0)
+    reports = dg.run_checks(traj, traj.config.background, traj.config.f, list(dg.CHECK_NAMES))
+    for (name, checker), rep in zip(dg._CHECKERS.items(), reports):
+        assert repr(checker(traj).to_dict()) == repr(rep.to_dict()), name
+
+
+def test_run_checks_rejects_a_foreign_background_or_f(neg_run, monkeypatch):
+    # the checks read both from traj.config; a second source is refused
+    # before any checker runs
+    traj, bg = neg_run
+    ran = []
+    monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
+    fresh_bg = Background(field_from_spec(bg.grid, NEG_BG), bg.n)
+    for foreign in ((bg, classical()), (fresh_bg, traj.config.f)):
+        with pytest.raises(ValueError, match="must be the trajectory's own"):
+            dg.run_checks(traj, *foreign, ["minmax"])
+    assert ran == []
+    dg.run_checks(traj, bg, traj.config.f, ["minmax"])
+    assert len(ran) == 1 and ran[0][0] is traj
 
 
 ALL_BUT_RESCALE = [name for name in dg.CHECK_NAMES if name != "rescale"]
@@ -249,13 +308,13 @@ def test_reports_do_not_depend_on_the_record_block(neg_run, pos_run, flat_run,
                                                    monkeypatch, records_per_block):
     # every check gives the same report whether it takes the records one,
     # three or (at the default node budget) all at a time
-    cases = [(neg_run, classical()), (pos_run, expdecay(1.0)), (flat_run, classical())]
-    default = [[r.to_dict() for r in dg.run_checks(traj, bg, f, ALL_BUT_RESCALE)]
-               for (traj, bg), f in cases]
-    assert all(traj.n_records > 3 for (traj, _), _ in cases)
+    cases = [neg_run, pos_run, flat_run]
+    default = [[r.to_dict() for r in dg.run_checks(traj, bg, traj.config.f, ALL_BUT_RESCALE)]
+               for traj, bg in cases]
+    assert all(traj.n_records > 3 for traj, _ in cases)
     monkeypatch.setattr(conflow.grid, "BLOCK_NODES", records_per_block * 64)
-    blocked = [[r.to_dict() for r in dg.run_checks(traj, bg, f, ALL_BUT_RESCALE)]
-               for (traj, bg), f in cases]
+    blocked = [[r.to_dict() for r in dg.run_checks(traj, bg, traj.config.f, ALL_BUT_RESCALE)]
+               for traj, bg in cases]
     assert repr(blocked) == repr(default)
 
 
@@ -273,7 +332,7 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     domain_note = (f"checker could not run: f-domain violation: S range"
                    f" [{S.min():g}, {S.max():g}] not inside {f.domain}")
 
-    rep = dg.check_evolution_identities(rebuild(traj, snaps), bg, f)
+    rep = dg.check_evolution_identities(rebuild(traj, snaps))
     assert rep.passed is None and rep.notes == "record 6 leaves the domain of f"
     [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
     assert rep.passed is None and rep.notes == domain_note
@@ -292,40 +351,40 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_checker_reruns_bit_identical(neg_run):
-    traj, bg = neg_run
-    r1 = dg.check_minmax_principle(traj, bg, classical()).to_dict()
-    r2 = dg.check_minmax_principle(traj, bg, classical()).to_dict()
+    traj, _ = neg_run
+    r1 = dg.check_minmax_principle(traj).to_dict()
+    r2 = dg.check_minmax_principle(traj).to_dict()
     assert r1 == r2
-    d1 = dg.compare_decay(traj, bg, classical()).to_dict()
-    d2 = dg.compare_decay(traj, bg, classical()).to_dict()
+    d1 = dg.compare_decay(traj).to_dict()
+    d2 = dg.compare_decay(traj).to_dict()
     assert d1 == d2
 
 
 def test_gates_report_inconclusive(neg_run, pos_run, flat_run):
     neg, neg_bg = neg_run
-    pos, pos_bg = pos_run
-    assert dg.compare_decay(pos, pos_bg, expdecay(1.0)).passed is None
+    pos, _ = pos_run
+    assert dg.compare_decay(pos).passed is None
     assert dg.check_Lnhalf_monotone(neg).passed is None
-    assert dg.check_stationary_limit(pos, pos_bg, expdecay(1.0)).passed is None
-    mixed_traj, mixed_bg = make_run("sinusoidal:0.0,0.2,0", classical(), T=0.02, N=32)
-    assert dg.check_u_bounds(mixed_traj, mixed_bg, classical()).passed is None
+    assert dg.check_stationary_limit(pos).passed is None
+    mixed_traj, _ = make_run("sinusoidal:0.0,0.2,0", classical(), T=0.02, N=32)
+    assert dg.check_u_bounds(mixed_traj).passed is None
     nn_cfg = RunConfig(background=neg_bg, f=classical(),
                        u0=ScalarField.constant(neg.config.background.grid, 1.0), T_final=0.1,
                        normalized=False, renormalize_volume=False, stop_tol=0.0)
     nn = run(nn_cfg)
-    assert dg.check_minmax_principle(nn, neg_bg, classical()).passed is None
+    assert dg.check_minmax_principle(nn).passed is None
 
 
 def test_run_checks_dispatch(neg_run):
     traj, bg = neg_run
-    reports = dg.run_checks(traj, bg, classical(),
+    reports = dg.run_checks(traj, bg, traj.config.f,
                             ["minmax", "decay", "u_bounds", "stationary"])
     assert [r.id for r in reports] == [
         "minmax_principle", "exponential_decay",
         "conformal_factor_bounds", "stationary_limit"]
     assert all(r.passed is True for r in reports)
     with pytest.raises(ValueError, match="unknown check"):
-        dg.run_checks(traj, bg, classical(), ["nope"])
+        dg.run_checks(traj, bg, traj.config.f, ["nope"])
 
 
 def test_run_checks_rejects_unknown_names_before_running(neg_run, monkeypatch):
@@ -333,7 +392,7 @@ def test_run_checks_rejects_unknown_names_before_running(neg_run, monkeypatch):
     ran = []
     monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
     with pytest.raises(ValueError, match="unknown check 'bogus'"):
-        dg.run_checks(traj, bg, classical(), ["minmax", "bogus"])
+        dg.run_checks(traj, bg, traj.config.f, ["minmax", "bogus"])
     assert ran == []
 
 
@@ -344,7 +403,7 @@ def test_run_checks_reports_checker_value_error_inconclusive(neg_run, monkeypatc
         raise ValueError("boom")
 
     monkeypatch.setattr(dg, "check_minmax_principle", broken)
-    reports = dg.run_checks(traj, bg, classical(), ["minmax", "u_bounds"])
+    reports = dg.run_checks(traj, bg, traj.config.f, ["minmax", "u_bounds"])
     assert reports[0].passed is None and "boom" in reports[0].notes
     assert reports[1].passed is True
 
@@ -354,31 +413,30 @@ def test_run_checks_reports_checker_value_error_inconclusive(neg_run, monkeypatc
 # ---------------------------------------------------------------------------
 
 def test_minmax_fails_on_reversed_run(neg_run):
-    traj, bg = neg_run
-    rep = dg.check_minmax_principle(reverse_in_time(traj), bg, classical())
+    traj, _ = neg_run
+    rep = dg.check_minmax_principle(reverse_in_time(traj))
     assert rep.passed is False
 
 
 def test_decay_fails_without_decay(neg_run):
-    traj, bg = neg_run
+    traj, _ = neg_run
     frozen = rebuild(traj, np.repeat(traj.snapshots[:1], traj.n_records, axis=0))
-    rep = dg.compare_decay(frozen, bg, classical())
+    rep = dg.compare_decay(frozen)
     assert rep.passed is False
 
 
 def test_u_bounds_fails_outside_band(neg_run):
-    traj, bg = neg_run
+    traj, _ = neg_run
     inflated = rebuild(traj, traj.snapshots * np.linspace(1.0, 2.0, traj.n_records)[:, None])
-    rep = dg.check_u_bounds(inflated, bg, classical())
+    rep = dg.check_u_bounds(inflated)
     assert rep.passed is False
 
 
 def test_identities_fail_on_tampered_snapshots():
-    traj, bg = make_run(NEG_BG, classical(), T=0.4, N=64, dt=2e-4, cadence=20,
+    traj, _ = make_run(NEG_BG, classical(), T=0.4, N=64, dt=2e-4, cadence=20,
                         stop_tol=0.0)
     warp = 1.0 + 0.05 * np.linspace(0.0, 1.0, traj.n_records) ** 2
-    rep = dg.check_evolution_identities(rebuild(traj, traj.snapshots * warp[:, None]),
-                                        bg, classical())
+    rep = dg.check_evolution_identities(rebuild(traj, traj.snapshots * warp[:, None]))
     assert rep.passed is False
 
 
@@ -389,7 +447,7 @@ def test_lnhalf_fails_on_reversed_positive_run(pos_run):
 
 
 def test_positive_bounds_fail_on_collapsing_curvature(pos_run):
-    traj, bg = pos_run
+    traj, _ = pos_run
     g = traj.config.background.grid
     x = g.axis_coordinates(0)
     # amplitude grows fast enough to drive S_min toward 0 faster than exp(a t)
@@ -398,37 +456,36 @@ def test_positive_bounds_fail_on_collapsing_curvature(pos_run):
         amp = 0.001 + 0.05 * (k / max(1, traj.n_records - 1))
         snaps.append(1.0 + amp * np.cos(3 * x))
     crafted = rebuild(traj, np.asarray(snaps), times=np.linspace(0.0, 40.0, traj.n_records))
-    rep = dg.check_positive_S_bounds(crafted, bg, expdecay(1.0))
+    rep = dg.check_positive_S_bounds(crafted)
     assert rep.passed is False
 
 
 def test_flat_identity_inconclusive_when_misapplied(neg_run):
-    traj, bg = neg_run
-    rep = dg.check_flat_identity(traj, bg)
+    traj, _ = neg_run
+    rep = dg.check_flat_identity(traj)
     assert rep.passed is None
     assert rep.notes == "the flat identity needs a flat background, got negative"
 
 
 def test_flat_identity_fails_on_a_flat_run_reversed_in_time(flat_run):
     # on its own hypothesis the check still fires: run backwards, S_min drops
-    traj, bg = flat_run
-    rep = dg.check_flat_identity(reverse_in_time(traj), bg)
+    traj, _ = flat_run
+    rep = dg.check_flat_identity(reverse_in_time(traj))
     assert rep.passed is False
     assert rep.measured["containment_margin"] < -dg.MINMAX_BASE_TOL
 
 
 def test_stationary_limit_fails_with_loose_stop():
-    traj, bg = make_run(NEG_BG, classical(), T=20.0, N=64, stop_tol=0.1)
+    traj, _ = make_run(NEG_BG, classical(), T=20.0, N=64, stop_tol=0.1)
     assert traj.termination == "stationary"
-    rep = dg.check_stationary_limit(traj, bg, classical())
+    rep = dg.check_stationary_limit(traj)
     assert rep.passed is False
 
 
 def test_rescale_comparison_detects_mismatch(neg_run):
     traj, _ = neg_run
-    shifted = traj.snapshots * 1.01
-    gap, count = dg.sup_deviation_on_times(traj.times, traj.snapshots,
-                                           traj.times, shifted)
+    gap, count = dg.sup_deviation_on_times(traj.times, traj.snapshots, traj.times,
+                                           traj.snapshots, np.full(traj.n_records, 1.01))
     assert count == traj.n_records
     assert gap > 1e-3
 

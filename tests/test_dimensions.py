@@ -44,10 +44,10 @@ def test_three_dimensional_negative_run():
                     T_final=20.0, stop_tol=1e-8, log_cadence=10)
     traj = run(cfg)
     assert traj.termination == "stationary"
-    assert dg.check_minmax_principle(traj, bg, f).passed is True
-    assert dg.compare_decay(traj, bg, f).passed is True
-    assert dg.check_u_bounds(traj, bg, f).passed is True
-    assert dg.check_stationary_limit(traj, bg, f).passed is True
+    assert dg.check_minmax_principle(traj).passed is True
+    assert dg.compare_decay(traj).passed is True
+    assert dg.check_u_bounds(traj).passed is True
+    assert dg.check_stationary_limit(traj).passed is True
 
 
 def test_five_dimensional_flat_run():
@@ -61,9 +61,9 @@ def test_five_dimensional_flat_run():
     traj = run(cfg)
     assert traj.termination in ("time_reached", "stationary")
     assert np.abs(traj.columns["vol"] - 1.0).max() < 1e-12
-    rep = dg.check_flat_identity(traj, bg)
+    rep = dg.check_flat_identity(traj)
     assert rep.passed is True
-    rep_u = dg.check_u_bounds(traj, bg, f)
+    rep_u = dg.check_u_bounds(traj)
     assert rep_u.passed is True
 
 
@@ -76,7 +76,7 @@ def test_five_dimensional_identities():
                     log_cadence=20)
     traj = run(cfg)
     # p list includes the non-integer n/2 = 2.5 norm; S < 0 keeps it smooth
-    rep = dg.check_evolution_identities(traj, bg, f)
+    rep = dg.check_evolution_identities(traj)
     assert rep.passed is True
     assert "int|S|^2.5" in rep.measured and rep.notes == ""
 
@@ -105,7 +105,7 @@ def test_five_dimensional_identities_drop_fractional_p_at_sign_change():
     cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05,
                     dt_policy=DtPolicy.fixed(2e-4), stop_tol=0.0, log_cadence=10)
     traj = run(cfg)
-    rep = dg.check_evolution_identities(traj, bg, classical())
+    rep = dg.check_evolution_identities(traj)
     assert rep.passed is True
     assert "int|S|^2.5" not in rep.measured
     assert "kink" in rep.notes

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +599,23 @@ def test_probe_matches_rhs_and_reference_row():
         expected[k] for k in ("A", "fSA_sup", "vol", "Smin", "Smax", "umin", "umax"))
 
 
+def test_run_holds_its_snapshot_stack_once():
+    # the logged states go into one buffer that becomes the snapshot stack,
+    # so a run's traced peak stays near the stack itself
+    g = conflow.GridSpec(4, 2, (64, 64), (TWO_PI, TWO_PI))
+    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                    T_final=0.07, stop_tol=0.0, log_cadence=1)
+    tracemalloc.start()
+    try:
+        traj = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_records >= 100
+    assert peak <= 1.25 * traj.snapshots.nbytes + 2**20, (peak, traj.snapshots.nbytes)
+
+
 def test_run_volume_pinned_with_renormalization():
     g = grid1d(N=64)
     bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
@@ -670,12 +688,25 @@ def nonnormalized_run(bg, f, u0, T, cadence=1):
     return run(cfg)
 
 
+def rescaled_stack(traj):
+    """tau, the rescale factors and the rescaled snapshots of a non-normalized
+    run from ``hamilton_rescale``, after checking that ``snapshots * scale``
+    is exp(-(n-2)/4 * eta) * v bit for bit, eta the trapezoid integral of A."""
+    tau, scale = hamilton_rescale(traj)
+    t, A = traj.times, traj.columns["A"]
+    eta = np.concatenate([[0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(t))])
+    stack = traj.snapshots * np.exp(-traj.config.background.constants.pref * eta)[:, None]
+    rescaled = traj.snapshots * scale[:, None]
+    assert np.array_equal(rescaled, stack)
+    return tau, scale, rescaled
+
+
 def test_hamilton_rescale_starts_at_zero():
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.5)
-    tau, rescaled = hamilton_rescale(traj, classical())
-    assert tau[0] == 0.0
+    tau, scale, rescaled = rescaled_stack(traj)
+    assert tau[0] == 0.0 and scale[0] == 1.0
     assert np.array_equal(rescaled[0], traj.snapshots[0])
 
 
@@ -686,7 +717,7 @@ def test_hamilton_rescale_constant_state_stays_constant():
     # the non-normalized factor moves, the rescaled one must not
     # (up to the trapezoid quadrature error of eta, ~dt^2)
     assert np.abs(traj.snapshots[-1] - 1.0).max() > 1e-3
-    _, rescaled = hamilton_rescale(traj, classical())
+    _, _, rescaled = rescaled_stack(traj)
     assert np.abs(rescaled - 1.0).max() < 1e-5
 
 
@@ -696,7 +727,7 @@ def test_hamilton_rescale_curvature_consistency():
     bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
     f = classical()
     traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.4)
-    _, rescaled = hamilton_rescale(traj, f)
+    _, _, rescaled = rescaled_stack(traj)
     t, A = traj.times, traj.columns["A"]
     eta = np.concatenate([[0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(t))])
     for k in (0, traj.n_records // 2, traj.n_records - 1):
@@ -741,12 +772,14 @@ def test_hamilton_rescale_guards():
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.1)
+    # the f comes from the trajectory's config
+    foreign = dataclasses.replace(traj, config=dataclasses.replace(traj.config, f=expdecay(1.0)))
     with pytest.raises(ValueError, match="homogeneity"):
-        hamilton_rescale(traj, expdecay(1.0))
+        hamilton_rescale(foreign)
     norm_cfg = RunConfig(background=bg, f=classical(),
                          u0=ScalarField.constant(g, 1.0), T_final=0.1, stop_tol=0.0)
     with pytest.raises(ValueError, match="non-normalized"):
-        hamilton_rescale(run(norm_cfg), classical())
+        hamilton_rescale(run(norm_cfg))
 
 
 def test_tau_stop_terminates_early():
