@@ -11,10 +11,10 @@ state, 2 on blowup / positivity loss / f-domain violation / an exhausted
 step budget, 1 on config errors (a nonpositive u0, a non-finite number or
 a section of the wrong type among them).  verify returns 2 when any
 non-inconclusive check fails and 1 on config errors, an unreadable
-trajectory.npz or unknown check names, which are rejected before any run or
-check starts.  sweep returns 1 on a malformed plan.  compare returns 2 when
-the two runs disagree and 1 when they cannot be compared: an unreadable
-run, two different grids, or a run of the wrong kind for the mode.
+trajectory.npz, unknown check names or none, which are rejected before any
+run or check starts.  sweep returns 1 on a malformed plan.  compare returns
+2 when the two runs disagree and 1 when they cannot be compared: an
+unreadable run, two different grids, or a run of the wrong kind for the mode.
 Identical configs produce bit-identical CSV and summaries.
 """
 
@@ -92,9 +92,9 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
     """The RunConfig of a config document; a malformed document, its
     ``outputs`` and ``checks`` sections included, raises ConfigError."""
     try:
-        out_dir = _object(cfg.get("outputs", {}), "'outputs'").get("dir", "")
-        if not isinstance(out_dir, str):
-            raise ConfigError(f"'outputs.dir' must be a string, got {out_dir!r}")
+        outputs = _object(cfg.get("outputs", {}), "'outputs'")
+        if "dir" in outputs and not (isinstance(outputs["dir"], str) and outputs["dir"]):
+            raise ConfigError(f"'outputs.dir' must be a non-empty string, got {outputs['dir']!r}")
         checks = cfg.get("checks", [])
         if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
             raise ConfigError(f"'checks' must be a JSON list of strings, got {checks!r}")
@@ -106,8 +106,7 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             points=tuple(_typed(p, int, "grid.points") for p in gspec["points"]),
             periods=tuple(_typed(p, float, "grid.periods") for p in gspec["periods"]),
         )
-        bg = Background(field_from_spec(grid, _resolve_field_spec(cfg["background"], base_dir)),
-                        n=grid.ambient_n)
+        bg = Background(field_from_spec(grid, _resolve_field_spec(cfg["background"], base_dir)))
         u0 = field_from_spec(grid, _resolve_field_spec(cfg["u0"], base_dir))
         f = fzoo.from_config(cfg["f"], seed=seed)
         tcfg = _object(cfg.get("time", {}), "'time'")
@@ -245,6 +244,8 @@ def _select_checks(args_checks, cfg: dict, case_tag: str) -> list[str]:
         names = list(cfg["checks"])
     else:
         names = diagnostics.default_checks(case_tag)
+    if not names:
+        raise ConfigError("no checks to run")
     try:
         diagnostics.require_known_checks(names)
     except ValueError as exc:

@@ -23,6 +23,7 @@ a conformal factor over a flat torus.  Reports carry that caveat.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,17 @@ class Constants:
 
 @dataclass(frozen=True)
 class Background:
-    """Prescribed curvature field S0 plus the ambient dimension."""
+    """A prescribed curvature field, ``Background(S0)``; n is its grid's ambient_n."""
 
     S0: ScalarField
-    n: int
-
-    def __post_init__(self):
-        if self.n != self.S0.grid.ambient_n:
-            raise ValueError("background dimension must match the grid's ambient_n")
 
     @property
     def grid(self) -> GridSpec:
         return self.S0.grid
+
+    @property
+    def n(self) -> int:
+        return self.S0.grid.ambient_n
 
     @functools.cached_property
     def constants(self) -> Constants:
@@ -121,8 +121,11 @@ class ConformalState:
 
 
 def require_f_domain(f, smin: float, smax: float):
-    """Raise FDomainError unless the curvature range [smin, smax] lies
-    inside the domain of the response function f."""
+    """The verdict on a curvature range [smin, smax]: FloatingPointError for
+    a non-finite range (NaN fails every domain test, so it is caught first),
+    FDomainError for a range outside the domain of the response function f."""
+    if not (math.isfinite(smin) and math.isfinite(smax)):
+        raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
     if not f.domain.contains_interval(smin, smax):
         raise FDomainError(
             f"f-domain violation: S range [{smin:g}, {smax:g}] not inside {f.domain}"
@@ -196,7 +199,7 @@ class Records:
 
     @functools.cached_property
     def phi(self) -> np.ndarray:
-        """f(S); FDomainError names the first record outside f's domain."""
+        """f(S); ``require_f_domain`` names the first record outside f's domain."""
         if not self.in_domain.all():
             k = int(np.argmin(self.in_domain))
             require_f_domain(self.f, self.Smin[k], self.Smax[k])

@@ -690,7 +690,6 @@ def check_rescale_equivalence(traj: Trajectory, tol: float = RESCALE_TOL) -> The
         normalized=False,
         renormalize_volume=False,
         log_cadence=1,
-        stop_tol=0.0,
         T_final=max(1e9, 10.0 * traj.config.T_final),
         tau_stop=float(traj.times[-1]) * (1.0 + 1e-9) + 1e-12,
     )

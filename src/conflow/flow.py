@@ -158,7 +158,8 @@ class Trajectory:
     ``snapshots`` has one u field per record.  Times are strictly increasing
     and every logged state is positive.  ``vol_pre`` keeps the conservation
     defect measurable: the pre-correction volume when renormalization is
-    on, the plain volume otherwise.
+    on (``vol_pre[0]`` is the volume after the initial renormalization, so
+    the drift is the steps'), the plain volume otherwise.
     """
 
     config: RunConfig
@@ -234,15 +235,6 @@ class _Kernel:
         self.hmin2 = bg.grid.min_spacing ** 2
         self.two_d = 2.0 * bg.grid.active_dims
 
-    def require_domain(self, S: np.ndarray):
-        """Raise FloatingPointError for a non-finite S (NaN fails every
-        domain test, so it is caught first) and FDomainError for an S range
-        outside f's domain."""
-        smin, smax = float(_min(S, None)), float(_max(S, None))
-        if not (math.isfinite(smin) and math.isfinite(smax)):
-            raise FloatingPointError(f"non-finite curvature: S range [{smin:g}, {smax:g}]")
-        require_f_domain(self.f, smin, smax)
-
     def unit_scale(self, u: np.ndarray) -> tuple[float, float]:
         """The factor that scales u to unit volume, and the volume of u."""
         vol = float(_mean(power(u, self.m)))
@@ -260,13 +252,14 @@ class _Kernel:
         """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
         if _min(u, None) <= 0.0:
             raise PositivityError("state outside positive cone")
-        if not self.normalized:
+        if self.normalized:
+            S, w = scalar_curvature_values(self.bg, u, with_weight=True)
+        else:
             S = scalar_curvature_values(self.bg, u)
-            self.require_domain(S)
-            return self.pref * self.eval_f(S) * u
-        S, w = scalar_curvature_values(self.bg, u, with_weight=True)
-        self.require_domain(S)
+        require_f_domain(self.f, float(_min(S, None)), float(_max(S, None)))
         phi = self.eval_f(S)
+        if not self.normalized:
+            return self.pref * phi * u
         return self.pref * (phi - self.mean_f(phi, w, _mean(w))) * u
 
     def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
@@ -345,7 +338,7 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     kern = _Kernel(bg, f, normalized=True)
     u = state.u.values
     S = scalar_curvature_values(bg, u)
-    kern.require_domain(S)
+    require_f_domain(f, float(_min(S, None)), float(_max(S, None)))
     return kern.stable_dt(u, S, safety)
 
 
@@ -371,19 +364,19 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 # ---------------------------------------------------------------------------
 
 def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
-    """The kernel, S, L(h), f(S), f'(S) and DF(u)h, the derivative of
-    u -> f(S)*u applied to h, at a positive u whose curvature lies in f's
-    domain."""
+    """The kernel, S, the volume weight w, L(h), f(S), f'(S) and DF(u)h, the
+    derivative of u -> f(S)*u applied to h, at a positive u whose curvature
+    lies in f's domain."""
     kern = _Kernel(bg, f, normalized=False)
     uv, hv = u.values, h.values
     if uv.min() <= 0.0:
         raise PositivityError("state outside positive cone")
-    S = scalar_curvature_values(bg, uv)
-    kern.require_domain(S)
+    S, w = scalar_curvature_values(bg, uv, with_weight=True)
+    require_f_domain(f, float(_min(S, None)), float(_max(S, None)))
     Lh = conformal_laplacian_values(bg, hv)
     phi, fp = f.eval_f(S), f.eval_fp(S)
     DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
-    return kern, S, Lh, phi, fp, DF
+    return kern, S, w, Lh, phi, fp, DF
 
 
 def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
@@ -401,10 +394,9 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     f(S), of the volume density (2n/(n-2) * h/u per unit volume) and of the
     normalizing volume itself.
     """
-    kern, S, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
+    kern, S, w, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
     uv, hv = u.values, h.values
     dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
-    w = power(uv, kern.m)
     wm = float(w.mean())
     A = kern.mean_f(phi, w, wm)
     dA = float((fp * dS * w).mean()) / wm \
@@ -416,6 +408,7 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
 # Runs
 # ---------------------------------------------------------------------------
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def run(config: RunConfig) -> Trajectory:
     """Integrate until T_final, stationarity (normalized runs), failure, or
     the step budget.
@@ -425,7 +418,8 @@ def run(config: RunConfig) -> Trajectory:
     terminal record of an f-domain violation carries NaN in the f columns.
     A step whose result, or the curvature of one of whose RK4 stages, is
     non-finite is rejected and ends the run as ``blowup``; a run still going
-    after _MAX_STEPS accepted steps ends as ``step_budget``.
+    after _MAX_STEPS accepted steps ends as ``step_budget``.  These tests read
+    non-finite values themselves, so numpy's floating-point warnings are off.
     """
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)
@@ -437,7 +431,7 @@ def run(config: RunConfig) -> Trajectory:
 
     # the logged states' bytes go into one buffer: the stack is held once
     times, dts, vol_pre, snaps = [], [], [], bytearray()
-    last_pre = float(_mean(power(u, kern.m)))
+    last_pre = kern.unit_scale(u)[1]
 
     track_tau = config.tau_stop is not None
     alpha = f.alpha_homogeneous

@@ -38,7 +38,7 @@ def report(num, name, ok, detail):
 
 def neg_config(N=N1, **overrides):
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     kw = dict(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
               T_final=20.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
@@ -48,7 +48,7 @@ def neg_config(N=N1, **overrides):
 
 def flat_config(N=N4, **overrides):
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.3,0,{COS_PHASE}")
     kw = dict(background=bg, f=classical(), u0=u0, T_final=2.0,
               dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
@@ -59,7 +59,7 @@ def flat_config(N=N4, **overrides):
 
 def pos_config(N=N1, **overrides):
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"))
     kw = dict(background=bg, f=expdecay(1.0), u0=ScalarField.constant(g, 1.0),
               T_final=5.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
@@ -220,7 +220,7 @@ def test_criterion_7_rescaling_equivalence():
 
 def test_criterion_8_frechet_slopes():
     g = grid1d(N=64)
-    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     rng = np.random.default_rng(20240611)
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     slopes = []
@@ -268,7 +268,7 @@ def test_criterion_9_shift_invariance():
 def test_criterion_10_fixed_point_and_order():
     # exact fixed point: constant background curvature, unit factor
     g = grid1d(N=N1)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     st = ConformalState(ScalarField.constant(g, 1.0))
     f = classical()
     worst_rate = 0.0

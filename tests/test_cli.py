@@ -100,13 +100,25 @@ def test_verify_from_config_with_default_checks(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_verify_empty_checks(tmp_path):
-    cfg = write_cfg(tmp_path, base_config())
+def test_verify_empty_checks(tmp_path, capsys):
+    # nothing to check is a usage error, not a vacuous pass: `--checks ""`,
+    # `--checks ,` and a config's `"checks": []` each end in one `verify:`
+    # line and exit 1, with no report written
+    cfg = write_cfg(tmp_path, {**base_config(T_final=0.05), "checks": []})
     out = tmp_path / "out"
-    cli.main(["run", str(cfg), "--out", str(out)])
-    assert cli.main(["verify", str(out), "--checks", ""]) == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["reports"] == []
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for flags in (["--checks", ""], ["--checks", ","], []):
+        assert cli.main(["verify", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verify: no checks to run")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (out / "report.json").exists()
+    # a config target is rejected before its run starts
+    fresh = tmp_path / "fresh"
+    assert cli.main(["verify", str(cfg), "--out", str(fresh)]) == 1
+    assert not fresh.exists()
 
 
 def test_verify_missing_target(tmp_path):
@@ -490,6 +502,20 @@ def test_file_field_spec_roundtrip(tmp_path, monkeypatch):
     assert cli.main(["run", str(p), "--out", str(out)]) == 0
     monkeypatch.chdir(tmp_path / "out")  # reload from elsewhere
     assert cli.main(["verify", str(out), "--checks", "minmax"]) == 0
+
+
+def test_empty_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # `"dir": ""` would be the working directory; it is refused like a
+    # non-string dir, before any run, by `run` and by `verify` of the config
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {**base_config(T_final=0.05), "outputs": {"dir": ""}})
+    for command in ("run", "verify"):
+        assert cli.main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("config error:", "verify:"))
+        assert "'outputs.dir' must be a non-empty string" in err
+        assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_conflow_out_env(tmp_path, monkeypatch):

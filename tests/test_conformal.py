@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conflow.conformal import (
     FDomainError,
     Records,
     conformal_laplacian_values,
+    require_f_domain,
     scalar_curvature_values,
 )
 from conflow.grid import (
@@ -53,10 +56,10 @@ def test_constants():
 
 
 def test_case_tags(g128):
-    assert Background(field_from_spec(g128, "constant:-1"), g128.ambient_n).case_tag == "negative"
-    assert Background(field_from_spec(g128, "constant:0"), g128.ambient_n).case_tag == "flat"
-    assert Background(field_from_spec(g128, "constant:2"), g128.ambient_n).case_tag == "positive"
-    mixed = Background(field_from_spec(g128, "sinusoidal:0.0,1.0,0"), g128.ambient_n)
+    assert Background(field_from_spec(g128, "constant:-1")).case_tag == "negative"
+    assert Background(field_from_spec(g128, "constant:0")).case_tag == "flat"
+    assert Background(field_from_spec(g128, "constant:2")).case_tag == "positive"
+    mixed = Background(field_from_spec(g128, "sinusoidal:0.0,1.0,0"))
     assert mixed.case_tag == "mixed"
 
 
@@ -66,21 +69,21 @@ def test_state_requires_positive_u(g128):
 
 
 def test_conformal_laplacian_constant(g128):
-    bg = Background(field_from_spec(g128, "constant:-1.5"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:-1.5"))
     out = conformal_laplacian_values(bg, ScalarField.constant(g128, 1.0).values)
     assert np.abs(out + 1.5).max() < 1e-14
 
 
 def test_conformal_laplacian_flat_cos(g256):
     # L(1 + 0.1 cos) = -6 * lap(0.1 cos) = 0.6 cos up to O(h^2)
-    bg = Background(field_from_spec(g256, "constant:0"), g256.ambient_n)
+    bg = Background(field_from_spec(g256, "constant:0"))
     x = g256.axis_coordinates(0)
     out = conformal_laplacian_values(bg, ScalarField(g256, 1.0 + 0.1 * np.cos(x)).values)
     assert np.abs(out - 0.6 * np.cos(x)).max() < 1e-4
 
 
 def test_conformal_laplacian_linear(g128):
-    bg = Background(field_from_spec(g128, "sinusoidal:-1.0,0.3,0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "sinusoidal:-1.0,0.3,0"))
     rng = np.random.default_rng(0)
     u = ScalarField(g128, rng.normal(size=g128.shape))
     v = ScalarField(g128, rng.normal(size=g128.shape))
@@ -92,21 +95,21 @@ def test_conformal_laplacian_linear(g128):
 
 
 def test_scalar_curvature_identity_factor(g128):
-    bg = Background(field_from_spec(g128, "constant:-2.0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:-2.0"))
     S = scalar_curvature_values(bg, ScalarField.constant(g128, 1.0).values)
     assert np.abs(S + 2.0).max() == 0.0
 
 
 def test_scalar_curvature_constant_scaling(g128):
     # u = c: S = c^(-beta) * s0 * c = s0 * c^(-2) for n = 4
-    bg = Background(field_from_spec(g128, "constant:3.0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:3.0"))
     c = 1.7
     S = scalar_curvature_values(bg, ScalarField.constant(g128, c).values)
     assert np.abs(S - 3.0 * c**-2).max() < 1e-14
 
 
 def test_scalar_curvature_dense_oracle(g256):
-    bg = Background(field_from_spec(g256, "constant:0"), g256.ambient_n)
+    bg = Background(field_from_spec(g256, "constant:0"))
     x = g256.axis_coordinates(0)
     u = 1.0 + 0.3 * np.cos(x)
     S = scalar_curvature_values(bg, ScalarField(g256, u).values)
@@ -116,7 +119,7 @@ def test_scalar_curvature_dense_oracle(g256):
 
 
 def test_metric_laplacian_reduces_to_flat(g128):
-    bg = Background(field_from_spec(g128, "sinusoidal:-1.0,0.2,0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "sinusoidal:-1.0,0.2,0"))
     rng = np.random.default_rng(1)
     xi = ScalarField(g128, rng.normal(size=g128.shape))
     one = ConformalState(ScalarField.constant(g128, 1.0))
@@ -124,7 +127,7 @@ def test_metric_laplacian_reduces_to_flat(g128):
 
 
 def test_metric_laplacian_constant_xi(g128):
-    bg = Background(field_from_spec(g128, "constant:0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:0"))
     rng = np.random.default_rng(2)
     st = ConformalState(ScalarField(g128, 1.0 + 0.2 * smooth_field(g128, rng).values))
     out = metric_laplacian(bg, st, ScalarField.constant(g128, 9.0))
@@ -133,7 +136,7 @@ def test_metric_laplacian_constant_xi(g128):
 
 def test_metric_laplacian_formula_oracle(g128):
     # recompute the defining formula with the public stencils
-    bg = Background(field_from_spec(g128, "constant:0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:0"))
     x = g128.axis_coordinates(0)
     u = ScalarField(g128, 1.0 + 0.2 * np.cos(x))
     xi = ScalarField(g128, np.sin(x))
@@ -154,14 +157,14 @@ def test_volume_values(g128):
 
 
 def test_average_f_constant_state(g128):
-    bg = Background(field_from_spec(g128, "constant:-1.5"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:-1.5"))
     st = ConformalState(ScalarField.constant(g128, 1.0))
     f = conflow.expdecay(1.0)
     assert abs(average_f(bg, st, f) - np.exp(1.5)) < 1e-12
 
 
 def test_average_f_shift_linearity(g128):
-    bg = Background(field_from_spec(g128, "sinusoidal:-1.5,0.4,0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "sinusoidal:-1.5,0.4,0"))
     rng = np.random.default_rng(4)
     st = ConformalState(ScalarField(g128, 1.0 + 0.2 * smooth_field(g128, rng).values))
     f = conflow.classical()
@@ -171,7 +174,7 @@ def test_average_f_shift_linearity(g128):
 
 
 def test_average_f_dense_oracle(g256):
-    bg = Background(field_from_spec(g256, "constant:0"), g256.ambient_n)
+    bg = Background(field_from_spec(g256, "constant:0"))
     x = g256.axis_coordinates(0)
     u = 1.0 + 0.3 * np.cos(x)
     st = ConformalState(ScalarField(g256, u))
@@ -185,7 +188,7 @@ def test_average_f_dense_oracle(g256):
 
 def test_average_f_bracketing(g128):
     # f(S_max) <= A <= f(S_min) for every registered decreasing f
-    bg = Background(field_from_spec(g128, "sinusoidal:3.0,0.5,0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "sinusoidal:3.0,0.5,0"))
     rng = np.random.default_rng(5)
     fs = [conflow.classical(), conflow.power_law(1.5), conflow.expdecay(0.7),
           conflow.reciprocal(0.0)]
@@ -199,14 +202,14 @@ def test_average_f_bracketing(g128):
 
 
 def test_average_f_domain_violation(g128):
-    bg = Background(field_from_spec(g128, "constant:-1.0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:-1.0"))
     st = ConformalState(ScalarField.constant(g128, 1.0))
     with pytest.raises(FDomainError, match="f-domain violation"):
         average_f(bg, st, conflow.power_law(1.5))
 
 
 def test_sigma_and_einstein_hilbert_constant(g128):
-    bg = Background(field_from_spec(g128, "constant:-1.5"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:-1.5"))
     st = ConformalState(ScalarField.constant(g128, 1.0))
     assert abs(sigma(bg, st) + 1.5) < 1e-14
     assert abs(einstein_hilbert(bg, st) + 1.5) < 1e-14
@@ -214,7 +217,7 @@ def test_sigma_and_einstein_hilbert_constant(g128):
 
 def test_sigma_dirichlet_form_crosscheck(g128):
     # integral of S dVol equals the background mean of u * L(u), as u^beta S = L(u)
-    bg = Background(field_from_spec(g128, "constant:0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:0"))
     x = g128.axis_coordinates(0)
     u = ScalarField(g128, 1.0 + 0.3 * np.cos(x))
     st = ConformalState(u)
@@ -224,7 +227,7 @@ def test_sigma_dirichlet_form_crosscheck(g128):
 
 
 def test_einstein_hilbert_scale_invariant(g128):
-    bg = Background(field_from_spec(g128, "sinusoidal:1.0,0.5,0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "sinusoidal:1.0,0.5,0"))
     x = g128.axis_coordinates(0)
     u = ScalarField(g128, 1.0 + 0.25 * np.sin(x))
     e1 = einstein_hilbert(bg, ConformalState(u))
@@ -234,7 +237,7 @@ def test_einstein_hilbert_scale_invariant(g128):
 
 def test_flat_integral_identity_state_level(g128):
     # integral of u^beta S dVol0 vanishes on a flat background
-    bg = Background(field_from_spec(g128, "constant:0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:0"))
     rng = np.random.default_rng(6)
     for _ in range(5):
         u = ScalarField(g128, 1.0 + 0.4 * smooth_field(g128, rng).values)
@@ -244,17 +247,36 @@ def test_flat_integral_identity_state_level(g128):
 
 
 def test_flat_sign_dichotomy(g128):
-    bg = Background(field_from_spec(g128, "constant:0"), g128.ambient_n)
+    bg = Background(field_from_spec(g128, "constant:0"))
     rng = np.random.default_rng(7)
     u = ScalarField(g128, 1.0 + 0.4 * smooth_field(g128, rng).values)
     S = scalar_curvature_values(bg, u.values)
     assert S.min() < 0.0 < S.max()
 
 
-def test_background_dimension_check():
-    g = grid1d(n=4)
-    with pytest.raises(ValueError, match="ambient_n"):
-        Background(ScalarField.constant(g, 1.0), n=5)
+def test_background_takes_n_from_its_grid():
+    for n in (3, 5):
+        bg = Background(ScalarField.constant(grid1d(n=n), 1.0))
+        assert bg.n == bg.grid.ambient_n == n
+        assert bg.constants == Constants.for_dimension(n)
+
+
+@pytest.mark.parametrize("smin,smax,error", [
+    (-1.0, 2.0, None),
+    (-4.0, 2.0, FDomainError),
+    (-4.0, math.inf, FloatingPointError),
+    (math.nan, math.nan, FloatingPointError),
+    (-math.inf, 0.0, FloatingPointError),
+])
+def test_require_f_domain_is_the_one_range_verdict(smin, smax, error):
+    # a non-finite range is a blowup, not a domain violation, even when it
+    # also reaches outside the domain (-3, inf) of f
+    f = conflow.reciprocal(3.0)
+    if error is None:
+        assert require_f_domain(f, smin, smax) is None
+    else:
+        with pytest.raises(error, match=r"S range \["):
+            require_f_domain(f, smin, smax)
 
 
 @pytest.mark.parametrize("grid", [
@@ -265,7 +287,7 @@ def test_records_match_the_single_record_formulas(grid):
     # a stack of five states on a negative background; record 3 has a
     # curvature range reaching below -3, outside the domain (-3, inf) of f
     f = conflow.reciprocal(3.0)
-    bg = Background(field_from_spec(grid, "sinusoidal:-1.5,0.4,0"), grid.ambient_n)
+    bg = Background(field_from_spec(grid, "sinusoidal:-1.5,0.4,0"))
     x = grid.coordinate_mesh()[0]
     amps = [0.0, 0.02, 0.05, 0.5, 0.1]
     U = np.stack([np.broadcast_to(1.0 + a * np.cos(x + a), grid.shape) for a in amps])

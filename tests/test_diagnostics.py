@@ -21,7 +21,7 @@ POS_BG = "sinusoidal:1.0,0.5,0"
 def make_run(bgspec, f, u0spec="constant:1", N=64, T=1.0, stop_tol=1e-8,
              cadence=10, dt=None, renorm=True):
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, bgspec), g.ambient_n)
+    bg = Background(field_from_spec(g, bgspec))
     u0 = conflow.field_from_spec(g, u0spec)
     policy = DtPolicy.adaptive(0.8) if dt is None else DtPolicy.fixed(dt)
     cfg = RunConfig(background=bg, f=f, u0=u0, T_final=T, dt_policy=policy,
@@ -207,7 +207,7 @@ def test_sobolev_info_positive(pos_run):
 
 def test_rescale_equivalence_fixed_point():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5)
     rep = dg.check_rescale_equivalence(run(cfg))
@@ -218,7 +218,7 @@ def test_rescale_equivalence_fixed_point():
 def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
     # the normalized trajectory under verification is not run again
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.2, stop_tol=0.0)
     traj = run(cfg)
@@ -246,7 +246,7 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
 def rescale_pair(N=128, T=0.3):
     """A normalized run and its non-normalized companion, logged every step."""
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=T, stop_tol=0.0)
     nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
@@ -291,7 +291,7 @@ def test_run_checks_rejects_a_foreign_background_or_f(neg_run, monkeypatch):
     traj, bg = neg_run
     ran = []
     monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
-    fresh_bg = Background(field_from_spec(bg.grid, NEG_BG), bg.n)
+    fresh_bg = Background(field_from_spec(bg.grid, NEG_BG))
     for foreign in ((bg, classical()), (fresh_bg, traj.config.f)):
         with pytest.raises(ValueError, match="must be the trajectory's own"):
             dg.run_checks(traj, *foreign, ["minmax"])

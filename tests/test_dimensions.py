@@ -31,14 +31,14 @@ def test_constant_factor_curvature_scaling(n, beta, cn):
     c = conflow.Constants.for_dimension(n)
     assert (c.beta, c.c_n) == (beta, cn)
     g = make_grid(n, N=32)
-    bg = Background(field_from_spec(g, "constant:2.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:2.0"))
     S = scalar_curvature_values(bg, ScalarField.constant(g, 1.3).values)
     assert np.abs(S - 2.0 * 1.3 ** (1.0 - beta)).max() < 1e-13
 
 
 def test_three_dimensional_negative_run():
     g = make_grid(3, N=64)
-    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     f = classical()
     cfg = RunConfig(background=bg, f=f, u0=ScalarField.constant(g, 1.0),
                     T_final=20.0, stop_tol=1e-8, log_cadence=10)
@@ -53,7 +53,7 @@ def test_three_dimensional_negative_run():
 def test_five_dimensional_flat_run():
     # beta = 7/3 exercises the non-integer exponent path end to end
     g = make_grid(5, N=64)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.2,0,{COS_PHASE}")
     f = classical()
     cfg = RunConfig(background=bg, f=f, u0=u0, T_final=0.5, stop_tol=1e-8,
@@ -69,7 +69,7 @@ def test_five_dimensional_flat_run():
 
 def test_five_dimensional_identities():
     g = make_grid(5, N=64)
-    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     f = classical()
     cfg = RunConfig(background=bg, f=f, u0=ScalarField.constant(g, 1.0),
                     T_final=0.2, dt_policy=DtPolicy.fixed(2e-4), stop_tol=0.0,
@@ -85,7 +85,7 @@ def test_three_dimensional_lp_monotonicity_skips_p2():
     # for n = 3 the norm bound only covers p <= 1.5; asserting it for p = 2
     # would be wrong (norms grow with p at unit volume)
     g = make_grid(3, N=64)
-    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"))
     f = conflow.expdecay(1.0)
     cfg = RunConfig(background=bg, f=f, u0=ScalarField.constant(g, 1.0),
                     T_final=2.0, stop_tol=1e-8, log_cadence=10)
@@ -100,7 +100,7 @@ def test_three_dimensional_lp_monotonicity_skips_p2():
 def test_five_dimensional_identities_drop_fractional_p_at_sign_change():
     # flat case: S changes sign, so |S|^2.5 kinks and is excluded with a note
     g = make_grid(5, N=64)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.2,0,{COS_PHASE}")
     cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05,
                     dt_policy=DtPolicy.fixed(2e-4), stop_tol=0.0, log_cadence=10)

@@ -12,6 +12,7 @@ from conflow.conformal import (
     ConformalState,
     FDomainError,
     conformal_laplacian_values,
+    require_f_domain,
     scalar_curvature_values,
 )
 from conflow.flow import (
@@ -40,7 +41,7 @@ NEG_BG = "sinusoidal:-1.5,0.4,0"
 
 def neg_setup(N=128):
     g = grid1d(N=N)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     return g, bg, classical(), ConformalState(ScalarField.constant(g, 1.0))
 
 
@@ -94,7 +95,7 @@ def dense_matrix(grid):
 
 def test_rhs_zero_at_constant_curvature():
     g, _, f, st = neg_setup()
-    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.5"))
     assert np.abs(rhs_normalized(bg, st, f).values).max() < 1e-15
 
 
@@ -122,7 +123,7 @@ def test_rhs_normalized_vs_nonnormalized_gap():
 
 def test_rhs_dense_oracle():
     g = grid1d(N=256)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     x = g.axis_coordinates(0)
     u = 1.0 + 0.3 * np.cos(x)
     st = ConformalState(ScalarField(g, u))
@@ -151,7 +152,7 @@ def test_rhs_volume_stationary():
 
 def test_stable_dt_plugin_value():
     g, _, f, st = neg_setup()
-    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.5"))
     h = TWO_PI / 128
     # kappa = (n-1) |f'| u^(1-beta) = 3 at u = 1
     for safety in (0.8, 0.4):
@@ -161,7 +162,7 @@ def test_stable_dt_plugin_value():
 
 def test_stable_dt_scaling_in_u():
     g, _, f, _ = neg_setup()
-    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.5"))
     dt1 = stable_dt(bg, ConformalState(ScalarField.constant(g, 1.0)), f)
     dt2 = stable_dt(bg, ConformalState(ScalarField.constant(g, 2.0)), f)
     assert abs(dt2 / dt1 - 4.0) < 1e-10  # u^(1-beta) = u^-2 for n = 4
@@ -169,7 +170,7 @@ def test_stable_dt_scaling_in_u():
 
 def test_stable_dt_parabolicity_lost():
     g, _, _, st = neg_setup()
-    bg = Background(field_from_spec(g, "constant:-1.5"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.5"))
     rogue = FSpec(
         name="rogue",
         eval_f=lambda x: np.asarray(x, dtype=float),
@@ -184,12 +185,12 @@ def test_check_parabolic_validity():
     # (min u, min -f'(S)) on the curvature the run's kernel computes and
     # admits: both positive iff the state is uniformly parabolic
     g, _, f, st = neg_setup()
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     kern = flow._Kernel(bg, f, normalized=True)
 
     def check_parabolic_validity(u):
         S = scalar_curvature_values(bg, u)
-        kern.require_domain(S)
+        require_f_domain(f, float(S.min()), float(S.max()))
         return float(u.min()), float((-f.eval_fp(S)).min())
 
     assert check_parabolic_validity(st.u.values) == (1.0, 1.0)
@@ -216,7 +217,7 @@ def test_euler_step_is_exactly_one_increment():
 
 def test_step_fixed_point_unchanged():
     g = grid1d()
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     st = ConformalState(ScalarField.constant(g, 1.0))
     new = step(bg, st, classical(), 1e-3, scheme="rk4")
     assert np.abs(new.u.values - 1.0).max() < 1e-15
@@ -224,7 +225,7 @@ def test_step_fixed_point_unchanged():
 
 def test_step_positivity_guard():
     g = grid1d()
-    bg = Background(field_from_spec(g, "constant:100.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:100.0"))
     st = ConformalState(ScalarField.constant(g, 1.0))
     with pytest.raises(PositivityError):
         step(bg, st, classical(), 0.05, scheme="euler", normalized=False)
@@ -232,7 +233,7 @@ def test_step_positivity_guard():
 
 def test_step_domain_guard():
     g = grid1d()
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     st = ConformalState(ScalarField.constant(g, 1.0))
     with pytest.raises(FDomainError):
         step(bg, st, power_law(1.5), 1e-4)
@@ -241,7 +242,7 @@ def test_step_domain_guard():
 def renormalize_volume(state):
     """The run's volume renormalization applied to one state."""
     g = state.u.grid
-    kern = flow._Kernel(Background(ScalarField.constant(g, 0.0), g.ambient_n), classical(), True)
+    kern = flow._Kernel(Background(ScalarField.constant(g, 0.0)), classical(), True)
     u = state.u.values
     return ConformalState(ScalarField(state.u.grid, u * kern.unit_scale(u)[0]), state.t)
 
@@ -260,7 +261,7 @@ def test_renormalize_volume():
 def test_renormalize_curvature_scaling_law():
     # S picks up the factor Vol^(2/n) under the renormalizing rescale
     g = grid1d()
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     rng = np.random.default_rng(4)
     st = ConformalState(ScalarField(g, 1.1 + 0.2 * smooth_field(g, rng).values))
     vol = volume(st)
@@ -275,7 +276,7 @@ def test_renormalize_curvature_scaling_law():
 
 def test_run_stationary_at_fixed_point():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=1.0)
     traj = run(cfg)
@@ -286,7 +287,7 @@ def test_run_stationary_at_fixed_point():
 
 def test_run_time_reached_and_cadence():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.02, dt_policy=DtPolicy.fixed(1e-3), stop_tol=0.0,
                     log_cadence=5)
@@ -302,7 +303,7 @@ def test_run_time_reached_and_cadence():
 
 def test_run_determinism():
     g = grid1d(N=64)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.5, log_cadence=7)
     t1, t2 = run(cfg), run(cfg)
@@ -313,7 +314,7 @@ def test_run_determinism():
 
 def test_run_positivity_floor_termination():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     u0 = np.full(g.shape, 1.0)
     u0[0] = 5e-11  # below the positivity floor but still a valid state
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0), T_final=1.0)
@@ -325,7 +326,7 @@ def test_run_never_logs_nonpositive_states():
     # a coarse Euler step on a strongly contracting non-normalized flow
     # crashes through zero; the crossing state must not enter the log
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:50.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:50.0"))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=10.0, dt_policy=DtPolicy.fixed(0.03), scheme="euler",
                     normalized=False, renormalize_volume=False, stop_tol=0.0,
@@ -337,7 +338,7 @@ def test_run_never_logs_nonpositive_states():
 
 def test_run_blowup_termination():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     u0 = np.full(g.shape, 1.0)
     u0[0] = 2e-3  # curvature ~ u^-beta exceeds the blowup threshold
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0), T_final=1.0,
@@ -346,9 +347,24 @@ def test_run_blowup_termination():
     assert traj.termination == "blowup"
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_overflowing_f_is_blowup_without_warnings():
+    # u0 = 1 + 0.5 sin on 8 points over a unit period has S down to about
+    # -4800, where exp(-S) overflows: the rate is inf, the step is rejected
+    # as `blowup`, and no numpy warning reaches stderr
+    g = conflow.GridSpec(3, 1, (8,), (1.0,))
+    cfg = RunConfig(background=Background(ScalarField.constant(g, 0.0)), f=expdecay(1.0),
+                    u0=field_from_spec(g, "sinusoidal:1.0,0.5,0"), T_final=0.0625,
+                    dt_policy=DtPolicy.fixed(0.0078125), scheme="euler", normalized=False,
+                    renormalize_volume=False, log_cadence=1)
+    traj = run(cfg)
+    assert traj.termination == "blowup"
+    assert traj.columns["Smin"][0] < -4000.0 and traj.columns["A"][0] == math.inf
+
+
 def test_run_domain_violation_records_nan():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "sinusoidal:0.0,1.0,0"), g.ambient_n)  # mixed sign curvature
+    bg = Background(field_from_spec(g, "sinusoidal:0.0,1.0,0"))  # mixed sign curvature
     cfg = RunConfig(background=bg, f=power_law(1.5), u0=ScalarField.constant(g, 1.0),
                     T_final=1.0)
     traj = run(cfg)
@@ -370,7 +386,7 @@ def test_run_rejects_non_finite_step(scheme, steps):
         return base.eval_f(S) if len(calls) < 4 else np.full_like(S, np.nan)
 
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
                     u0=ScalarField.constant(g, 1.0), T_final=1.0,
                     dt_policy=DtPolicy.fixed(1e-3), scheme=scheme)
@@ -393,7 +409,7 @@ def test_run_nan_response_is_blowup(scheme):
         return np.where(S > -1.3, np.nan, base.eval_f(S))
 
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
                     u0=ScalarField.constant(g, 1.0), T_final=1.0, scheme=scheme)
     traj = run(cfg)
@@ -405,7 +421,7 @@ def test_run_nan_response_is_blowup(scheme):
 def test_run_step_budget_termination(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_STEPS", 5)
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=10.0, dt_policy=DtPolicy.fixed(1e-3), log_cadence=2)
     traj = run(cfg)
@@ -417,7 +433,7 @@ def test_run_step_budget_termination(monkeypatch):
 
 def test_run_config_rejects_nonpositive_u0():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     with pytest.raises(PositivityError, match="u0 must be positive"):
         RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, -1.0),
                   T_final=1.0)
@@ -432,7 +448,7 @@ def test_run_config_rejects_non_finite_horizon_and_tolerance(field, value):
     g = grid1d(N=32)
     kwargs = {"T_final": 1.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be .* finite"):
-        RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n), f=classical(),
+        RunConfig(background=Background(field_from_spec(g, NEG_BG)), f=classical(),
                   u0=ScalarField.constant(g, 1.0), **kwargs)
 
 
@@ -460,7 +476,7 @@ def kernel_case(dims, n):
     mesh = g.coordinate_mesh()
     S0 = -1.5 + 0.4 * np.sin(mesh[0]) + 0.2 * np.cos(mesh[-1])
     u = 1.0 + 0.1 * np.cos(mesh[0]) + 0.05 * np.sin(2.0 * mesh[-1])
-    bg = Background(ScalarField(g, np.broadcast_to(S0, g.shape).copy()), n)
+    bg = Background(ScalarField(g, np.broadcast_to(S0, g.shape).copy()))
     return bg, np.broadcast_to(u, g.shape).copy(), expdecay(0.5)
 
 
@@ -527,7 +543,7 @@ def test_run_carries_exact_extremes_into_every_probe(monkeypatch, scheme, normal
     # series.csv does not log the probe's umin/umax, so no golden digest
     # would catch a carried extreme that differs from a fresh reduction
     g = grid1d(N=32)
-    cfg = RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n),
+    cfg = RunConfig(background=Background(field_from_spec(g, NEG_BG)),
                     f=classical(), u0=field_from_spec(g, "sinusoidal:1.0,0.3,0"),
                     T_final=0.3, scheme=scheme, normalized=normalized,
                     renormalize_volume=normalized)
@@ -555,7 +571,7 @@ def stage_failure_config(kind):
         base = classical()
         f = dataclasses.replace(base, eval_f=lambda S: np.where(
             np.asarray(S) > -1.3, np.nan, base.eval_f(S)))
-        return RunConfig(background=Background(field_from_spec(g, NEG_BG), g.ambient_n),
+        return RunConfig(background=Background(field_from_spec(g, NEG_BG)),
                          f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
                          dt_policy=DtPolicy.fixed(1e-3))
     # S0 = 100, u = 1: du/dt = -50 u without normalization, so u shrinks and
@@ -564,7 +580,7 @@ def stage_failure_config(kind):
         f, dt = classical(), 0.05      # the second stage is 1 - 0.025 * 50 < 0
     else:
         f, dt = dataclasses.replace(classical(), domain=Interval(hi=100.0)), 1e-3
-    return RunConfig(background=Background(ScalarField.constant(g, 100.0), g.ambient_n),
+    return RunConfig(background=Background(ScalarField.constant(g, 100.0)),
                      f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
                      dt_policy=DtPolicy.fixed(dt), normalized=False,
                      renormalize_volume=False)
@@ -603,7 +619,7 @@ def test_run_holds_its_snapshot_stack_once():
     # the logged states go into one buffer that becomes the snapshot stack,
     # so a run's traced peak stays near the stack itself
     g = conflow.GridSpec(4, 2, (64, 64), (TWO_PI, TWO_PI))
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=0.07, stop_tol=0.0, log_cadence=1)
     tracemalloc.start()
@@ -618,7 +634,7 @@ def test_run_holds_its_snapshot_stack_once():
 
 def test_run_volume_pinned_with_renormalization():
     g = grid1d(N=64)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     x = g.axis_coordinates(0)
     cfg = RunConfig(background=bg, f=classical(),
                     u0=ScalarField(g, 1.0 + 0.3 * np.cos(x)),
@@ -633,7 +649,7 @@ def test_run_volume_pinned_with_renormalization():
 def test_volume_drift_order_without_renormalization(scheme, lo, hi):
     # drift scales with dt^p, p the scheme order
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     x = g.axis_coordinates(0)
     u0 = ScalarField(g, 1.0 + 0.3 * np.cos(x))
     drifts = []
@@ -649,7 +665,7 @@ def test_volume_drift_order_without_renormalization(scheme, lo, hi):
 
 def test_config_validation():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     u0 = ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError, match="T_final"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=0.0)
@@ -666,7 +682,7 @@ def test_config_validation():
 
 def test_shift_invariance_of_runs():
     g = grid1d(N=64)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     u0 = ScalarField.constant(g, 1.0)
     trajs = []
     for f in (classical(), shift(classical(), 5.0)):
@@ -703,7 +719,7 @@ def rescaled_stack(traj):
 
 def test_hamilton_rescale_starts_at_zero():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.5)
     tau, scale, rescaled = rescaled_stack(traj)
     assert tau[0] == 0.0 and scale[0] == 1.0
@@ -712,7 +728,7 @@ def test_hamilton_rescale_starts_at_zero():
 
 def test_hamilton_rescale_constant_state_stays_constant():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 1.0)
     # the non-normalized factor moves, the rescaled one must not
     # (up to the trapezoid quadrature error of eta, ~dt^2)
@@ -724,7 +740,7 @@ def test_hamilton_rescale_constant_state_stays_constant():
 def test_hamilton_rescale_curvature_consistency():
     # S(rescaled) = exp(eta) * R holds exactly, record by record
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     f = classical()
     traj = nonnormalized_run(bg, f, ScalarField.constant(g, 1.0), 0.4)
     _, _, rescaled = rescaled_stack(traj)
@@ -739,7 +755,7 @@ def test_hamilton_rescale_curvature_consistency():
 def test_kernel_rows_outside_the_domain_match_record():
     # records whose curvature leaves f's domain carry NaN in A and fSA_sup
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"))
     f = power_law(1.5)
     x = g.axis_coordinates(0)
     states = np.array([1.0 + a * np.cos(x) for a in (0.0, 0.5, 0.01, 0.6)])
@@ -770,7 +786,7 @@ def test_run_columns_do_not_depend_on_the_record_block(monkeypatch):
 
 def test_hamilton_rescale_guards():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, "constant:-1.0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
     traj = nonnormalized_run(bg, classical(), ScalarField.constant(g, 1.0), 0.1)
     # the f comes from the trajectory's config
     foreign = dataclasses.replace(traj, config=dataclasses.replace(traj.config, f=expdecay(1.0)))
@@ -784,7 +800,7 @@ def test_hamilton_rescale_guards():
 
 def test_tau_stop_terminates_early():
     g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG), g.ambient_n)
+    bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=1e6, normalized=False, renormalize_volume=False,
                     stop_tol=0.0, log_cadence=1, tau_stop=0.2)
@@ -869,7 +885,7 @@ def test_run_matches_independent_integrator():
     from scipy.integrate import solve_ivp
 
     g = grid1d(N=48)
-    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     x = g.axis_coordinates(0)
     u0 = 1.0 + 0.1 * np.cos(x)
     D = dense_matrix(g)
@@ -897,7 +913,7 @@ def test_run_matches_independent_integrator():
 
 def test_two_dimensional_run():
     g = conflow.GridSpec(4, 2, (24, 24), (TWO_PI, TWO_PI))
-    bg = Background(field_from_spec(g, "constant:0"), g.ambient_n)
+    bg = Background(field_from_spec(g, "constant:0"))
     X = g.coordinate_mesh()[0]
     u0 = ScalarField(g, np.broadcast_to(1.0 + 0.2 * np.cos(X), g.shape).copy())
     cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05, log_cadence=5)

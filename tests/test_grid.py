@@ -264,7 +264,7 @@ def test_stencils_on_record_stacks_match_per_record_bitwise(grid):
     K = 7
     a = rng.lognormal(sigma=0.5, size=(K, *grid.shape))
     b = rng.normal(size=(K, *grid.shape))
-    bg = Background(ScalarField(grid, rng.normal(size=grid.shape)), grid.ambient_n)
+    bg = Background(ScalarField(grid, rng.normal(size=grid.shape)))
     lap = laplacian0_values(grid, a)
     gi = grad_inner_values(grid, a, b)
     S = scalar_curvature_values(bg, a)
