@@ -338,8 +338,10 @@ def cmd_sweep(args) -> int:
             plan.get("out", Path(os.environ.get("CONFLOW_OUT", "out")) / plan_path.stem))
         payloads = []
         for spec in runs:
-            overrides = _object(spec.get("overrides", spec.get("config", {})),
-                                f"run {spec['id']!r}'s overrides")
+            if "config" in spec:
+                raise ConfigError(f"run {spec['id']!r}: 'config' is not a run key;"
+                                  " name its changes to the base 'overrides'")
+            overrides = _object(spec.get("overrides", {}), f"run {spec['id']!r}'s overrides")
             payloads.append((spec["id"], resolve_config_paths(_merge(base, overrides),
                                                               plan_path.parent),
                              str(out_root / spec["id"])))

@@ -57,6 +57,8 @@ DECAY_RATE_FRACTION = 0.9
 DECAY_ENVELOPE_FACTOR = 1.1
 DECAY_RESIDUAL_LIMIT = 0.1
 DECAY_FLOOR = 1e-300  # fSA_sup at the stationarity floor, too small to fit
+DECAY_SKIP_FRACTION = 0.1  # the initial transient fit_decay leaves out
+DECAY_SAMPLES = 10001  # points of the curvature range f' is sampled on
 STATIONARY_TOL = 1e-6
 RESCALE_TOL = 1e-4
 IDENTITY_REL_TOL = 1e-3
@@ -122,11 +124,11 @@ def _normalized_only(check_id):
     is not normalized, and runs the decorated checker otherwise."""
     def decorate(checker):
         @functools.wraps(checker)
-        def gated(traj, *args, **kwargs):
+        def gated(traj):
             if traj.kind != "normalized":
                 return _inconclusive(check_id, traj,
                                      f"requires a normalized trajectory, got {traj.kind}")
-            return checker(traj, *args, **kwargs)
+            return checker(traj)
         return gated
     return decorate
 
@@ -147,7 +149,7 @@ def _rhs_sup(rec: Records) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @_normalized_only("minmax_principle")
-def check_minmax_principle(traj: Trajectory, tol: float | None = None) -> TheoremReport:
+def check_minmax_principle(traj: Trajectory) -> TheoremReport:
     """Maximum-principle consequences for the curvature extremes.
 
     While S_max <= 0 it must not increase; while S_min <= 0 it must not
@@ -156,7 +158,7 @@ def check_minmax_principle(traj: Trajectory, tol: float | None = None) -> Theore
     discretization tolerance.
     """
     h = traj.config.background.grid.min_spacing
-    eta = MINMAX_BASE_TOL + MINMAX_H2_COEF * h * h if tol is None else float(tol)
+    eta = MINMAX_BASE_TOL + MINMAX_H2_COEF * h * h
     smin = traj.columns["Smin"]
     smax = traj.columns["Smax"]
     s0min, s0max = float(smin[0]), float(smax[0])
@@ -197,24 +199,24 @@ def check_minmax_principle(traj: Trajectory, tol: float | None = None) -> Theore
 # Exponential decay (negative case)
 # ---------------------------------------------------------------------------
 
-def predicted_decay_constants(bg: Background, f: FSpec, samples: int = 10001):
+def predicted_decay_constants(bg: Background, f: FSpec):
     """(B, C) from the background curvature range [S0_min, S0_max]:
     the rate B = -c * S0_max with -c the largest value of f' on the range,
     and the amplitude C = max|f'| * (S0_max - S0_min)."""
     lo, hi = bg.S0.min(), bg.S0.max()
-    xs = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
+    xs = np.linspace(lo, hi, DECAY_SAMPLES) if hi > lo else np.array([lo])
     fp = f.eval_fp(xs)
     B = float(fp.max()) * hi if hi < 0 else math.nan
     C = float(np.abs(fp).max()) * (hi - lo)
     return B, C
 
 
-def fit_decay(traj: Trajectory, skip_frac: float = 0.1) -> DecayFit:
+def fit_decay(traj: Trajectory) -> DecayFit:
     """Least squares on log ||f(S)-A||_inf vs t, skipping the initial
-    transient (first 10 percent of the run by default)."""
+    transient (the first 10 percent of the run)."""
     t = traj.times
     y = traj.columns["fSA_sup"]
-    t0 = t[0] + skip_frac * (t[-1] - t[0])
+    t0 = t[0] + DECAY_SKIP_FRACTION * (t[-1] - t[0])
     mask = (t >= t0) & np.isfinite(y) & (y > DECAY_FLOOR)
     n_pts = int(mask.sum())
     if n_pts < 3:
@@ -228,7 +230,7 @@ def fit_decay(traj: Trajectory, skip_frac: float = 0.1) -> DecayFit:
 
 
 @_normalized_only("exponential_decay")
-def compare_decay(traj: Trajectory, fit: DecayFit | None = None) -> TheoremReport:
+def compare_decay(traj: Trajectory) -> TheoremReport:
     """Negative case: ||f(S)-A||_inf must decay at least at the predicted
     rate B, under the predicted envelope C * exp(-B t) up to a factor 1.1.
     Fits with log-residual above 0.1 are inconclusive.  With under 3 points
@@ -239,8 +241,7 @@ def compare_decay(traj: Trajectory, fit: DecayFit | None = None) -> TheoremRepor
     if bg.case_tag != "negative":
         return _inconclusive("exponential_decay", traj,
                              f"decay prediction needs a negative background, got {bg.case_tag}")
-    if fit is None:
-        fit = fit_decay(traj)
+    fit = fit_decay(traj)
     B_pred, C_pred = predicted_decay_constants(bg, f)
     t = traj.times
     y = traj.columns["fSA_sup"]
@@ -379,15 +380,16 @@ def _truncation_floor(rhs: np.ndarray, t: np.ndarray) -> float:
 
 
 @_normalized_only("evolution_identities")
-def check_evolution_identities(traj: Trajectory, p_list=None,
-                               rel_tol: float = IDENTITY_REL_TOL) -> TheoremReport:
+def check_evolution_identities(traj: Trajectory) -> TheoremReport:
     """Centered time differences of the logged functionals against their
     analytic rates.
 
     Quantities: the mean A of f(S), the mean curvature sigma (both displayed
-    forms), the volume, the integrals of |S|^p for p in p_list, and the
-    integrals of |S-sigma|^2 and |f(S)-A)|^2, all against the evolving
-    volume.  The deviation families stay at p = 2: for fractional p their
+    forms), the volume, the integrals of |S|^p for p in {2, n/2} with
+    p >= 2, and the integrals of |S-sigma|^2 and |f(S)-A)|^2, all against
+    the evolving volume.  The rate of the |S|^p integral carries |S|^(p-2),
+    which is unbounded at S = 0 for p < 2, so n = 3 leaves p = 1.5 out with
+    a note.  The deviation families stay at p = 2: for fractional p their
     integrands |.|^(p-2) kink at the sign crossings the deviations always
     have, and the discrete quadrature of a kink is not second-order
     accurate.  All rates are evaluated with the same discrete gradient and
@@ -395,16 +397,15 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
     """
     bg, f = traj.config.background, traj.config.f
     n = bg.n
-    if p_list is None:
-        p_list = [2.0, n / 2.0]
-    ps = sorted({float(p) for p in p_list})
-    if any(p < 2.0 for p in ps):
-        return _inconclusive("evolution_identities", traj, "identities need p >= 2")
     K = traj.n_records
     if K < 3:
         return _inconclusive("evolution_identities", traj, "need at least 3 records")
-    note = ""
-    if float(traj.columns["Smin"].min()) < 0.0 < float(traj.columns["Smax"].max()):
+    halfn = 0.5 * n
+    ps, note = sorted({2.0, halfn}), ""
+    if halfn < 2.0:
+        ps, note = [2.0], (f"left out p={halfn:g} (n/2) of the |S|^p family:"
+                           " its rate's |S|^(p-2) is unbounded at S = 0 for p < 2")
+    elif float(traj.columns["Smin"].min()) < 0.0 < float(traj.columns["Smax"].max()):
         # |S|^(p-2) kinks at the sign change for non-integer p, and the
         # quadrature of a kink is not second-order accurate
         dropped = [p for p in ps if abs(p - round(p)) > 1e-12]
@@ -414,7 +415,6 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
                     " S changes sign and fractional powers kink there")
 
     t = traj.times
-    halfn = 0.5 * n
 
     names = ["A", "sigma", "vol"]
     names += [f"int|S|^{p:g}" for p in ps]
@@ -444,13 +444,15 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
         s2 = 0.5 * (n - 2.0) * rec.integral((S - per_record(sig)) * dev) / V
         sigma_gap = max(sigma_gap, float(np.abs(s1 - s2).max()))
         R["sigma"][sl] = s1
-        R["vol"][sl] = halfn * rec.integral(dev)
+        int_dev = rec.integral(dev)
+        R["vol"][sl] = halfn * int_dev
         absS = np.abs(S)
         for p in ps:
-            Q[f"int|S|^{p:g}"][sl] = rec.integral(absS ** p)
+            absS_p = absS ** p
+            Q[f"int|S|^{p:g}"][sl] = rec.integral(absS_p)
             R[f"int|S|^{p:g}"][sl] = (
                 p * (p - 1.0) * (n - 1.0) * rec.integral(absS ** (p - 2.0) * fp * gsq)
-                + (halfn - p) * rec.integral(absS ** p * dev))
+                + (halfn - p) * rec.integral(absS_p * dev))
         dS = S - per_record(sig)
         Q["int|S-sigma|^2"][sl] = rec.integral(dS * dS)
         R["int|S-sigma|^2"][sl] = (
@@ -462,7 +464,7 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
             2.0 * (n - 1.0) * rec.integral(dev * fp * fpp * gsq)
             + 2.0 * (n - 1.0) * rec.integral(fp ** 3 * gsq)
             + rec.integral(dev * dev * (halfn * dev - 2.0 * S * fp))
-            - 2.0 * RA * rec.integral(dev))
+            - 2.0 * RA * int_dev)
 
     # second-order three-point derivative, exact for quadratics on
     # nonuniform record spacing
@@ -486,7 +488,7 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
         # of the record grid itself (three-point truncation of the rates)
         floors[name] = (3.0 * _truncation_floor(R[name], t)
                         / max(float(np.abs(R[name]).max()), q_floor, 1e-300))
-        ok = ok and defects[name] <= rel_tol + floors[name]
+        ok = ok and defects[name] <= IDENTITY_REL_TOL + floors[name]
     defects["sigma_forms_gap"] = sigma_gap
 
     worst = max(v for k, v in defects.items() if k != "sigma_forms_gap")
@@ -496,7 +498,7 @@ def check_evolution_identities(traj: Trajectory, p_list=None,
         passed=bool(passed),
         measured=defects,
         predicted={"worst_defect": worst, "time_resolution_allowance": floors},
-        tolerances={"rel_tol": rel_tol, "sigma_forms_gap": 1e-10},
+        tolerances={"rel_tol": IDENTITY_REL_TOL, "sigma_forms_gap": 1e-10},
         notes=note,
         segment=_segment(traj),
     )
@@ -656,11 +658,10 @@ def sup_deviation_on_times(times: np.ndarray, snaps: np.ndarray, tau: np.ndarray
     return worst, count
 
 
-def compare_rescaled(traj: Trajectory, traj_nn: Trajectory,
-                     tol: float = RESCALE_TOL) -> TheoremReport:
+def compare_rescaled(traj: Trajectory, traj_nn: Trajectory) -> TheoremReport:
     """Rescale the non-normalized ``traj_nn`` (``hamilton_rescale``, with
     its own f) and compare its conformal factors with ``traj``'s on matched
-    times.  Passes when the sup gap is within ``tol`` at every record of
+    times.  Passes when the sup gap is within RESCALE_TOL at every record of
     ``traj``.  Raises ValueError when ``traj_nn`` cannot be rescaled."""
     tau, scale = hamilton_rescale(traj_nn)
     gap, count = sup_deviation_on_times(traj.times, traj.snapshots, tau,
@@ -671,17 +672,17 @@ def compare_rescaled(traj: Trajectory, traj_nn: Trajectory,
                  f" (non-normalized run ended with {traj_nn.termination})")
     return TheoremReport(
         id="rescale_equivalence",
-        passed=bool(gap <= tol and count == traj.n_records),
+        passed=bool(gap <= RESCALE_TOL and count == traj.n_records),
         measured={"sup_gap": gap, "matched_records": count},
         predicted={"alpha": traj_nn.config.f.alpha_homogeneous},
-        tolerances={"sup_tol": tol},
+        tolerances={"sup_tol": RESCALE_TOL},
         notes=notes,
         segment=_segment(traj),
     )
 
 
 @_normalized_only("rescale_equivalence")
-def check_rescale_equivalence(traj: Trajectory, tol: float = RESCALE_TOL) -> TheoremReport:
+def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
     """Runs the non-normalized flow of the normalized trajectory's config
     (stopped once its rescaled time covers the trajectory's horizon) and
     compares it with the trajectory (``compare_rescaled``)."""
@@ -693,7 +694,7 @@ def check_rescale_equivalence(traj: Trajectory, tol: float = RESCALE_TOL) -> The
         T_final=max(1e9, 10.0 * traj.config.T_final),
         tau_stop=float(traj.times[-1]) * (1.0 + 1e-9) + 1e-12,
     )
-    return compare_rescaled(traj, run(cfg_nn), tol)
+    return compare_rescaled(traj, run(cfg_nn))
 
 
 # ---------------------------------------------------------------------------

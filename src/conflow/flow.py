@@ -297,7 +297,8 @@ class _Kernel:
         ``t`` after steps ``dt_used``, evaluated one block of records at a
         time (``conformal.Records``); every per-record value is bit for bit
         what the formulas give on that record alone.  A and fSA_sup are NaN
-        for a record whose curvature leaves f's domain."""
+        for a record whose curvature leaves f's domain; a record whose f(S)
+        overflows inside the domain has A = inf and fSA_sup = NaN (inf - inf)."""
         K = len(U)
         cols = {k: np.full(K, math.nan) for k in RECORD_COLUMNS}
         cols["t"][:] = t
@@ -415,11 +416,13 @@ def run(config: RunConfig) -> Trajectory:
 
     Deterministic for a fixed config.  Diagnostics are logged every
     log_cadence steps plus always at the first and terminal states; the
-    terminal record of an f-domain violation carries NaN in the f columns.
-    A step whose result, or the curvature of one of whose RK4 stages, is
-    non-finite is rejected and ends the run as ``blowup``; a run still going
-    after _MAX_STEPS accepted steps ends as ``step_budget``.  These tests read
-    non-finite values themselves, so numpy's floating-point warnings are off.
+    terminal record of an f-domain violation carries NaN in the f columns,
+    and a record whose f(S) overflows inside f's domain carries A = inf and
+    fSA_sup = NaN.  A step whose result, or the curvature of one of whose RK4
+    stages, is non-finite is rejected and ends the run as ``blowup``; a run
+    still going after _MAX_STEPS accepted steps ends as ``step_budget``.
+    These tests read non-finite values themselves, so numpy's floating-point
+    warnings are off.
     """
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)

@@ -34,7 +34,6 @@ __all__ = [
     "Growth",
     "FSpec",
     "homogeneity_check",
-    "default_homogeneity_triples",
     "classical",
     "power_law",
     "reciprocal",
@@ -103,27 +102,22 @@ class FSpec:
     bounded_below: float | None = None
 
 
-def _cert_points(domain: Interval, samples: int, rng: np.random.Generator | None) -> np.ndarray:
-    lo = max(domain.lo, -_CERT_WINDOW)
-    hi = min(domain.hi, max(lo + 2.0 * _CERT_WINDOW, _CERT_WINDOW))
+def _certify_decreasing(f: FSpec, rng: np.random.Generator | None = None) -> FSpec:
+    lo = max(f.domain.lo, -_CERT_WINDOW)
+    hi = min(f.domain.hi, max(lo + 2.0 * _CERT_WINDOW, _CERT_WINDOW))
     # midpoints only, so open endpoints are never touched
-    t = (np.arange(samples) + 0.5) / samples
+    t = (np.arange(_CERT_SAMPLES) + 0.5) / _CERT_SAMPLES
     pts = lo + (hi - lo) * t
     if rng is not None:
-        extra = rng.uniform(1e-9, 1.0 - 1e-9, size=samples // 10)
+        extra = rng.uniform(1e-9, 1.0 - 1e-9, size=_CERT_SAMPLES // 10)
         pts = np.concatenate([pts, lo + (hi - lo) * extra])
-    return pts
-
-
-def _certify_decreasing(f: FSpec, samples: int = _CERT_SAMPLES,
-                        rng: np.random.Generator | None = None) -> FSpec:
-    fp = f.eval_fp(_cert_points(f.domain, samples, rng))
+    fp = f.eval_fp(pts)
     if not np.all(np.isfinite(fp)) or fp.max() >= 0.0:
         raise ValueError(f"{f.name}: sampled derivative is >= 0 somewhere on {f.domain}")
     return f
 
 
-def default_homogeneity_triples(domain: Interval) -> list[tuple[float, float, float]]:
+def _homogeneity_triples(domain: Interval) -> list[tuple[float, float, float]]:
     """(lambda, x, y) triples inside the domain, used by homogeneity_check."""
     if domain.contains(0.0):
         pairs = [(0.0, 1.0), (0.5, 2.0), (1.0, 3.0)]
@@ -137,11 +131,10 @@ def default_homogeneity_triples(domain: Interval) -> list[tuple[float, float, fl
     return triples
 
 
-def homogeneity_check(f: FSpec, alpha: float,
-                      triples: list[tuple[float, float, float]] | None = None) -> float:
-    """Max defect |f(lx) - f(ly) - l**alpha (f(x) - f(y))| over sample triples."""
-    if triples is None:
-        triples = default_homogeneity_triples(f.domain)
+def homogeneity_check(f: FSpec, alpha: float) -> float:
+    """Max defect |f(lx) - f(ly) - l**alpha (f(x) - f(y))| over sample triples
+    inside the domain of f."""
+    triples = _homogeneity_triples(f.domain)
     if not triples:
         raise ValueError("no admissible homogeneity triples inside the domain")
     worst = 0.0

@@ -98,7 +98,7 @@ def test_criterion_1_negative_decay(run1):
     fit = dg.fit_decay(traj)
     env_ok = bool(np.all(traj.columns["fSA_sup"]
                          <= 1.1 * C_PRED * np.exp(-B_PRED * traj.times) + 1e-12))
-    rep = dg.compare_decay(traj, fit)
+    rep = dg.compare_decay(traj)
     ok = (fit.B_fit >= 0.9 * B_PRED and fit.B_fit >= 0.99 and env_ok
           and rep.passed is True and wall < 60.0)
     report(1, "negative-case decay", ok,
@@ -112,7 +112,7 @@ def test_criterion_2_minmax_containment(run1):
     contained = bool(smin.min() >= -1.9 - eta and smax.max() <= -1.1 + eta)
     max_rise = float(np.diff(smax).max())
     max_drop = float((-np.diff(smin)).max())
-    rep = dg.check_minmax_principle(traj, tol=eta)
+    rep = dg.check_minmax_principle(traj)
     ok = contained and max_rise <= eta and max_drop <= eta and rep.passed is True
     report(2, "min/max containment", ok,
            f"S in [{smin.min():.6f}, {smax.max():.6f}], rise={max_rise:.2e},"

@@ -663,11 +663,12 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     ("base_path", 7),
     ("jobs", 2.5),
     ("jobs", True),
+    ("config", {"f": {"name": "classical"}}),
 ])
 def test_sweep_malformed_plan_is_one_line_exit_1(tmp_path, capsys, key, value):
     plan = json.loads(sweep_plan(tmp_path).read_text())
-    if key == "overrides":
-        plan["runs"][1]["overrides"] = value
+    if key in ("overrides", "config"):  # run keys; 'config' is no longer one
+        plan["runs"][1][key] = value
     else:
         plan[key] = value
     p = tmp_path / "bad_plan.json"

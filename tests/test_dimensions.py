@@ -81,6 +81,19 @@ def test_five_dimensional_identities():
     assert "int|S|^2.5" in rep.measured and rep.notes == ""
 
 
+def test_three_dimensional_identities_leave_out_p_below_2():
+    # n/2 = 1.5 < 2: the |S|^p family keeps p = 2 alone, and the note says
+    # why p = 1.5 is left out instead of giving up the whole check
+    g = make_grid(3, N=64)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
+    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
+                    T_final=0.5, stop_tol=1e-8, log_cadence=10)
+    rep = dg.check_evolution_identities(run(cfg))
+    assert rep.passed is True
+    assert "int|S|^2" in rep.measured and "int|S|^1.5" not in rep.measured
+    assert "p=1.5" in rep.notes
+
+
 def test_three_dimensional_lp_monotonicity_skips_p2():
     # for n = 3 the norm bound only covers p <= 1.5; asserting it for p = 2
     # would be wrong (norms grow with p at unit volume)

@@ -360,6 +360,7 @@ def test_run_overflowing_f_is_blowup_without_warnings():
     traj = run(cfg)
     assert traj.termination == "blowup"
     assert traj.columns["Smin"][0] < -4000.0 and traj.columns["A"][0] == math.inf
+    assert math.isnan(traj.columns["fSA_sup"][0])  # inf - inf
 
 
 def test_run_domain_violation_records_nan():
