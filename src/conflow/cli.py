@@ -194,7 +194,8 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
 
 def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
     """The stored run in ``out``: its config, termination and notes from
-    summary.json, its records from trajectory.npz."""
+    summary.json, its records from trajectory.npz.  A trajectory.npz whose
+    arrays contradict the grid or each other raises ConfigError."""
     summary = _object(_load_json(out / "summary.json"), str(out / "summary.json"))
     missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
     if missing:
@@ -214,6 +215,20 @@ def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
             )
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path}: not a readable trajectory ({exc})") from exc
+    # K >= 1 records on the config's grid, one column entry per record, and
+    # positive finite states (min > 0 fails on NaN, a finite max bounds it)
+    snaps, shape = traj.snapshots, rc.background.grid.shape
+    K = len(snaps) if snaps.ndim else 0
+    if K < 1 or snaps.shape != (K, *shape):
+        raise ConfigError(f"{path}: snapshots of shape {snaps.shape} are not records"
+                          f" on the {shape} grid")
+    short = [k for k, v in (("vol_pre", traj.vol_pre),
+                            *((f"col_{c}", traj.columns[c]) for c in RECORD_COLUMNS))
+             if v.shape != (K,)]
+    if short:
+        raise ConfigError(f"{path}: {', '.join(short)} not of shape ({K},)")
+    if not (snaps.min() > 0.0 and math.isfinite(snaps.max())):
+        raise ConfigError(f"{path}: a snapshot value is not positive and finite")
     return traj, cfg
 
 
@@ -331,6 +346,11 @@ def cmd_sweep(args) -> int:
         if not isinstance(runs, list):
             raise ConfigError(f"'runs' must be a JSON list, got {runs!r}")
         ids = [_object(r, "each entry of 'runs'")["id"] for r in runs]
+        for rid in ids:  # each id names its run's directory under the output root
+            if not isinstance(rid, str) or rid in ("", ".", "..") or any(
+                    sep in rid for sep in ("/", os.sep, os.altsep) if sep):
+                raise ConfigError(f"run id {rid!r} must be a non-empty file name other"
+                                  " than '.' or '..', without a path separator")
         if len(set(ids)) != len(ids):
             raise ConfigError("sweep run ids must be unique")
         jobs = args.jobs or _typed(plan.get("jobs", 1), int, "jobs")

@@ -9,16 +9,16 @@ Both are integrated by the method of lines with explicit Euler or classical
 RK4, with the nonlocal mean A recomputed at every internal stage so that the
 quadrature-exact volume stationarity is preserved at scheme order.
 
-Per-step work of ``run``: one evaluation of the curvature, f(S) and A at
-the current state (``_Kernel.probe``) serves the stop tests, the step size
-and, unchanged, the first RK4 stage; ``advance`` adds the other three, so
-an RK4 step costs four right-hand-side evaluations (Euler: one).  Logged
+Per-step work of ``run``: ``_Kernel.evaluate`` turns a state into its
+curvature S, volume weight, curvature range and f(S).  The evaluation of
+the current state plus its mean A serves the stop tests, the step size and,
+unchanged, the first RK4 stage; ``advance`` adds three ``rhs`` calls, each
+one evaluation, so an RK4 step costs four evaluations (Euler: one).  Logged
 and terminal steps only store their state; ``_Kernel.columns`` builds the
 diagnostics columns (sigma, vol, the curvature norms, ...) from the logged
 states after the loop with ``conformal.Records``, the theorem checks'
-evaluator.  The single-state entry points ``rhs_normalized``, ``stable_dt``
-and ``step`` run the same ``_Kernel`` on one ``ConformalState``; the
-benchmark's kernel microbench times them.
+evaluator.  ``rhs_normalized``, ``stable_dt``, ``step`` and the
+linearizations run the same evaluation, checked, on one state.
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -39,7 +39,6 @@ rescaling factor.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -192,34 +191,20 @@ def _mean(v: np.ndarray):
     return _sum(v, None) / v.size
 
 
-class _Probe(NamedTuple):
-    """What every step of a run needs from its current state.
-
-    ``phi`` is f(S), ``A`` its volume-weighted mean and ``dev`` f(S) - A;
-    outside f's domain ``phi`` and ``dev`` are None and ``A`` and
-    ``fSA_sup`` are NaN.  ``wm`` is the mean volume weight (the volume).
-    """
-
-    S: np.ndarray
-    wm: float
-    phi: np.ndarray | None
-    dev: np.ndarray | None
-    A: float
-    fSA_sup: float
-    Smin: float
-    Smax: float
-    umin: float
-    umax: float
+def _mean_f(phi: np.ndarray, w: np.ndarray) -> float:
+    """A, the mean of f(S) = phi weighted by the volume weight w."""
+    return float(_mean(phi * w) / _mean(w))
 
 
 class _Kernel:
-    """Raw-array right-hand-side evaluations shared by one run.
+    """Raw-array evaluations of states shared by one run.
 
-    Per RK4 step ``run`` makes four rhs evaluations: ``probe`` of the current
-    state, whose f(S) - A (or f(S)) gives the first stage ``rate(p, u)`` bit
-    for bit, and three ``rhs`` calls in ``advance``.  ``columns`` builds the
-    diagnostics columns of a stack of logged states, one block of records
-    at a time, for ``run``.  What does not depend on the state is bound once.
+    ``evaluate`` is the only code that turns a state into S, w, Smin, Smax
+    and f(S).  Per RK4 step ``run`` evaluates the current state, whose
+    f(S) - A (or f(S)) is the first stage's factor, and ``advance`` makes
+    three ``rhs`` calls.  ``columns`` builds the diagnostics columns of a
+    stack of logged states, one block of records at a time.  What does not
+    depend on the state is bound once.
     """
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
@@ -240,27 +225,30 @@ class _Kernel:
         vol = float(_mean(power(u, self.m)))
         return vol ** (-1.0 / self.m), vol
 
-    def mean_f(self, phi: np.ndarray, w: np.ndarray, wm: float) -> float:
-        """A, the mean of phi weighted by w; wm is the mean of w."""
-        return float(_mean(phi * w) / wm)
-
-    def rate(self, p: _Probe, u: np.ndarray) -> np.ndarray:
-        """rhs(u) from the probe ``p`` of u, bit for bit."""
-        return self.pref * (p.dev if self.normalized else p.phi) * u
+    def evaluate(self, u: np.ndarray, with_weight: bool = True, checked: bool = False):
+        """``(S, w, Smin, Smax, phi)`` of u: its curvature S, volume weight w
+        (None without ``with_weight``), the range of S and f(S) (None
+        outside f's domain).  A ``checked`` evaluation raises instead:
+        PositivityError for a nonpositive u, then ``require_f_domain``'s
+        verdict on the range (FloatingPointError when it is non-finite)."""
+        if checked and _min(u, None) <= 0.0:
+            raise PositivityError("state outside positive cone")
+        sw = scalar_curvature_values(self.bg, u, with_weight)
+        S, w = sw if with_weight else (sw, None)
+        Smin, Smax = float(_min(S, None)), float(_max(S, None))
+        # only a finite range lies inside a domain
+        if self.f.domain.contains_interval(Smin, Smax):
+            return S, w, Smin, Smax, self.eval_f(S)
+        if checked:
+            require_f_domain(self.f, Smin, Smax)
+        return S, w, Smin, Smax, None
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
-        if _min(u, None) <= 0.0:
-            raise PositivityError("state outside positive cone")
-        if self.normalized:
-            S, w = scalar_curvature_values(self.bg, u, with_weight=True)
-        else:
-            S = scalar_curvature_values(self.bg, u)
-        require_f_domain(self.f, float(_min(S, None)), float(_max(S, None)))
-        phi = self.eval_f(S)
+        S, w, _, _, phi = self.evaluate(u, self.normalized, checked=True)
         if not self.normalized:
             return self.pref * phi * u
-        return self.pref * (phi - self.mean_f(phi, w, _mean(w))) * u
+        return self.pref * (phi - _mean_f(phi, w)) * u
 
     def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
         """One Euler or RK4 step from u; k1 must be rhs(u)."""
@@ -277,20 +265,6 @@ class _Kernel:
             raise ParabolicityError("parabolicity lost: f' >= 0 on the attained S range")
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
         return safety * self.hmin2 / (self.two_d * float(_max(kappa, None)))
-
-    def probe(self, u: np.ndarray, umin: float, umax: float) -> _Probe:
-        """The probe of u; ``run`` carries u's extremes from the step that made u."""
-        S, w = scalar_curvature_values(self.bg, u, with_weight=True)
-        wm = float(_mean(w))
-        Smin, Smax = float(_min(S, None)), float(_max(S, None))
-        if self.f.domain.contains_interval(Smin, Smax):
-            phi = self.eval_f(S)
-            A = self.mean_f(phi, w, wm)
-            dev = phi - A
-            fsa = float(_max(np.abs(dev), None))
-        else:
-            phi, dev, A, fsa = None, None, math.nan, math.nan
-        return _Probe(S, wm, phi, dev, A, fsa, Smin, Smax, umin, umax)
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
@@ -338,9 +312,7 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     """
     kern = _Kernel(bg, f, normalized=True)
     u = state.u.values
-    S = scalar_curvature_values(bg, u)
-    require_f_domain(f, float(_min(S, None)), float(_max(S, None)))
-    return kern.stable_dt(u, S, safety)
+    return kern.stable_dt(u, kern.evaluate(u, with_weight=False, checked=True)[0], safety)
 
 
 def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
@@ -366,16 +338,12 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 
 def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
     """The kernel, S, the volume weight w, L(h), f(S), f'(S) and DF(u)h, the
-    derivative of u -> f(S)*u applied to h, at a positive u whose curvature
-    lies in f's domain."""
+    derivative of u -> f(S)*u applied to h, from the checked evaluation of u."""
     kern = _Kernel(bg, f, normalized=False)
     uv, hv = u.values, h.values
-    if uv.min() <= 0.0:
-        raise PositivityError("state outside positive cone")
-    S, w = scalar_curvature_values(bg, uv, with_weight=True)
-    require_f_domain(f, float(_min(S, None)), float(_max(S, None)))
+    S, w, _, _, phi = kern.evaluate(uv, checked=True)
     Lh = conformal_laplacian_values(bg, hv)
-    phi, fp = f.eval_f(S), f.eval_fp(S)
+    fp = kern.eval_fp(S)
     DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
     return kern, S, w, Lh, phi, fp, DF
 
@@ -399,7 +367,7 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     uv, hv = u.values, h.values
     dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
     wm = float(w.mean())
-    A = kern.mean_f(phi, w, wm)
+    A = _mean_f(phi, w)
     dA = float((fp * dS * w).mean()) / wm \
         + kern.m * float(((phi - A) * hv / uv * w).mean()) / wm
     return ScalarField(bg.grid, DF - A * hv - dA * uv)
@@ -451,33 +419,38 @@ def run(config: RunConfig) -> Trajectory:
     termination = None
     notes = ""
 
-    def log_state(p):
+    def log_state(w):
         nonlocal logged_idx
         times.append(t)
         dts.append(dt_used)
         snaps.extend(u.data)
         # with renormalization on this is the volume before the correction
         # that produced the state; otherwise the drift lives in vol itself
-        vol_pre.append(last_pre if config.renormalize_volume else p.wm)
+        vol_pre.append(last_pre if config.renormalize_volume else float(_mean(w)))
         logged_idx = step_idx
 
     while True:
-        p = kern.probe(u, umin, umax)
+        S, w, Smin, Smax, phi = kern.evaluate(u)
+        # the first stage's factor: f(S) - A, or f(S) when not normalized
+        A, factor = math.nan, None
+        if phi is not None:
+            A = _mean_f(phi, w)
+            factor = phi - A if config.normalized else phi
 
-        if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(p.A):
+        if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(A):
             d = t - prev_t
             prev_eta = eta
-            eta += 0.5 * (prev_A + p.A) * d
+            eta += 0.5 * (prev_A + A) * d
             tau += 0.5 * (math.exp(-alpha * prev_eta) + math.exp(-alpha * eta)) * d
-        prev_t, prev_A = t, p.A
+        prev_t, prev_A = t, A
 
-        if p.umin <= POSITIVITY_FLOOR:
+        if umin <= POSITIVITY_FLOOR:
             termination = "positivity_lost"
-        elif p.umax > BLOWUP_SUP or max(abs(p.Smin), abs(p.Smax)) > BLOWUP_SUP:
+        elif umax > BLOWUP_SUP or max(abs(Smin), abs(Smax)) > BLOWUP_SUP:
             termination = "blowup"
-        elif p.phi is None:
+        elif factor is None:
             termination = "f_domain_violation"
-        elif config.normalized and p.fSA_sup <= config.stop_tol:
+        elif config.normalized and float(_max(np.abs(factor), None)) <= config.stop_tol:
             termination = "stationary"
         elif t >= config.T_final - 1e-14:
             termination = "time_reached"
@@ -489,7 +462,7 @@ def run(config: RunConfig) -> Trajectory:
             notes = f"stopped after {step_idx} steps at t={t:g}"
 
         if termination is not None or step_idx % config.log_cadence == 0:
-            log_state(p)
+            log_state(w)
         if termination is not None:
             break
 
@@ -497,15 +470,15 @@ def run(config: RunConfig) -> Trajectory:
             if config.dt_policy.mode == "fixed":
                 dt = config.dt_policy.dt
             else:
-                dt = kern.stable_dt(u, p.S, config.dt_policy.safety)
+                dt = kern.stable_dt(u, S, config.dt_policy.safety)
             # land exactly on the horizon: clip the step, and absorb a
             # near-exact hit instead of leaving a sliver interval
             remaining = config.T_final - t
             if remaining <= 1.05 * dt:
                 dt = remaining
-            # the probe passed the positivity and domain tests, so its f(S)
-            # and A give the first stage exactly as rhs(u) would
-            u_new = kern.advance(u, dt, config.scheme, kern.rate(p, u))
+            # u passed the positivity and domain tests, so its f(S) and A
+            # give the first stage exactly as rhs(u) would
+            u_new = kern.advance(u, dt, config.scheme, kern.pref * factor * u)
             # never accept (or log) a state at or under the positivity floor,
             # nor a non-finite one (NaN fails every comparison)
             umin, umax = float(_min(u_new, None)), float(_max(u_new, None))
@@ -526,7 +499,7 @@ def run(config: RunConfig) -> Trajectory:
             notes = str(exc)
         if termination is not None:
             if logged_idx != step_idx:
-                log_state(p)
+                log_state(w)
             break
 
         if config.renormalize_volume:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import io
 import json
 import math
 import os
@@ -664,10 +665,17 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     ("jobs", 2.5),
     ("jobs", True),
     ("config", {"f": {"name": "classical"}}),
+    ("id", "../escaped"),
+    ("id", ""),
+    ("id", "a/b"),
+    ("id", "."),
+    ("id", ".."),
 ])
 def test_sweep_malformed_plan_is_one_line_exit_1(tmp_path, capsys, key, value):
+    # a run id names a directory under the output root: one that is not a
+    # plain file name would write outside it or into the root itself
     plan = json.loads(sweep_plan(tmp_path).read_text())
-    if key in ("overrides", "config"):  # run keys; 'config' is no longer one
+    if key in ("overrides", "config", "id"):  # run keys; 'config' is no longer one
         plan["runs"][1][key] = value
     else:
         plan[key] = value
@@ -680,14 +688,42 @@ def test_sweep_malformed_plan_is_one_line_exit_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "s").exists()
 
 
+def rewritten(change):
+    """A corruption that rewrites trajectory.npz with ``change`` applied to
+    its dict of members."""
+    def corrupt(raw):
+        with np.load(io.BytesIO(raw)) as data:
+            members = {k: data[k].copy() for k in data.files}
+        change(members)
+        buf = io.BytesIO()
+        np.savez(buf, **members)
+        return buf.getvalue()
+    return corrupt
+
+
+def _set_value(members, index, value):
+    members["snapshots"][index] = value
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda raw: b"not a trajectory\n" * 4,
     lambda raw: raw[: len(raw) // 2],
     lambda raw: b"",
     lambda raw: raw[:60] + bytes(b ^ 0xFF for b in raw[60:120]) + raw[120:],
-], ids=["garbage", "truncated", "empty", "damaged"])
+    rewritten(lambda m: m.update(snapshots=m["snapshots"][:, :16])),
+    rewritten(lambda m: m.update(col_t=m["col_t"][:-2])),
+    rewritten(lambda m: m.update({k: np.empty(0) for k in m})),
+    rewritten(lambda m: _set_value(m, (1, 3), np.nan)),
+    rewritten(lambda m: _set_value(m, (-1, 5), -1.0)),
+    rewritten(lambda m: m.update(snapshots=m["snapshots"][0])),
+    rewritten(lambda m: m.update(vol_pre=m["vol_pre"][:1])),
+], ids=["garbage", "truncated", "empty", "damaged", "cut-grid", "short-column",
+        "empty-members", "nan-value", "negative-value", "one-1d-record", "short-vol_pre"])
 def test_verify_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys, corrupt):
-    cfg = write_cfg(tmp_path, base_config(T_final=0.05))
+    # a trajectory.npz that is unreadable, or whose arrays contradict the
+    # grid or each other, ends `verify` in one line before any check runs
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05, dt={"policy": "fixed", "dt": 1e-3},
+                                          log_cadence=7))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     npz = out / "trajectory.npz"
@@ -698,3 +734,20 @@ def test_verify_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys, corrupt)
     assert err.startswith("verify:") and "trajectory.npz" in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "report.json").exists()
+
+
+def test_compare_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys):
+    # a stored snapshot stack of one 1-D record is not a trajectory on the
+    # grid, so the shift comparison never reads it
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05, dt={"policy": "fixed", "dt": 1e-3}))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    npz = outs[1] / "trajectory.npz"
+    npz.write_bytes(rewritten(lambda m: m.update(snapshots=m["snapshots"][0]))(npz.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["compare", *map(str, outs), "--mode", "shift"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("compare:") and "trajectory.npz" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

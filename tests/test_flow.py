@@ -239,6 +239,42 @@ def test_step_domain_guard():
         step(bg, st, power_law(1.5), 1e-4)
 
 
+SINGLE_STATE_ENTRY_POINTS = {
+    "rhs": lambda bg, u, h, f: flow._Kernel(bg, f, normalized=True).rhs(u),
+    "stable_dt": lambda bg, u, h, f: stable_dt(bg, ConformalState(ScalarField(bg.grid, u)), f),
+    "frechet": lambda bg, u, h, f: frechet_apply(bg, ScalarField(bg.grid, u), h, f),
+    "frechet_normalized": lambda bg, u, h, f: frechet_normalized_apply(
+        bg, ScalarField(bg.grid, u), h, f),
+}
+
+
+@pytest.mark.parametrize("case,error", [
+    ("out_of_domain", FDomainError),
+    ("non_finite", FloatingPointError),
+    ("nonpositive", PositivityError),
+])
+@pytest.mark.parametrize("entry", sorted(SINGLE_STATE_ENTRY_POINTS))
+def test_single_state_entry_points_keep_their_error_verdicts(entry, case, error):
+    # the single-state entry points share the run's checked evaluation: on a
+    # negative background S < 0 leaves the domain of f = x^1.5, u = 1e-120
+    # underflows u^beta so S = -inf, and a raw state with a negative node
+    # is outside the positive cone (stable_dt takes a ConformalState, which
+    # cannot be nonpositive)
+    if entry == "stable_dt" and case == "nonpositive":
+        pytest.skip("a ConformalState is positive by construction")
+    g, bg, f, _ = neg_setup(N=32)
+    h = ScalarField(g, np.cos(g.axis_coordinates(0)))
+    u = np.ones(g.shape)
+    if case == "out_of_domain":
+        f = power_law(1.5)
+    elif case == "non_finite":
+        u = np.full(g.shape, 1e-120)
+    else:
+        u[7] = -0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), pytest.raises(error):
+        SINGLE_STATE_ENTRY_POINTS[entry](bg, u, h, f)
+
+
 def renormalize_volume(state):
     """The run's volume renormalization applied to one state."""
     g = state.u.grid
@@ -459,6 +495,12 @@ def test_fixed_dt_policy_needs_finite_positive_dt(dt):
         DtPolicy.fixed(dt)
 
 
+def first_stage(kern, u):
+    """The run loop's first RK stage from the evaluation of u and its mean A."""
+    _, w, _, _, phi = kern.evaluate(u)
+    return kern.pref * (phi - flow._mean_f(phi, w) if kern.normalized else phi) * u
+
+
 def test_kernel_mean_is_numpy_mean_bitwise():
     rng = np.random.default_rng(3)
     for shape in [(7,), (128,), (1000,), (16, 24), (8, 10, 12)]:
@@ -506,14 +548,15 @@ def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
         return reference.flow_rhs(bg, f, v, normalized)
 
     assert np.array_equal(kern.rhs(u), rhs(u))
-    p, ref = kern.probe(u, float(u.min()), float(u.max())), reference.flow_terms(bg, f, u)
-    for key in ("S", "phi"):
-        assert np.array_equal(getattr(p, key), ref[key]), key
-    assert np.array_equal(p.dev, ref["phi"] - ref["A"])
-    assert (p.wm, p.A, p.fSA_sup) == (ref["wm"], ref["A"], ref["fSA_sup"])
-    assert (p.Smin, p.Smax) == (ref["S"].min(), ref["S"].max())
-    assert np.array_equal(kern.rate(p, u), rhs(u))
-    dt = kern.stable_dt(u, p.S, 0.8)
+    (S, w, Smin, Smax, phi), ref = kern.evaluate(u), reference.flow_terms(bg, f, u)
+    assert np.array_equal(S, ref["S"]) and np.array_equal(phi, ref["phi"])
+    A = flow._mean_f(phi, w)
+    assert np.array_equal(phi - A, ref["phi"] - ref["A"])
+    assert (float(w.mean()), A, float(np.abs(phi - A).max())) == (
+        ref["wm"], ref["A"], ref["fSA_sup"])
+    assert (Smin, Smax) == (ref["S"].min(), ref["S"].max())
+    assert np.array_equal(first_stage(kern, u), rhs(u))
+    dt = kern.stable_dt(u, S, 0.8)
     assert dt == reference.flow_stable_dt(bg, f, u, 0.8)
     stepped = kern.advance(u, dt, "rk4", kern.rhs(u))
     assert np.array_equal(stepped, reference.rk4_step(rhs, u, dt))
@@ -542,24 +585,44 @@ def test_scaled_extremes_are_the_extremes_scaled():
     ("rk4", True), ("euler", True), ("rk4", False)], ids=["rk4", "euler", "rk4-plain"])
 def test_run_carries_exact_extremes_into_every_probe(monkeypatch, scheme, normalized):
     # series.csv does not log the probe's umin/umax, so no golden digest
-    # would catch a carried extreme that differs from a fresh reduction
+    # would catch a carried extreme that differs from a fresh reduction:
+    # run carries min(u_new) * scale and max(u_new) * scale from each step
+    # (unscaled without renormalization) into the next state's probe
     g = grid1d(N=32)
     cfg = RunConfig(background=Background(field_from_spec(g, NEG_BG)),
                     f=classical(), u0=field_from_spec(g, "sinusoidal:1.0,0.3,0"),
                     T_final=0.3, scheme=scheme, normalized=normalized,
                     renormalize_volume=normalized)
-    seen = []
-    probe = flow._Kernel.probe
+    events = []
+    Kernel = flow._Kernel
+    evaluate, advance, unit_scale = Kernel.evaluate, Kernel.advance, Kernel.unit_scale
 
-    def checked(self, u, umin, umax):
-        seen.append((umin, umax, float(u.min()), float(u.max())))
-        return probe(self, u, umin, umax)
+    def recorded(name, method, extremes):
+        def wrapper(self, u, *args, **kwargs):
+            out = method(self, u, *args, **kwargs)
+            events.append((name, extremes(u, out)))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(flow._Kernel, "probe", checked)
+    monkeypatch.setattr(Kernel, "evaluate", recorded(
+        "evaluate", evaluate, lambda u, out: (float(u.min()), float(u.max()))))
+    monkeypatch.setattr(Kernel, "advance", recorded(
+        "advance", advance, lambda u, out: (float(out.min()), float(out.max()))))
+    monkeypatch.setattr(Kernel, "unit_scale", recorded(
+        "scale", unit_scale, lambda u, out: out[0]))
     assert run(cfg).termination == "time_reached"
-    assert len(seen) > 20
-    for umin, umax, fresh_min, fresh_max in seen:
-        assert (umin, umax) == (fresh_min, fresh_max)
+    probes = 0
+    last = None  # (min, max) of the last step's state, scaled when renormalized
+    for name, value in events:
+        if name == "advance":
+            last = value
+        elif name == "scale" and last is not None:
+            last = (last[0] * value, last[1] * value)
+        elif name == "evaluate" and last is not None:
+            # the first evaluation after a step is the probe of its state
+            assert value == last
+            probes, last = probes + 1, None
+    assert probes > 20
 
 
 def stage_failure_config(kind):
@@ -607,12 +670,14 @@ def test_probe_matches_rhs_and_reference_row():
     u = 1.0 + 0.1 * np.cos(g.axis_coordinates(0))
     for normalized in (False, True):
         kern = flow._Kernel(bg, f, normalized=normalized)
-        p = kern.probe(u, float(u.min()), float(u.max()))
-        assert np.array_equal(kern.rate(p, u), kern.rhs(u))
+        assert np.array_equal(first_stage(kern, u), kern.rhs(u))
     cols = kern.columns(u[None], [0.25], [1e-3])
     expected = reference_row(bg, f, u, 0.25, 1e-3)
     assert {key: cols[key][0] for key in RECORD_COLUMNS} == expected
-    assert (p.A, p.fSA_sup, p.wm, p.Smin, p.Smax, p.umin, p.umax) == tuple(
+    _, w, Smin, Smax, phi = kern.evaluate(u)
+    A = flow._mean_f(phi, w)
+    assert (A, float(np.abs(phi - A).max()), float(w.mean()), Smin, Smax,
+            float(u.min()), float(u.max())) == tuple(
         expected[k] for k in ("A", "fSA_sup", "vol", "Smin", "Smax", "umin", "umax"))
 
 

@@ -355,7 +355,8 @@ def test_snapshot_roundtrip(tmp_path, g128):
     back = read_field(path, g128)
     assert np.array_equal(back.values, f.values)
     # header line is self-describing ASCII
-    first = open(path, "rb").readline().decode()
+    with open(path, "rb") as fh:
+        first = fh.readline().decode()
     assert first.startswith("conflow-field v1 n=4 dims=1 shape=128")
 
 
