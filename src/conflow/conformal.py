@@ -179,7 +179,7 @@ class Records:
     def extremes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-record minimum and maximum of a stack."""
         flat = v.reshape(len(v), -1)
-        return flat.min(axis=1), flat.max(axis=1)
+        return np.minimum.reduce(flat, axis=1), np.maximum.reduce(flat, axis=1)
 
     def per_record(self, a: np.ndarray) -> np.ndarray:
         """Per-record scalars shaped to broadcast against the stack."""
@@ -194,8 +194,7 @@ class Records:
 
     @functools.cached_property
     def in_domain(self) -> np.ndarray:
-        return np.array([self.f.domain.contains_interval(lo, hi)
-                         for lo, hi in zip(self.Smin.tolist(), self.Smax.tolist())], dtype=bool)
+        return self.f.domain.contains_interval(self.Smin, self.Smax)
 
     @functools.cached_property
     def phi(self) -> np.ndarray:

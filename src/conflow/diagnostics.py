@@ -23,6 +23,7 @@ record-by-record values.
 import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,13 +77,14 @@ BACKGROUND_CAVEAT = (
 
 @dataclass
 class TheoremReport:
-    id: str
+    # the check's registration (``_check``) stamps id and segment
+    id: str = field(default="", kw_only=True)
     passed: bool | None
     measured: dict = field(default_factory=dict)
     predicted: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     notes: str = ""
-    segment: dict = field(default_factory=dict)
+    segment: dict = field(default_factory=dict, kw_only=True)
 
     def to_dict(self) -> dict:
         def clean(obj):
@@ -115,22 +117,37 @@ def _segment(traj: Trajectory) -> dict:
     }
 
 
-def _inconclusive(check_id, traj, why):
-    return TheoremReport(id=check_id, passed=None, notes=why, segment=_segment(traj))
+def _stamp(report: TheoremReport, report_id: str, traj: Trajectory) -> TheoremReport:
+    report.id, report.segment = report_id, _segment(traj)
+    return report
 
 
-def _normalized_only(check_id):
-    """A checker that reports ``check_id`` inconclusive on a trajectory that
-    is not normalized, and runs the decorated checker otherwise."""
-    def decorate(checker):
+class _Check(NamedTuple):
+    report_id: str
+    checker: str  # the module attribute, looked up when called so a patched one is used
+
+
+# Every check by short name, in definition order (the order help texts list them)
+_CHECKS: dict[str, _Check] = {}
+
+
+def _check(name: str, report_id: str, normalized_only: bool = True):
+    """Register the decorated checker as check ``name``.  Every report it
+    returns carries ``report_id`` and the trajectory's segment; unless
+    ``normalized_only`` is False, a trajectory that is not normalized is
+    reported inconclusive without running the checker."""
+    def register(checker):
         @functools.wraps(checker)
-        def gated(traj):
-            if traj.kind != "normalized":
-                return _inconclusive(check_id, traj,
-                                     f"requires a normalized trajectory, got {traj.kind}")
-            return checker(traj)
-        return gated
-    return decorate
+        def stamped(traj):
+            if normalized_only and traj.kind != "normalized":
+                report = TheoremReport(None, notes="requires a normalized trajectory,"
+                                                   f" got {traj.kind}")
+            else:
+                report = checker(traj)
+            return _stamp(report, report_id, traj)
+        _CHECKS[name] = _Check(report_id, checker.__name__)
+        return stamped
+    return register
 
 
 def _rhs_sup(rec: Records) -> np.ndarray:
@@ -148,7 +165,7 @@ def _rhs_sup(rec: Records) -> np.ndarray:
 # Min/max principle
 # ---------------------------------------------------------------------------
 
-@_normalized_only("minmax_principle")
+@_check("minmax", "minmax_principle")
 def check_minmax_principle(traj: Trajectory) -> TheoremReport:
     """Maximum-principle consequences for the curvature extremes.
 
@@ -185,14 +202,8 @@ def check_minmax_principle(traj: Trajectory) -> TheoremReport:
         checks.append(measured["containment_low_margin"] >= -eta)
         checks.append(measured["containment_high_margin"] >= -eta)
 
-    return TheoremReport(
-        id="minmax_principle",
-        passed=bool(all(checks)) if checks else True,
-        measured=measured,
-        predicted={"initial_range": [s0min, s0max]},
-        tolerances={"eta": eta},
-        segment=_segment(traj),
-    )
+    return TheoremReport(bool(all(checks)) if checks else True, measured,
+                         {"initial_range": [s0min, s0max]}, {"eta": eta})
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +240,7 @@ def fit_decay(traj: Trajectory) -> DecayFit:
                     window=(float(tt[0]), float(tt[-1])), residual=resid, n_points=n_pts)
 
 
-@_normalized_only("exponential_decay")
+@_check("decay", "exponential_decay")
 def compare_decay(traj: Trajectory) -> TheoremReport:
     """Negative case: ||f(S)-A||_inf must decay at least at the predicted
     rate B, under the predicted envelope C * exp(-B t) up to a factor 1.1.
@@ -239,8 +250,8 @@ def compare_decay(traj: Trajectory) -> TheoremReport:
     inconclusive under it."""
     bg, f = traj.config.background, traj.config.f
     if bg.case_tag != "negative":
-        return _inconclusive("exponential_decay", traj,
-                             f"decay prediction needs a negative background, got {bg.case_tag}")
+        return TheoremReport(None, notes="decay prediction needs a negative background,"
+                                         f" got {bg.case_tag}")
     fit = fit_decay(traj)
     B_pred, C_pred = predicted_decay_constants(bg, f)
     t = traj.times
@@ -267,24 +278,21 @@ def compare_decay(traj: Trajectory) -> TheoremReport:
             note = (f"too few points to fit a rate: {fit.n_points} in the window"
                     f" of a {traj.n_records}-record run; "
                     + ("the envelope is exceeded" if over else "inconclusive"))
-            return TheoremReport("exponential_decay", False if over else None, measured,
-                                 predicted, tolerances, note, _segment(traj))
+            return TheoremReport(False if over else None, measured, predicted, tolerances, note)
         note = "series at the stationarity floor; decay holds vacuously"
-        return TheoremReport("exponential_decay", env_margin >= 0.0, measured,
-                             predicted, tolerances, note, _segment(traj))
+        return TheoremReport(env_margin >= 0.0, measured, predicted, tolerances, note)
     if fit.residual > DECAY_RESIDUAL_LIMIT:
-        return TheoremReport("exponential_decay", None, measured, predicted, tolerances,
-                             "fit residual too large; inconclusive", _segment(traj))
+        return TheoremReport(None, measured, predicted, tolerances,
+                             "fit residual too large; inconclusive")
     passed = fit.B_fit >= DECAY_RATE_FRACTION * B_pred and env_margin >= 0.0
-    return TheoremReport("exponential_decay", bool(passed), measured, predicted,
-                         tolerances, "", _segment(traj))
+    return TheoremReport(bool(passed), measured, predicted, tolerances)
 
 
 # ---------------------------------------------------------------------------
 # Conformal factor bounds
 # ---------------------------------------------------------------------------
 
-@_normalized_only("conformal_factor_bounds")
+@_check("u_bounds", "conformal_factor_bounds")
 def check_u_bounds(traj: Trajectory) -> TheoremReport:
     """Case-dependent bounds on the conformal factor.
 
@@ -299,7 +307,6 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
     t = traj.times
     umin = traj.columns["umin"]
     umax = traj.columns["umax"]
-    seg = _segment(traj)
 
     if bg.case_tag == "negative":
         B_pred, C_pred = predicted_decay_constants(bg, f)
@@ -316,9 +323,9 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
         passed = (measured["umin_min"] >= lo - 1e-12
                   and measured["umax_max"] <= hi + 1e-12
                   and measured["dudt_envelope_margin"] >= 0.0)
-        return TheoremReport("conformal_factor_bounds", bool(passed), measured,
+        return TheoremReport(bool(passed), measured,
                              {"band": [lo, hi], "B": B_pred, "C": C_pred, "ctilde": ctilde},
-                             {"envelope_factor": DECAY_ENVELOPE_FACTOR}, "", seg)
+                             {"envelope_factor": DECAY_ENVELOPE_FACTOR})
 
     if bg.case_tag == "flat":
         vol = traj.columns["vol"]
@@ -334,19 +341,15 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
         }
         passed = (measured["ratio_min_margin"] >= -EXACT_TOL
                   and measured["umin_power_margin"] >= -EXACT_TOL)
-        return TheoremReport("conformal_factor_bounds", bool(passed), measured,
-                             {"k": k_const}, {"slack": EXACT_TOL}, "", seg)
+        return TheoremReport(bool(passed), measured, {"k": k_const}, {"slack": EXACT_TOL})
 
     if bg.case_tag == "positive":
         if f.bounded_below is None:
-            return _inconclusive("conformal_factor_bounds", traj,
-                                 "positive-case band needs f bounded below")
+            return TheoremReport(None, notes="positive-case band needs f bounded below")
         if not f.domain.contains(0.0):
-            return _inconclusive("conformal_factor_bounds", traj,
-                                 "positive-case band needs 0 in the domain of f")
+            return TheoremReport(None, notes="positive-case band needs 0 in the domain of f")
         if abs(float(umin[0]) - 1.0) > 1e-9 or abs(float(umax[0]) - 1.0) > 1e-9:
-            return _inconclusive("conformal_factor_bounds", traj,
-                                 "positive-case band assumes u(0) = 1")
+            return TheoremReport(None, notes="positive-case band assumes u(0) = 1")
         rate = pref * (float(f.eval_f(0.0)) - f.bounded_below)
         lo_env = np.exp(-rate * t)
         hi_env = np.exp(rate * t)
@@ -357,11 +360,9 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
         passed = measured["low_margin"] >= -1e-12 and measured["high_margin"] >= -1e-12
         note = ("band rate (n-2)/4 * (f(0) - inf f) follows from the u evolution"
                 " equation; the transposed constant 4/(n-2) is intentionally not used")
-        return TheoremReport("conformal_factor_bounds", bool(passed), measured,
-                             {"rate": rate}, {"slack": 1e-12}, note, seg)
+        return TheoremReport(bool(passed), measured, {"rate": rate}, {"slack": 1e-12}, note)
 
-    return _inconclusive("conformal_factor_bounds", traj,
-                         f"no u-bound is formulated for the {bg.case_tag} case")
+    return TheoremReport(None, notes=f"no u-bound is formulated for the {bg.case_tag} case")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def _truncation_floor(rhs: np.ndarray, t: np.ndarray) -> float:
     return float((dp * dm / 6.0 * np.abs(d2)).max())
 
 
-@_normalized_only("evolution_identities")
+@_check("identities", "evolution_identities")
 def check_evolution_identities(traj: Trajectory) -> TheoremReport:
     """Centered time differences of the logged functionals against their
     analytic rates.
@@ -399,7 +400,7 @@ def check_evolution_identities(traj: Trajectory) -> TheoremReport:
     n = bg.n
     K = traj.n_records
     if K < 3:
-        return _inconclusive("evolution_identities", traj, "need at least 3 records")
+        return TheoremReport(None, notes="need at least 3 records")
     halfn = 0.5 * n
     ps, note = sorted({2.0, halfn}), ""
     if halfn < 2.0:
@@ -425,9 +426,8 @@ def check_evolution_identities(traj: Trajectory) -> TheoremReport:
 
     for sl, rec in Records.blocks(bg, f, traj.snapshots):
         if not rec.in_domain.all():
-            return _inconclusive("evolution_identities", traj,
-                                 f"record {sl.start + int(np.argmin(rec.in_domain))}"
-                                 " leaves the domain of f")
+            return TheoremReport(None, notes=f"record {sl.start + int(np.argmin(rec.in_domain))}"
+                                             " leaves the domain of f")
         S, V, phi, A, dev, per_record = rec.S, rec.vol, rec.phi, rec.A, rec.dev, rec.per_record
         fp = f.eval_fp(S)
         fpp = f.eval_fpp(S)
@@ -493,22 +493,16 @@ def check_evolution_identities(traj: Trajectory) -> TheoremReport:
 
     worst = max(v for k, v in defects.items() if k != "sigma_forms_gap")
     passed = ok and sigma_gap <= 1e-10 * max(1.0, float(np.abs(Q["sigma"]).max()))
-    return TheoremReport(
-        id="evolution_identities",
-        passed=bool(passed),
-        measured=defects,
-        predicted={"worst_defect": worst, "time_resolution_allowance": floors},
-        tolerances={"rel_tol": IDENTITY_REL_TOL, "sigma_forms_gap": 1e-10},
-        notes=note,
-        segment=_segment(traj),
-    )
+    return TheoremReport(bool(passed), defects,
+                         {"worst_defect": worst, "time_resolution_allowance": floors},
+                         {"rel_tol": IDENTITY_REL_TOL, "sigma_forms_gap": 1e-10}, note)
 
 
 # ---------------------------------------------------------------------------
 # L^p monotonicity (positive case)
 # ---------------------------------------------------------------------------
 
-@_normalized_only("lp_monotonicity")
+@_check("lnhalf", "lp_monotonicity")
 def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     """Positive case: the L^(n/2) norm of S never increases, and every
     L^p norm with p <= n/2 stays below the initial L^(n/2) norm.
@@ -516,8 +510,7 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
     The comparison covers p in {1, 2, n/2} restricted to p <= n/2 (at unit
     volume the norms grow with p, so larger p carry no bound)."""
     if float(traj.columns["Smin"].min()) < -EXACT_TOL:
-        return _inconclusive("lp_monotonicity", traj,
-                             "needs nonnegative curvature along the flow")
+        return TheoremReport(None, notes="needs nonnegative curvature along the flow")
     halfn = 0.5 * traj.config.background.n
     norm_half = traj.columns["lpn2"]
     init = float(norm_half[0])
@@ -537,15 +530,14 @@ def check_Lnhalf_monotone(traj: Trajectory) -> TheoremReport:
         margin = float((init + EXACT_TOL - norms[p]).min())
         measured[f"margin_p{p:g}"] = margin
         ok = ok and margin >= 0.0
-    return TheoremReport("lp_monotonicity", bool(ok), measured,
-                         {"bound": init}, {"slack": EXACT_TOL}, "", _segment(traj))
+    return TheoremReport(bool(ok), measured, {"bound": init}, {"slack": EXACT_TOL})
 
 
 # ---------------------------------------------------------------------------
 # Positive-case curvature bounds
 # ---------------------------------------------------------------------------
 
-@_normalized_only("positive_curvature_bounds")
+@_check("positive_bounds", "positive_curvature_bounds")
 def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     """Positive case with f(0) normalized away: S_min stays above the
     envelope S_min(0) * exp(a t), a the running minimum of the shifted mean.
@@ -555,8 +547,7 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     smin = traj.columns["Smin"]
     smax = traj.columns["Smax"]
     if float(smin[0]) <= 0.0:
-        return _inconclusive("positive_curvature_bounds", traj,
-                             "needs strictly positive initial curvature")
+        return TheoremReport(None, notes="needs strictly positive initial curvature")
     f = traj.config.f
     if f.domain.contains(0.0):
         f0 = float(f.eval_f(0.0))
@@ -565,8 +556,7 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
         f0 = float(f.eval_f(1e-12))
         f0_note = "f(0) taken as the boundary limit; "
     else:
-        return _inconclusive("positive_curvature_bounds", traj,
-                             "cannot normalize f at zero: 0 outside its domain")
+        return TheoremReport(None, notes="cannot normalize f at zero: 0 outside its domain")
 
     t = traj.times
     A = traj.columns["A"]
@@ -597,23 +587,23 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
         measured["a_certificate_margin"] = measured["a_observed"] - a_pred + EXACT_TOL
         checks.append(measured["a_certificate_margin"] >= 0.0)
 
-    return TheoremReport("positive_curvature_bounds", bool(all(checks)), measured,
-                         predicted, {"slack": EXACT_TOL}, notes.strip(), _segment(traj))
+    return TheoremReport(bool(all(checks)), measured, predicted, {"slack": EXACT_TOL},
+                         notes.strip())
 
 
 # ---------------------------------------------------------------------------
 # Flat case
 # ---------------------------------------------------------------------------
 
-@_normalized_only("flat_background_identity")
+@_check("flat_identity", "flat_background_identity")
 def check_flat_identity(traj: Trajectory) -> TheoremReport:
     """Flat background: the integral of u^beta * S against the background
     volume vanishes at every state, S_min never exceeds 0, and S_min stays
     above its initial value.  Inconclusive on any other background."""
     bg = traj.config.background
     if bg.case_tag != "flat":
-        return _inconclusive("flat_background_identity", traj,
-                             f"the flat identity needs a flat background, got {bg.case_tag}")
+        return TheoremReport(None, notes="the flat identity needs a flat background,"
+                                         f" got {bg.case_tag}")
     beta = bg.constants.beta
     integrals = np.concatenate([record_means(power(rec.U, beta) * rec.S)
                                 for _, rec in Records.blocks(bg, None, traj.snapshots)])
@@ -627,10 +617,8 @@ def check_flat_identity(traj: Trajectory) -> TheoremReport:
     passed = (worst_integral <= FLAT_INTEGRAL_TOL
               and measured["containment_margin"] >= -MINMAX_BASE_TOL
               and measured["max_of_Smin"] <= FLAT_INTEGRAL_TOL)
-    return TheoremReport("flat_background_identity", bool(passed), measured,
-                         {"integral": 0.0},
-                         {"integral_tol": FLAT_INTEGRAL_TOL, "containment_tol": MINMAX_BASE_TOL},
-                         "", _segment(traj))
+    return TheoremReport(bool(passed), measured, {"integral": 0.0},
+                         {"integral_tol": FLAT_INTEGRAL_TOL, "containment_tol": MINMAX_BASE_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -670,22 +658,23 @@ def compare_rescaled(traj: Trajectory, traj_nn: Trajectory) -> TheoremReport:
     if count < traj.n_records:
         notes = (f"rescaled run covers {count} of {traj.n_records} normalized records"
                  f" (non-normalized run ended with {traj_nn.termination})")
-    return TheoremReport(
-        id="rescale_equivalence",
-        passed=bool(gap <= RESCALE_TOL and count == traj.n_records),
-        measured={"sup_gap": gap, "matched_records": count},
-        predicted={"alpha": traj_nn.config.f.alpha_homogeneous},
-        tolerances={"sup_tol": RESCALE_TOL},
-        notes=notes,
-        segment=_segment(traj),
-    )
+    report = TheoremReport(bool(gap <= RESCALE_TOL and count == traj.n_records),
+                           {"sup_gap": gap, "matched_records": count},
+                           {"alpha": traj_nn.config.f.alpha_homogeneous},
+                           {"sup_tol": RESCALE_TOL}, notes)
+    return _stamp(report, _CHECKS["rescale"].report_id, traj)
 
 
-@_normalized_only("rescale_equivalence")
+@_check("rescale", "rescale_equivalence")
 def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
     """Runs the non-normalized flow of the normalized trajectory's config
     (stopped once its rescaled time covers the trajectory's horizon) and
-    compares it with the trajectory (``compare_rescaled``)."""
+    compares it with the trajectory (``compare_rescaled``).  Inconclusive for
+    an f of no declared homogeneity degree, before any run."""
+    f = traj.config.f
+    if f.alpha_homogeneous is None:
+        return TheoremReport(None, notes="rescale equivalence needs a homogeneous f;"
+                                         f" {f.name} declares no homogeneity degree")
     cfg_nn = replace(
         traj.config,
         normalized=False,
@@ -715,13 +704,13 @@ def _bisect_inverse(f: FSpec, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@_normalized_only("stationary_limit")
+@_check("stationary", "stationary_limit")
 def check_stationary_limit(traj: Trajectory) -> TheoremReport:
     """At a stationary termination the curvature must be constant, equal to
     the preimage of A under f, and negative in the negative case."""
     if traj.termination != "stationary":
-        return _inconclusive("stationary_limit", traj,
-                             f"run terminated with {traj.termination}, not stationary")
+        return TheoremReport(None, notes=f"run terminated with {traj.termination},"
+                                         " not stationary")
     bg, f = traj.config.background, traj.config.f
     rec = Records(bg, f, traj.snapshots[-1:])
     A, sig = float(rec.A[0]), float(rec.mean(rec.S)[0])
@@ -736,23 +725,22 @@ def check_stationary_limit(traj: Trajectory) -> TheoremReport:
         s_star = _bisect_inverse(f, A, lo, hi)
         inv_gap = float(np.abs(rec.S[0] - s_star).max())
     except ValueError as exc:
-        return _inconclusive("stationary_limit", traj, str(exc))
+        return TheoremReport(None, notes=str(exc))
 
     measured = {"S_spread": spread, "max_dev_from_f_inverse": inv_gap,
                 "S_max_final": s_max}
     checks = [spread <= STATIONARY_TOL * max(1.0, abs(sig)), inv_gap <= STATIONARY_TOL]
     if bg.case_tag == "negative":
         checks.append(s_max < 0.0)
-    return TheoremReport("stationary_limit", bool(all(checks)), measured,
-                         {"f_inverse_of_A": s_star, "sigma": sig},
-                         {"spread_tol": STATIONARY_TOL, "inverse_tol": STATIONARY_TOL},
-                         "", _segment(traj))
+    return TheoremReport(bool(all(checks)), measured, {"f_inverse_of_A": s_star, "sigma": sig},
+                         {"spread_tol": STATIONARY_TOL, "inverse_tol": STATIONARY_TOL})
 
 
 # ---------------------------------------------------------------------------
 # Informational series
 # ---------------------------------------------------------------------------
 
+@_check("sobolev_info", "sobolev_integral_info", normalized_only=False)
 def sobolev_program_series(traj: Trajectory) -> TheoremReport:
     """Informational: the running time integral of
     (integral of S^(n^2/(2(n-2))) dVol)^((n-2)/n), logged for positive runs.
@@ -760,40 +748,22 @@ def sobolev_program_series(traj: Trajectory) -> TheoremReport:
     n = traj.config.background.n
     q = n * n / (2.0 * (n - 2.0))
     if float(traj.columns["Smin"].min()) < -EXACT_TOL:
-        return TheoremReport("sobolev_integral_info", None,
-                             notes="skipped: curvature not nonnegative",
-                             segment=_segment(traj))
+        return TheoremReport(None, notes="skipped: curvature not nonnegative")
     # Python float powers, as record by record (numpy's may round differently)
     blocks = Records.blocks(traj.config.background, traj.config.f, traj.snapshots)
     vals = np.array([v ** ((n - 2.0) / n) for _, rec in blocks
                      for v in rec.integral(np.maximum(rec.S, 0.0) ** q).tolist()])
     integral = cumtrapz(vals, traj.times)
-    return TheoremReport("sobolev_integral_info", None,
-                         measured={"final_integral": float(integral[-1]),
-                                   "max_integrand": float(vals.max())},
-                         notes="informational series; no pass/fail",
-                         segment=_segment(traj))
+    return TheoremReport(None, {"final_integral": float(integral[-1]),
+                                "max_integrand": float(vals.max())},
+                         notes="informational series; no pass/fail")
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
-# Every check by short name, in the order help texts list them.  The
-# checkers are looked up when called, so a patched module attribute is used.
-_CHECKERS = {
-    "minmax": lambda traj: check_minmax_principle(traj),
-    "decay": lambda traj: compare_decay(traj),
-    "u_bounds": lambda traj: check_u_bounds(traj),
-    "identities": lambda traj: check_evolution_identities(traj),
-    "lnhalf": lambda traj: check_Lnhalf_monotone(traj),
-    "positive_bounds": lambda traj: check_positive_S_bounds(traj),
-    "flat_identity": lambda traj: check_flat_identity(traj),
-    "rescale": lambda traj: check_rescale_equivalence(traj),
-    "stationary": lambda traj: check_stationary_limit(traj),
-    "sobolev_info": lambda traj: sobolev_program_series(traj),
-}
-CHECK_NAMES = tuple(_CHECKERS)
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def default_checks(case_tag: str) -> list[str]:
@@ -828,8 +798,10 @@ def run_checks(traj: Trajectory, bg: Background, f: FSpec,
                          " config; bg and f must be the trajectory's own")
     reports = []
     for name in names:
+        check = _CHECKS[name]
         try:
-            reports.append(_CHECKERS[name](traj))
+            reports.append(globals()[check.checker](traj))
         except Exception as exc:  # report, never throw
-            reports.append(_inconclusive(name, traj, f"checker could not run: {exc}"))
+            reports.append(_stamp(TheoremReport(None, notes=f"checker could not run: {exc}"),
+                                  check.report_id, traj))
     return reports

@@ -405,6 +405,9 @@ def run(config: RunConfig) -> Trajectory:
     last_pre = kern.unit_scale(u)[1]
 
     track_tau = config.tau_stop is not None
+    # inside the loop only the normalized factor and the tau bookkeeping read
+    # A; the logged A column comes from ``_Kernel.columns``
+    needs_A = config.normalized or track_tau
     alpha = f.alpha_homogeneous
     eta = 0.0
     tau = 0.0
@@ -434,7 +437,8 @@ def run(config: RunConfig) -> Trajectory:
         # the first stage's factor: f(S) - A, or f(S) when not normalized
         A, factor = math.nan, None
         if phi is not None:
-            A = _mean_f(phi, w)
+            if needs_A:
+                A = _mean_f(phi, w)
             factor = phi - A if config.normalized else phi
 
         if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(A):

@@ -59,13 +59,15 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """Whether x lies inside, elementwise for an array x."""
         above = x >= self.lo if (self.closed_lo and math.isfinite(self.lo)) else x > self.lo
         below = x <= self.hi if (self.closed_hi and math.isfinite(self.hi)) else x < self.hi
-        return above and below
+        return above & below
 
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        return self.contains(lo) and self.contains(hi)
+    def contains_interval(self, lo, hi):
+        """Whether [lo, hi] lies inside, elementwise for arrays lo and hi."""
+        return self.contains(lo) & self.contains(hi)
 
     def __str__(self):
         lb = "[" if (self.closed_lo and math.isfinite(self.lo)) else "("

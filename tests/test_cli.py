@@ -145,6 +145,19 @@ def test_verify_misapplied_check_is_inconclusive(tmp_path, capsys):
     assert rep["notes"] == "the flat identity needs a flat background, got negative"
 
 
+def test_verify_rescale_names_its_hypothesis_for_a_non_homogeneous_f(tmp_path, capsys):
+    cfg = base_config(T_final=0.05)
+    cfg["f"] = {"name": "expdecay", "alpha": 1}
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out), "--checks", "rescale,minmax"]) == 0
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert [r["id"] for r in reports] == ["rescale_equivalence", "minmax_principle"]
+    assert reports[0]["passed"] is None
+    assert reports[0]["notes"] == ("rescale equivalence needs a homogeneous f;"
+                                   " expdecay:1 declares no homogeneity degree")
+
+
 def test_verify_flat_identity_on_a_positive_2d_run_is_inconclusive(tmp_path, capsys):
     # 2-D 16x12, n=5 (fractional exponents), positive background
     cfg = {

@@ -20,6 +20,7 @@ from conflow.grid import (
     field_from_spec,
     grad_inner_values,
     laplacian0_values,
+    record_means,
 )
 
 from conftest import TWO_PI, grid1d, smooth_field
@@ -308,3 +309,21 @@ def test_records_match_the_single_record_formulas(grid):
     assert S3.min() < -3.0
     with pytest.raises(FDomainError, match=f"S range \\[{S3.min():g}, {S3.max():g}\\]"):
         rec.phi
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (5, 4, 3), (4, 3, 2, 5)], ids=["1d", "2d", "3d"])
+@np.errstate(invalid="ignore")  # inf - inf in the means
+def test_record_reductions_are_numpys_bit_for_bit(shape):
+    # stacks of 1-, 2- and 3-D records, with NaN and +-inf in some of them
+    rng = np.random.default_rng(len(shape))
+    U = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    flat = U.reshape(len(U), -1)
+    flat[1, 2] = np.nan
+    flat[2, 0] = np.inf
+    flat[3, 1] = -np.inf
+    flat[3, 3] = np.inf
+    lo, hi = Records.extremes(U)
+    for got, want in ((record_means(U), flat.mean(axis=1)),
+                      (lo, flat.min(axis=1)), (hi, flat.max(axis=1))):
+        assert got.tobytes() == want.tobytes()
+    assert record_means(U).tobytes() == np.array([u.mean() for u in U]).tobytes()

@@ -281,7 +281,8 @@ def test_sup_gap_of_the_factors_is_the_gap_of_the_rescaled_stack():
 def test_every_checker_takes_the_trajectory_alone():
     traj, _ = make_run(NEG_BG, classical(), T=0.2, N=32, stop_tol=0.0)
     reports = dg.run_checks(traj, traj.config.background, traj.config.f, list(dg.CHECK_NAMES))
-    for (name, checker), rep in zip(dg._CHECKERS.items(), reports):
+    for (name, check), rep in zip(dg._CHECKS.items(), reports):
+        checker = getattr(dg, check.checker)
         assert repr(checker(traj).to_dict()) == repr(rep.to_dict()), name
 
 
@@ -406,6 +407,19 @@ def test_run_checks_reports_checker_value_error_inconclusive(neg_run, monkeypatc
     reports = dg.run_checks(traj, bg, traj.config.f, ["minmax", "u_bounds"])
     assert reports[0].passed is None and "boom" in reports[0].notes
     assert reports[1].passed is True
+
+
+def test_a_checker_that_raises_is_reported_under_its_registered_id(neg_run, monkeypatch):
+    traj, bg = neg_run
+
+    def broken(traj):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(dg, "check_minmax_principle", broken)
+    [rep] = dg.run_checks(traj, bg, traj.config.f, ["minmax"])
+    assert (rep.id, rep.passed, rep.notes) == ("minmax_principle", None,
+                                               "checker could not run: boom")
+    assert rep.segment == dg._segment(traj)
 
 
 # ---------------------------------------------------------------------------

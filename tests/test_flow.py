@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conflow
-from conflow import flow
+from conflow import cli, flow
 from conflow.conformal import (
     Background,
     ConformalState,
@@ -874,6 +876,30 @@ def test_tau_stop_terminates_early():
     assert traj.termination == "time_reached"
     assert "tau" in traj.notes
     assert traj.times[-1] < 1e6
+
+
+def test_only_a_normalized_or_tau_stopped_run_takes_the_mean_A(monkeypatch):
+    # inside the loop of a non-normalized run only the rescaled time reads
+    # A; the logged A column comes from the columns pass
+    means = []
+    mean_f = flow._mean_f
+
+    def counting(phi, w):
+        means.append(1)
+        return mean_f(phi, w)
+
+    monkeypatch.setattr(flow, "_mean_f", counting)
+    path = Path(__file__).resolve().parent.parent / "configs" / "compare_nonnormalized.json"
+    cfg = json.loads(path.read_text())
+    cfg["time"]["T_final"] = 0.05
+    config = cli.build_run_config(cfg, path.parent)
+    traj = run(config)
+    assert traj.n_records > 2 and np.isfinite(traj.columns["A"]).all()
+    assert means == []
+    # a tau-stopped run logs every state it probes, one mean each
+    traj = run(dataclasses.replace(config, T_final=1e6, tau_stop=0.05))
+    assert "tau" in traj.notes
+    assert len(means) == traj.n_records
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,25 @@ def test_interval_containment():
         Interval(2.0, 1.0)
 
 
+DOMAINS = ([f.domain for f in ALL_BUILTINS]
+           + [from_config({"name": "table", "x": [0, 1, 2], "f": [3, 2, 1]}).domain]
+           + [Interval(-1.0, 2.0, closed_lo=lo, closed_hi=hi)
+              for lo in (True, False) for hi in (True, False)])
+
+
+@pytest.mark.parametrize("iv", DOMAINS, ids=str)
+def test_interval_answers_an_array_as_each_element(iv):
+    # at, inside and outside each finite endpoint, far out, +-inf and NaN
+    ends = [e for e in (iv.lo, iv.hi) if math.isfinite(e)]
+    xs = np.array([e + d for e in ends for d in (-0.5, 0.0, 0.5)]
+                  + [np.nextafter(e, s) for e in ends for s in (-np.inf, np.inf)]
+                  + [0.0, -1e300, 1e300, -np.inf, np.inf, np.nan])
+    assert iv.contains(xs).tolist() == [iv.contains(x) for x in xs.tolist()]
+    lo, hi = (a.ravel() for a in np.meshgrid(xs, xs))
+    assert (iv.contains_interval(lo, hi).tolist()
+            == [iv.contains_interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
 def test_power_one_matches_classical_on_positives():
     f1, fk = classical(), power_law(1.0)
     xs = np.linspace(0.0, 10.0, 50)
