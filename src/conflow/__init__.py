@@ -7,7 +7,6 @@ evolution identities and quantitative bounds at desk scale.
 
 from .conformal import Background, ConformalState, Constants, FDomainError
 from .flow import (
-    DtPolicy,
     ParabolicityError,
     RunConfig,
     Trajectory,

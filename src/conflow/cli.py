@@ -30,7 +30,7 @@ import numpy as np
 
 from . import diagnostics, fzoo
 from .conformal import Background
-from .flow import RECORD_COLUMNS, DtPolicy, RunConfig, Trajectory, run
+from .flow import RECORD_COLUMNS, RunConfig, Trajectory, run
 from .grid import GridSpec, ScalarField, field_from_spec, write_field
 
 _RUN_OK = ("time_reached", "stationary")
@@ -112,18 +112,20 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         tcfg = _object(cfg.get("time", {}), "'time'")
         dt_cfg = _object(tcfg.get("dt", {"policy": "adaptive"}), "'time.dt'")
         mode = dt_cfg.get("policy", "adaptive")
+        step = {}  # an unstated safety is RunConfig's default
         if mode == "fixed":
-            policy = DtPolicy.fixed(_typed(dt_cfg["dt"], float, "time.dt.dt"))
-        else:  # DtPolicy rejects a mode that is neither
-            safety = _typed(dt_cfg.get("safety", 0.8), float, "time.dt.safety")
-            policy = DtPolicy(mode, safety=float(safety))
+            step["dt"] = float(_typed(dt_cfg["dt"], float, "time.dt.dt"))
+        elif mode != "adaptive":
+            raise ConfigError(f"'time.dt.policy' must be 'fixed' or 'adaptive', got {mode!r}")
+        elif "safety" in dt_cfg:
+            step["safety"] = float(_typed(dt_cfg["safety"], float, "time.dt.safety"))
         normalized = _typed(tcfg.get("normalized", True), bool, "time.normalized")
         return RunConfig(
             background=bg,
             f=f,
             u0=u0,
             T_final=float(_typed(tcfg.get("T_final", 1.0), float, "time.T_final")),
-            dt_policy=policy,
+            **step,
             stop_tol=float(_typed(tcfg.get("stop_tol", 1e-8), float, "time.stop_tol")),
             renormalize_volume=_typed(tcfg.get("renormalize_volume", normalized), bool,
                                       "time.renormalize_volume"),
@@ -309,9 +311,9 @@ def cmd_verify(args) -> int:
 def _sweep_worker(payload) -> tuple[str, str, str, int, float, float]:
     """Run one sweep member; its aggregate row (id, case, termination, exit,
     B_pred, B_fit)."""
-    run_id, cfg, out_dir = payload
+    run_id, cfg, out_dir, seed = payload
     try:
-        rc = build_run_config(cfg, Path(out_dir))
+        rc = build_run_config(cfg, Path(out_dir), seed=seed)
     except ConfigError as exc:
         return run_id, "invalid", f"config error: {exc}", 1, math.nan, math.nan
     traj = run(rc)
@@ -364,7 +366,7 @@ def cmd_sweep(args) -> int:
             overrides = _object(spec.get("overrides", {}), f"run {spec['id']!r}'s overrides")
             payloads.append((spec["id"], resolve_config_paths(_merge(base, overrides),
                                                               plan_path.parent),
-                             str(out_root / spec["id"])))
+                             str(out_root / spec["id"]), args.seed))
     except (ConfigError, KeyError, TypeError) as exc:  # TypeError: a non-string path
         print(f"sweep: {exc}", file=sys.stderr)
         return 1

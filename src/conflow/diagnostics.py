@@ -87,16 +87,7 @@ class TheoremReport:
     segment: dict = field(default_factory=dict, kw_only=True)
 
     def to_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, (np.generic, np.ndarray)):
-                return obj.tolist()
-            return obj
-
-        return clean(asdict(self))
+        return asdict(self)
 
 
 @dataclass

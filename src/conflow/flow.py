@@ -11,13 +11,15 @@ quadrature-exact volume stationarity is preserved at scheme order.
 
 Per-step work of ``run``: ``_Kernel.evaluate`` turns a state into its
 curvature S, volume weight, curvature range and f(S).  The evaluation of
-the current state plus its mean A serves the stop tests, the step size and,
-unchanged, the first RK4 stage; ``advance`` adds three ``rhs`` calls, each
-one evaluation, so an RK4 step costs four evaluations (Euler: one).  Logged
-and terminal steps only store their state; ``_Kernel.columns`` builds the
-diagnostics columns (sigma, vol, the curvature norms, ...) from the logged
-states after the loop with ``conformal.Records``, the theorem checks'
-evaluator.  ``rhs_normalized``, ``stable_dt``, ``step`` and the
+the current state, with its volume weight and mean A only where A is read,
+serves the stop tests, the step size and, unchanged, the first RK4 stage;
+``advance`` adds three ``rhs`` calls, each one evaluation, so an RK4 step
+costs four evaluations (Euler: one).  A logged step stores only its state,
+plus its pre-correction volume when the run renormalizes; without
+renormalization ``vol_pre`` is the ``vol`` column.  ``_Kernel.columns``
+builds the diagnostics columns (sigma, vol, the curvature norms, ...) from
+the logged states after the loop with ``conformal.Records``, the theorem
+checks' evaluator.  ``rhs_normalized``, ``stable_dt``, ``step`` and the
 linearizations run the same evaluation, checked, on one state.
 
 Stability control: the principal part of the linearized right-hand side is a
@@ -25,7 +27,7 @@ diffusion with state-dependent coefficient
 
     kappa(x) = (n-1) * |f'(S)| * u**(1-beta),
 
-so the adaptive policy takes dt = safety * h_min**2 / (2 * d * max kappa)
+so a run without a fixed dt takes dt = safety * h_min**2 / (2 * d * max kappa)
 with d active spatial dimensions (the forward-Euler diffusion limit; RK4 has
 a slightly larger real-axis stability interval and is run at the same dt).
 
@@ -55,7 +57,6 @@ from .fzoo import FSpec, homogeneity_check
 from .grid import PositivityError, ScalarField, power
 
 __all__ = [
-    "DtPolicy",
     "RunConfig",
     "Trajectory",
     "ParabolicityError",
@@ -87,35 +88,16 @@ class ParabolicityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DtPolicy:
-    mode: str
-    dt: float = 0.0
-    safety: float = 0.8
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"dt policy must be 'fixed' or 'adaptive', got {self.mode!r}")
-        if self.mode == "fixed" and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"fixed dt policy needs a finite dt > 0, got {self.dt!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-
-    @classmethod
-    def fixed(cls, dt: float) -> "DtPolicy":
-        return cls(mode="fixed", dt=float(dt))
-
-    @classmethod
-    def adaptive(cls, safety: float = 0.8) -> "DtPolicy":
-        return cls(mode="adaptive", safety=float(safety))
-
-
-@dataclass(frozen=True)
 class RunConfig:
+    """A run's settings.  ``dt`` is a fixed step; None takes the adaptive
+    step, ``safety`` times the stability limit."""
+
     background: Background
     f: FSpec
     u0: ScalarField
     T_final: float
-    dt_policy: DtPolicy = DtPolicy.adaptive()
+    dt: float | None = None
+    safety: float = 0.8
     stop_tol: float = 1e-8
     renormalize_volume: bool = True
     log_cadence: int = 10
@@ -126,6 +108,10 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.T_final) and self.T_final > 0.0):
             raise ValueError(f"T_final must be positive and finite, got {self.T_final!r}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"fixed dt policy needs a finite dt > 0, got {self.dt!r}")
+        if not 0.0 < self.safety <= 1.0:
+            raise ValueError("safety must lie in (0, 1]")
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
             raise ValueError(f"stop_tol must be nonnegative and finite, got {self.stop_tol!r}")
         if self.scheme not in ("euler", "rk4"):
@@ -158,7 +144,7 @@ class Trajectory:
     and every logged state is positive.  ``vol_pre`` keeps the conservation
     defect measurable: the pre-correction volume when renormalization is
     on (``vol_pre[0]`` is the volume after the initial renormalization, so
-    the drift is the steps'), the plain volume otherwise.
+    the drift is the steps'), the ``vol`` column otherwise.
     """
 
     config: RunConfig
@@ -403,10 +389,12 @@ def run(config: RunConfig) -> Trajectory:
     # the logged states' bytes go into one buffer: the stack is held once
     times, dts, vol_pre, snaps = [], [], [], bytearray()
     last_pre = kern.unit_scale(u)[1]
+    fixed_dt, safety = config.dt, config.safety
 
     track_tau = config.tau_stop is not None
     # inside the loop only the normalized factor and the tau bookkeeping read
-    # A; the logged A column comes from ``_Kernel.columns``
+    # A, and only A reads the volume weight; the logged A and vol columns
+    # come from ``_Kernel.columns``
     needs_A = config.normalized or track_tau
     alpha = f.alpha_homogeneous
     eta = 0.0
@@ -422,18 +410,18 @@ def run(config: RunConfig) -> Trajectory:
     termination = None
     notes = ""
 
-    def log_state(w):
+    def log_state():
         nonlocal logged_idx
         times.append(t)
         dts.append(dt_used)
         snaps.extend(u.data)
-        # with renormalization on this is the volume before the correction
-        # that produced the state; otherwise the drift lives in vol itself
-        vol_pre.append(last_pre if config.renormalize_volume else float(_mean(w)))
+        # the volume before the correction that produced the state
+        if config.renormalize_volume:
+            vol_pre.append(last_pre)
         logged_idx = step_idx
 
     while True:
-        S, w, Smin, Smax, phi = kern.evaluate(u)
+        S, w, Smin, Smax, phi = kern.evaluate(u, needs_A)
         # the first stage's factor: f(S) - A, or f(S) when not normalized
         A, factor = math.nan, None
         if phi is not None:
@@ -466,15 +454,12 @@ def run(config: RunConfig) -> Trajectory:
             notes = f"stopped after {step_idx} steps at t={t:g}"
 
         if termination is not None or step_idx % config.log_cadence == 0:
-            log_state(w)
+            log_state()
         if termination is not None:
             break
 
         try:
-            if config.dt_policy.mode == "fixed":
-                dt = config.dt_policy.dt
-            else:
-                dt = kern.stable_dt(u, S, config.dt_policy.safety)
+            dt = fixed_dt if fixed_dt is not None else kern.stable_dt(u, S, safety)
             # land exactly on the horizon: clip the step, and absorb a
             # near-exact hit instead of leaving a sliver interval
             remaining = config.T_final - t
@@ -503,7 +488,7 @@ def run(config: RunConfig) -> Trajectory:
             notes = str(exc)
         if termination is not None:
             if logged_idx != step_idx:
-                log_state(w)
+                log_state()
             break
 
         if config.renormalize_volume:
@@ -517,10 +502,14 @@ def run(config: RunConfig) -> Trajectory:
         step_idx += 1
 
     snapshots = np.frombuffer(snaps, dtype=float).reshape((len(times), *u.shape))
+    columns = kern.columns(snapshots, times, dts)
+    # without renormalization the drift lives in the vol column itself
+    if not config.renormalize_volume:
+        vol_pre = columns["vol"].copy()
     return Trajectory(
         config=config,
         termination=termination,
-        columns=kern.columns(snapshots, times, dts),
+        columns=columns,
         snapshots=snapshots,
         vol_pre=np.asarray(vol_pre, dtype=float),
         notes=notes,

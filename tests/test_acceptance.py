@@ -14,7 +14,7 @@ import pytest
 import conflow
 from conflow import diagnostics as dg
 from conflow.conformal import Background, ConformalState, scalar_curvature_values
-from conflow.flow import DtPolicy, RunConfig, run
+from conflow.flow import RunConfig, run
 from conflow.fzoo import classical, expdecay, power_law
 from conflow.grid import ScalarField, field_from_spec
 
@@ -40,7 +40,7 @@ def neg_config(N=N1, **overrides):
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     kw = dict(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-              T_final=20.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
+              T_final=20.0, safety=0.8, stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
@@ -51,7 +51,7 @@ def flat_config(N=N4, **overrides):
     bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.3,0,{COS_PHASE}")
     kw = dict(background=bg, f=classical(), u0=u0, T_final=2.0,
-              dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
+              safety=0.8, stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
@@ -61,7 +61,7 @@ def pos_config(N=N1, **overrides):
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"))
     kw = dict(background=bg, f=expdecay(1.0), u0=ScalarField.constant(g, 1.0),
-              T_final=5.0, dt_policy=DtPolicy.adaptive(0.8), stop_tol=1e-8,
+              T_final=5.0, safety=0.8, stop_tol=1e-8,
               renormalize_volume=True, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
@@ -181,7 +181,7 @@ def test_criterion_5_positive_bounded_f(run5):
 
 
 def _identity_defects(cfg_builder, dt, cadence, T):
-    cfg = cfg_builder(dt_policy=DtPolicy.fixed(dt), log_cadence=cadence,
+    cfg = cfg_builder(dt=dt, log_cadence=cadence,
                       T_final=T, stop_tol=0.0)
     traj = run(cfg)
     rep = dg.check_evolution_identities(traj)
@@ -256,7 +256,7 @@ def test_criterion_8_frechet_slopes():
 def test_criterion_9_shift_invariance():
     trajs = []
     for f in (classical(), shift(classical(), 5.0)):
-        cfg = neg_config(f=f, T_final=1.0, dt_policy=DtPolicy.fixed(2e-4),
+        cfg = neg_config(f=f, T_final=1.0, dt=2e-4,
                          stop_tol=0.0, log_cadence=20)
         trajs.append(run(cfg))
     same_times = bool(np.array_equal(trajs[0].times, trajs[1].times))
@@ -283,7 +283,7 @@ def test_criterion_10_fixed_point_and_order():
     diffs = []
     finals = []
     for dt in (2e-3, 1e-3, 5e-4):
-        cfg = flat_config(N=32, T_final=0.5, dt_policy=DtPolicy.fixed(dt),
+        cfg = flat_config(N=32, T_final=0.5, dt=dt,
                           stop_tol=0.0, renormalize_volume=False,
                           log_cadence=10**9)
         finals.append(run(cfg).snapshots[-1])

@@ -282,6 +282,29 @@ def test_sweep_pool_is_bounded_by_the_run_count(tmp_path, monkeypatch):
     assert len((tmp_path / "s" / "aggregate.csv").read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_passes_the_seed_to_every_member(tmp_path, monkeypatch, jobs):
+    # a table f's certification takes --seed in a sweep member as in `run`;
+    # the spy writes to a file, so that forked workers report too
+    seen = tmp_path / "seeds.txt"
+    from_config = conflow.fzoo.from_config
+
+    def spy(cfg, seed=None):
+        with open(seen, "a") as fh:
+            fh.write(f"{seed}\n")
+        return from_config(cfg, seed=seed)
+
+    monkeypatch.setattr(conflow.fzoo, "from_config", spy)
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["base"]["f"] = {"name": "table", "x": [-4.0, 0.0, 4.0], "f": [4.0, 0.0, -4.0]}
+    plan["runs"] = [{"id": "a"}, {"id": "b", "overrides": {"grid": {"points": [48]}}}]
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["--seed", "7", "sweep", str(p), "--out", str(out), "--jobs", jobs]) == 0
+    assert seen.read_text().split() == ["7", "7"]
+
+
 def test_sweep_override_with_a_string_f_parameter_is_a_config_error(tmp_path):
     # the member fails with exit 1 before it runs; the others still run
     plan = json.loads(sweep_plan(tmp_path).read_text())

@@ -6,7 +6,7 @@ import pytest
 import conflow
 from conflow import diagnostics as dg
 from conflow.conformal import Background, ConformalState, scalar_curvature_values
-from conflow.flow import DtPolicy, RunConfig, Trajectory, _Kernel, hamilton_rescale, run
+from conflow.flow import RunConfig, Trajectory, _Kernel, hamilton_rescale, run
 from conflow.fzoo import classical, expdecay, reciprocal
 from conflow.grid import ScalarField, field_from_spec, grad_inner_values, power
 
@@ -23,8 +23,7 @@ def make_run(bgspec, f, u0spec="constant:1", N=64, T=1.0, stop_tol=1e-8,
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, bgspec))
     u0 = conflow.field_from_spec(g, u0spec)
-    policy = DtPolicy.adaptive(0.8) if dt is None else DtPolicy.fixed(dt)
-    cfg = RunConfig(background=bg, f=f, u0=u0, T_final=T, dt_policy=policy,
+    cfg = RunConfig(background=bg, f=f, u0=u0, T_final=T, dt=dt, safety=0.8,
                     stop_tol=stop_tol, renormalize_volume=renorm, log_cadence=cadence)
     return run(cfg), bg
 
@@ -317,6 +316,21 @@ def test_reports_do_not_depend_on_the_record_block(neg_run, pos_run, flat_run,
     blocked = [[r.to_dict() for r in dg.run_checks(traj, bg, traj.config.f, ALL_BUT_RESCALE)]
                for traj, bg in cases]
     assert repr(blocked) == repr(default)
+
+
+def test_report_leaves_are_json_scalars(neg_run, pos_run, flat_run):
+    # to_dict is the dataclass's own asdict: no checker returns a numpy value
+    def leaves(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, (list, tuple)):
+            return [leaf for v in obj for leaf in leaves(v)]
+        return [obj]
+
+    for traj, bg in (neg_run, pos_run, flat_run):
+        for rep in dg.run_checks(traj, bg, traj.config.f, list(dg.CHECK_NAMES)):
+            assert all(type(leaf) in (bool, int, float, str, type(None))
+                       for leaf in leaves(rep.to_dict())), rep.id
 
 
 def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):

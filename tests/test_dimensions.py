@@ -6,8 +6,9 @@ import pytest
 
 import conflow
 from conflow import diagnostics as dg
+from conflow import flow
 from conflow.conformal import Background, scalar_curvature_values
-from conflow.flow import DtPolicy, RunConfig, run
+from conflow.flow import RunConfig, run
 from conflow.fzoo import classical
 from conflow.grid import ScalarField, field_from_spec, power
 
@@ -34,6 +35,25 @@ def test_constant_factor_curvature_scaling(n, beta, cn):
     bg = Background(field_from_spec(g, "constant:2.0"))
     S = scalar_curvature_values(bg, ScalarField.constant(g, 1.3).values)
     assert np.abs(S - 2.0 * 1.3 ** (1.0 - beta)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_vol_pre_without_renormalization_is_the_volume_of_each_record(n, dims, normalized):
+    # beta = 5 takes the weight from the curvature's power chain, beta = 7/3
+    # from its own power; either way vol_pre is each state's mean weight
+    N = 64 if dims == 1 else 16
+    g = conflow.GridSpec(n, dims, (N,) * dims, (TWO_PI,) * dims)
+    bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
+    u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.2,{dims - 1}")
+    cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05, stop_tol=0.0,
+                    renormalize_volume=False, normalized=normalized, log_cadence=5)
+    traj = run(cfg)
+    assert traj.termination == "time_reached" and traj.n_records > 2
+    want = [flow._mean(scalar_curvature_values(bg, u, with_weight=True)[1])
+            for u in traj.snapshots]
+    assert traj.vol_pre.tolist() == want
 
 
 def test_three_dimensional_negative_run():
@@ -72,7 +92,7 @@ def test_five_dimensional_identities():
     bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     f = classical()
     cfg = RunConfig(background=bg, f=f, u0=ScalarField.constant(g, 1.0),
-                    T_final=0.2, dt_policy=DtPolicy.fixed(2e-4), stop_tol=0.0,
+                    T_final=0.2, dt=2e-4, stop_tol=0.0,
                     log_cadence=20)
     traj = run(cfg)
     # p list includes the non-integer n/2 = 2.5 norm; S < 0 keeps it smooth
@@ -116,7 +136,7 @@ def test_five_dimensional_identities_drop_fractional_p_at_sign_change():
     bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.2,0,{COS_PHASE}")
     cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.05,
-                    dt_policy=DtPolicy.fixed(2e-4), stop_tol=0.0, log_cadence=10)
+                    dt=2e-4, stop_tol=0.0, log_cadence=10)
     traj = run(cfg)
     rep = dg.check_evolution_identities(traj)
     assert rep.passed is True

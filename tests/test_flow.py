@@ -18,7 +18,6 @@ from conflow.conformal import (
     scalar_curvature_values,
 )
 from conflow.flow import (
-    DtPolicy,
     ParabolicityError,
     RECORD_COLUMNS,
     RunConfig,
@@ -327,7 +326,7 @@ def test_run_time_reached_and_cadence():
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                    T_final=0.02, dt_policy=DtPolicy.fixed(1e-3), stop_tol=0.0,
+                    T_final=0.02, dt=1e-3, stop_tol=0.0,
                     log_cadence=5)
     traj = run(cfg)
     assert traj.termination == "time_reached"
@@ -366,7 +365,7 @@ def test_run_never_logs_nonpositive_states():
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, "constant:50.0"))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                    T_final=10.0, dt_policy=DtPolicy.fixed(0.03), scheme="euler",
+                    T_final=10.0, dt=0.03, scheme="euler",
                     normalized=False, renormalize_volume=False, stop_tol=0.0,
                     log_cadence=1)
     traj = run(cfg)
@@ -393,7 +392,7 @@ def test_run_overflowing_f_is_blowup_without_warnings():
     g = conflow.GridSpec(3, 1, (8,), (1.0,))
     cfg = RunConfig(background=Background(ScalarField.constant(g, 0.0)), f=expdecay(1.0),
                     u0=field_from_spec(g, "sinusoidal:1.0,0.5,0"), T_final=0.0625,
-                    dt_policy=DtPolicy.fixed(0.0078125), scheme="euler", normalized=False,
+                    dt=0.0078125, scheme="euler", normalized=False,
                     renormalize_volume=False, log_cadence=1)
     traj = run(cfg)
     assert traj.termination == "blowup"
@@ -428,7 +427,7 @@ def test_run_rejects_non_finite_step(scheme, steps):
     bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=dataclasses.replace(base, eval_f=eval_f),
                     u0=ScalarField.constant(g, 1.0), T_final=1.0,
-                    dt_policy=DtPolicy.fixed(1e-3), scheme=scheme)
+                    dt=1e-3, scheme=scheme)
     traj = run(cfg)
     assert traj.termination == "blowup"
     assert abs(traj.times[-1] - steps * 1e-3) < 1e-15
@@ -462,7 +461,7 @@ def test_run_step_budget_termination(monkeypatch):
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, NEG_BG))
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                    T_final=10.0, dt_policy=DtPolicy.fixed(1e-3), log_cadence=2)
+                    T_final=10.0, dt=1e-3, log_cadence=2)
     traj = run(cfg)
     assert traj.termination == "step_budget"
     # records at steps 0, 2, 4 and the terminal step 5
@@ -493,8 +492,10 @@ def test_run_config_rejects_non_finite_horizon_and_tolerance(field, value):
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
 def test_fixed_dt_policy_needs_finite_positive_dt(dt):
+    g = grid1d(N=32)
     with pytest.raises(ValueError, match="finite dt > 0"):
-        DtPolicy.fixed(dt)
+        RunConfig(background=Background(field_from_spec(g, NEG_BG)), f=classical(),
+                  u0=ScalarField.constant(g, 1.0), T_final=1.0, dt=dt)
 
 
 def first_stage(kern, u):
@@ -639,7 +640,7 @@ def stage_failure_config(kind):
             np.asarray(S) > -1.3, np.nan, base.eval_f(S)))
         return RunConfig(background=Background(field_from_spec(g, NEG_BG)),
                          f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
-                         dt_policy=DtPolicy.fixed(1e-3))
+                         dt=1e-3)
     # S0 = 100, u = 1: du/dt = -50 u without normalization, so u shrinks and
     # S = 100 u^-2 grows past the probe's S = 100
     if kind == "nonpositive":
@@ -648,7 +649,7 @@ def stage_failure_config(kind):
         f, dt = dataclasses.replace(classical(), domain=Interval(hi=100.0)), 1e-3
     return RunConfig(background=Background(ScalarField.constant(g, 100.0)),
                      f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
-                     dt_policy=DtPolicy.fixed(dt), normalized=False,
+                     dt=dt, normalized=False,
                      renormalize_volume=False)
 
 
@@ -706,7 +707,7 @@ def test_run_volume_pinned_with_renormalization():
     x = g.axis_coordinates(0)
     cfg = RunConfig(background=bg, f=classical(),
                     u0=ScalarField(g, 1.0 + 0.3 * np.cos(x)),
-                    T_final=0.05, dt_policy=DtPolicy.fixed(5e-4), stop_tol=0.0,
+                    T_final=0.05, dt=5e-4, stop_tol=0.0,
                     log_cadence=10)
     traj = run(cfg)
     assert np.abs(traj.columns["vol"] - 1.0).max() < 1e-12
@@ -723,7 +724,7 @@ def test_volume_drift_order_without_renormalization(scheme, lo, hi):
     drifts = []
     for dt in (1e-3, 5e-4):
         cfg = RunConfig(background=bg, f=classical(), u0=u0, T_final=0.5,
-                        dt_policy=DtPolicy.fixed(dt), stop_tol=0.0,
+                        dt=dt, stop_tol=0.0,
                         renormalize_volume=False, log_cadence=5, scheme=scheme)
         traj = run(cfg)
         vol = traj.columns["vol"]
@@ -743,7 +744,7 @@ def test_config_validation():
         RunConfig(background=bg, f=expdecay(1.0), u0=u0, T_final=1.0, normalized=False,
                   renormalize_volume=False, tau_stop=1.0, log_cadence=1)
     with pytest.raises(ValueError, match="safety"):
-        DtPolicy.adaptive(1.5)
+        RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, safety=1.5)
     with pytest.raises(ValueError, match="scheme"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, scheme="ab2")
 
@@ -755,7 +756,7 @@ def test_shift_invariance_of_runs():
     trajs = []
     for f in (classical(), shift(classical(), 5.0)):
         cfg = RunConfig(background=bg, f=f, u0=u0, T_final=0.5,
-                        dt_policy=DtPolicy.fixed(5e-4), stop_tol=0.0, log_cadence=20)
+                        dt=5e-4, stop_tol=0.0, log_cadence=20)
         trajs.append(run(cfg))
     assert np.abs(trajs[0].snapshots - trajs[1].snapshots).max() < 1e-10
     assert np.array_equal(trajs[0].times, trajs[1].times)
@@ -902,6 +903,34 @@ def test_only_a_normalized_or_tau_stopped_run_takes_the_mean_A(monkeypatch):
     assert len(means) == traj.n_records
 
 
+def test_only_a_run_that_takes_the_mean_A_asks_for_the_volume_weight(monkeypatch):
+    # the probe asks for the weight only where it takes A; RK4's later
+    # stages ask for it only in the normalized flow
+    asked = []
+    curvature = flow.scalar_curvature_values
+
+    def recording(bg, u, with_weight=False):
+        asked.append(with_weight)
+        return curvature(bg, u, with_weight)
+
+    monkeypatch.setattr(flow, "scalar_curvature_values", recording)
+    path = Path(__file__).resolve().parent.parent / "configs" / "compare_nonnormalized.json"
+    cfg = json.loads(path.read_text())
+    cfg["time"]["T_final"] = 0.05
+    config = cli.build_run_config(cfg, path.parent)
+    traj = run(config)
+    assert traj.n_records > 2 and asked == [False] * (4 * traj.n_records - 3)
+    # every state is logged, so a record is one probe: a tau-stopped run
+    # asks at each probe, a normalized run at each evaluation
+    asked.clear()
+    traj = run(dataclasses.replace(config, T_final=1e6, tau_stop=0.05))
+    assert "tau" in traj.notes
+    assert asked == [True, *[False, False, False, True] * (traj.n_records - 1)]
+    asked.clear()
+    traj = run(dataclasses.replace(config, normalized=True, renormalize_volume=True))
+    assert asked == [True] * (4 * traj.n_records - 3)
+
+
 # ---------------------------------------------------------------------------
 # Linearizations
 # ---------------------------------------------------------------------------
@@ -993,7 +1022,7 @@ def test_run_matches_independent_integrator():
     sol = solve_ivp(rhs_oracle, (0.0, T), u0, method="RK45",
                     rtol=1e-11, atol=1e-13, dense_output=False, t_eval=[T])
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0),
-                    T_final=T, dt_policy=DtPolicy.fixed(5e-4), stop_tol=0.0,
+                    T_final=T, dt=5e-4, stop_tol=0.0,
                     renormalize_volume=False, log_cadence=10**9)
     traj = run(cfg)
     assert np.abs(traj.snapshots[-1] - sol.y[:, -1]).max() < 1e-8
