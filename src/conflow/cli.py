@@ -194,16 +194,18 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
     return summary
 
 
-def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
+def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dict]:
     """The stored run in ``out``: its config, termination and notes from
-    summary.json, its records from trajectory.npz.  A trajectory.npz whose
-    arrays contradict the grid or each other raises ConfigError."""
+    summary.json (its f built with ``seed``), its records from
+    trajectory.npz.  A trajectory.npz whose arrays contradict the grid or
+    each other, or whose times are not finite and strictly increasing,
+    raises ConfigError."""
     summary = _object(_load_json(out / "summary.json"), str(out / "summary.json"))
     missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
     if missing:
         raise ConfigError(f"{out}: summary.json carries no {' or '.join(missing)}")
     cfg = summary["config"]
-    rc = build_run_config(cfg, out)
+    rc = build_run_config(cfg, out, seed=seed)
     path = out / "trajectory.npz"
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -231,6 +233,9 @@ def load_trajectory(out: Path) -> tuple[Trajectory, dict]:
         raise ConfigError(f"{path}: {', '.join(short)} not of shape ({K},)")
     if not (snaps.min() > 0.0 and math.isfinite(snaps.max())):
         raise ConfigError(f"{path}: a snapshot value is not positive and finite")
+    t = traj.times
+    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+        raise ConfigError(f"{path}: col_t is not finite and strictly increasing")
     return traj, cfg
 
 
@@ -275,7 +280,7 @@ def cmd_verify(args) -> int:
     traj = None
     try:
         if target.is_dir():
-            traj, cfg = load_trajectory(target)
+            traj, cfg = load_trajectory(target, seed=args.seed)
             rc = traj.config
             out = Path(args.out) if args.out else target
         else:
@@ -403,8 +408,8 @@ def cmd_compare(args) -> int:
     Both need the two runs on one grid."""
     kind_b = "normalized" if args.mode == "shift" else "non_normalized"
     try:
-        traj_a, _ = load_trajectory(Path(args.run_a))
-        traj_b, _ = load_trajectory(Path(args.run_b))
+        traj_a, _ = load_trajectory(Path(args.run_a), seed=args.seed)
+        traj_b, _ = load_trajectory(Path(args.run_b), seed=args.seed)
         grid_a, grid_b = traj_a.config.background.grid, traj_b.config.background.grid
         if grid_a != grid_b:
             raise ConfigError(f"the runs live on different grids: {grid_a} vs {grid_b}")

@@ -30,6 +30,7 @@ diffusion with state-dependent coefficient
 so a run without a fixed dt takes dt = safety * h_min**2 / (2 * d * max kappa)
 with d active spatial dimensions (the forward-Euler diffusion limit; RK4 has
 a slightly larger real-axis stability interval and is run at the same dt).
+A non-finite max kappa would make that step 0 or NaN, so it ends the run.
 
 For homogeneous f of degree alpha, a non-normalized run can be mapped onto
 the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
@@ -250,7 +251,10 @@ class _Kernel:
         if float(_max(fp, None)) >= 0.0:
             raise ParabolicityError("parabolicity lost: f' >= 0 on the attained S range")
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
-        return safety * self.hmin2 / (self.two_d * float(_max(kappa, None)))
+        kmax = float(_max(kappa, None))
+        if not math.isfinite(kmax):  # the step would be 0 (inf) or NaN
+            raise OverflowError(f"non-finite diffusivity: max kappa = {kmax:g}")
+        return safety * self.hmin2 / (self.two_d * kmax)
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
@@ -294,7 +298,8 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     """Forward-Euler diffusion limit for the state-dependent diffusivity.
 
     The parabolicity margin is evaluated on the attained grid values of S;
-    a nonpositive margin raises ParabolicityError.
+    a nonpositive margin raises ParabolicityError, a non-finite diffusivity
+    OverflowError.
     """
     kern = _Kernel(bg, f, normalized=True)
     u = state.u.values
@@ -373,8 +378,10 @@ def run(config: RunConfig) -> Trajectory:
     terminal record of an f-domain violation carries NaN in the f columns,
     and a record whose f(S) overflows inside f's domain carries A = inf and
     fSA_sup = NaN.  A step whose result, or the curvature of one of whose RK4
-    stages, is non-finite is rejected and ends the run as ``blowup``; a run
-    still going after _MAX_STEPS accepted steps ends as ``step_budget``.
+    stages, is non-finite is rejected and ends the run as ``blowup``, as does
+    an adaptive step whose diffusivity kappa is non-finite (it would not
+    advance t); a run still going after _MAX_STEPS accepted steps ends as
+    ``step_budget``.
     These tests read non-finite values themselves, so numpy's floating-point
     warnings are off.
     """
@@ -397,28 +404,13 @@ def run(config: RunConfig) -> Trajectory:
     # come from ``_Kernel.columns``
     needs_A = config.normalized or track_tau
     alpha = f.alpha_homogeneous
-    eta = 0.0
-    tau = 0.0
-    prev_t = 0.0
+    eta = tau = prev_t = 0.0
     prev_A = math.nan
-    prev_eta = 0.0
 
-    t = 0.0
-    dt_used = 0.0
+    t = dt_used = 0.0
     step_idx = 0
-    logged_idx = -1
     termination = None
     notes = ""
-
-    def log_state():
-        nonlocal logged_idx
-        times.append(t)
-        dts.append(dt_used)
-        snaps.extend(u.data)
-        # the volume before the correction that produced the state
-        if config.renormalize_volume:
-            vol_pre.append(last_pre)
-        logged_idx = step_idx
 
     while True:
         S, w, Smin, Smax, phi = kern.evaluate(u, needs_A)
@@ -453,42 +445,47 @@ def run(config: RunConfig) -> Trajectory:
             termination = "step_budget"
             notes = f"stopped after {step_idx} steps at t={t:g}"
 
-        if termination is not None or step_idx % config.log_cadence == 0:
-            log_state()
-        if termination is not None:
-            break
-
-        try:
-            dt = fixed_dt if fixed_dt is not None else kern.stable_dt(u, S, safety)
-            # land exactly on the horizon: clip the step, and absorb a
-            # near-exact hit instead of leaving a sliver interval
-            remaining = config.T_final - t
-            if remaining <= 1.05 * dt:
-                dt = remaining
-            # u passed the positivity and domain tests, so its f(S) and A
-            # give the first stage exactly as rhs(u) would
-            u_new = kern.advance(u, dt, config.scheme, kern.pref * factor * u)
-            # never accept (or log) a state at or under the positivity floor,
-            # nor a non-finite one (NaN fails every comparison)
-            umin, umax = float(_min(u_new, None)), float(_max(u_new, None))
-            if umin <= POSITIVITY_FLOOR:
+        # a failed step keeps u, t, dt_used and last_pre: it logs the last accepted state
+        if termination is None:
+            try:
+                dt = fixed_dt if fixed_dt is not None else kern.stable_dt(u, S, safety)
+                # land exactly on the horizon: clip the step, and absorb a
+                # near-exact hit instead of leaving a sliver interval
+                remaining = config.T_final - t
+                if remaining <= 1.05 * dt:
+                    dt = remaining
+                # u passed the positivity and domain tests, so its f(S) and A
+                # give the first stage exactly as rhs(u) would
+                u_new = kern.advance(u, dt, config.scheme, kern.pref * factor * u)
+                # never accept (or log) a state at or under the positivity
+                # floor, nor a non-finite one (NaN fails every comparison)
+                umin, umax = float(_min(u_new, None)), float(_max(u_new, None))
+                if umin <= POSITIVITY_FLOOR:
+                    termination = "positivity_lost"
+                elif not math.isfinite(umax):
+                    termination = "blowup"
+                    notes = f"non-finite state after the step from t={t:g}"
+            except PositivityError:
                 termination = "positivity_lost"
-            elif not math.isfinite(umax):
+            except FDomainError:
+                termination = "f_domain_violation"
+            except FloatingPointError:
                 termination = "blowup"
-                notes = f"non-finite state after the step from t={t:g}"
-        except PositivityError:
-            termination = "positivity_lost"
-        except FDomainError:
-            termination = "f_domain_violation"
-        except FloatingPointError:
-            termination = "blowup"
-            notes = f"non-finite curvature in a stage of the step from t={t:g}"
-        except ParabolicityError as exc:
-            termination = "f_domain_violation"
-            notes = str(exc)
+                notes = f"non-finite curvature in a stage of the step from t={t:g}"
+            except OverflowError as exc:
+                termination = "blowup"
+                notes = f"{exc} at t={t:g}"
+            except ParabolicityError as exc:
+                termination = "f_domain_violation"
+                notes = str(exc)
+        if termination is not None or step_idx % config.log_cadence == 0:
+            times.append(t)
+            dts.append(dt_used)
+            snaps.extend(u.data)
+            # the volume before the correction that produced the state
+            if config.renormalize_volume:
+                vol_pre.append(last_pre)
         if termination is not None:
-            if logged_idx != step_idx:
-                log_state()
             break
 
         if config.renormalize_volume:

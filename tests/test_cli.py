@@ -305,6 +305,27 @@ def test_sweep_passes_the_seed_to_every_member(tmp_path, monkeypatch, jobs):
     assert seen.read_text().split() == ["7", "7"]
 
 
+def test_verify_and_compare_pass_the_seed_to_a_stored_run(tmp_path, monkeypatch):
+    # rebuilding a stored run's config certifies its table f under --seed,
+    # as `run` did
+    seeds = []
+    from_config = conflow.fzoo.from_config
+
+    def spy(cfg, seed=None):
+        seeds.append(seed)
+        return from_config(cfg, seed=seed)
+
+    monkeypatch.setattr(conflow.fzoo, "from_config", spy)
+    cfg = base_config(T_final=0.05)
+    cfg["f"] = {"name": "table", "x": [-4.0, 0.0, 4.0], "f": [4.0, 0.0, -4.0]}
+    out = tmp_path / "out"
+    assert cli.main(["--seed", "7", "run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert cli.main(["--seed", "7", "verify", str(out), "--checks", "minmax"]) == 0
+    assert seeds == [7, 7]
+    assert cli.main(["--seed", "7", "compare", str(out), str(out), "--mode", "shift"]) == 0
+    assert seeds == [7, 7, 7, 7]
+
+
 def test_sweep_override_with_a_string_f_parameter_is_a_config_error(tmp_path):
     # the member fails with exit 1 before it runs; the others still run
     plan = json.loads(sweep_plan(tmp_path).read_text())
@@ -737,8 +758,8 @@ def rewritten(change):
     return corrupt
 
 
-def _set_value(members, index, value):
-    members["snapshots"][index] = value
+def _set_value(members, index, value, key="snapshots"):
+    members[key][index] = value
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -753,8 +774,11 @@ def _set_value(members, index, value):
     rewritten(lambda m: _set_value(m, (-1, 5), -1.0)),
     rewritten(lambda m: m.update(snapshots=m["snapshots"][0])),
     rewritten(lambda m: m.update(vol_pre=m["vol_pre"][:1])),
+    rewritten(lambda m: _set_value(m, 5, m["col_t"][4], key="col_t")),
+    rewritten(lambda m: _set_value(m, 5, np.nan, key="col_t")),
 ], ids=["garbage", "truncated", "empty", "damaged", "cut-grid", "short-column",
-        "empty-members", "nan-value", "negative-value", "one-1d-record", "short-vol_pre"])
+        "empty-members", "nan-value", "negative-value", "one-1d-record", "short-vol_pre",
+        "repeated-time", "nan-time"])
 def test_verify_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys, corrupt):
     # a trajectory.npz that is unreadable, or whose arrays contradict the
     # grid or each other, ends `verify` in one line before any check runs

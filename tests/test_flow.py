@@ -641,7 +641,7 @@ def stage_failure_config(kind):
         return RunConfig(background=Background(field_from_spec(g, NEG_BG)),
                          f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
                          dt=1e-3)
-    # S0 = 100, u = 1: du/dt = -50 u without normalization, so u shrinks and
+    # S0 = 100, u = 1: du/dt = -50/u without normalization, so u shrinks and
     # S = 100 u^-2 grows past the probe's S = 100
     if kind == "nonpositive":
         f, dt = classical(), 0.05      # the second stage is 1 - 0.025 * 50 < 0
@@ -657,12 +657,47 @@ def stage_failure_config(kind):
     ("nonpositive", "positivity_lost", ""),
     ("nan_curvature", "blowup", "non-finite curvature in a stage of the step from t=0"),
     ("out_of_domain", "f_domain_violation", ""),
+    # the step from state 6 (a cadence step of 3) or from state 7 (off one)
+    ("out_of_domain@6", "f_domain_violation", ""),
+    ("out_of_domain@7", "f_domain_violation", ""),
 ])
 def test_run_stage_failures_keep_their_tags(kind, termination, notes):
-    traj = run(stage_failure_config(kind))
+    # the terminal record is the last accepted state, logged once after
+    # the cadence's records
+    kind, _, after = kind.partition("@")
+    cfg, last = stage_failure_config(kind), int(after or 0)
+    states, times = np.ones((1, 32)), [0.0]
+    if last:
+        # S = 100/u^2 rises along the run (du/dt = -50/u): every stage of a
+        # step lies under the next state's S, and a step's second stage 5%
+        # or more above its own state's.  So a domain ending 2% above state
+        # `last`'s S holds every earlier stage and fails the step from it.
+        free = run(dataclasses.replace(cfg, f=classical(), log_cadence=1))
+        hi = 1.02 * float(free.columns["Smax"][last])
+        cfg = dataclasses.replace(cfg, log_cadence=3, f=dataclasses.replace(
+            cfg.f, domain=Interval(hi=hi)))
+        states, times = free.snapshots, free.times.tolist()
+    traj = run(cfg)
     assert (traj.termination, traj.notes) == (termination, notes)
+    logged = sorted({*range(0, last + 1, 3), last})
+    assert traj.times.tolist() == [times[k] for k in logged]
+    assert (np.diff(traj.times) > 0.0).all()
+    assert np.array_equal(traj.snapshots, states[logged])
+
+
+def test_an_infinite_diffusivity_ends_the_run(monkeypatch):
+    # at S = -354.6, f = exp(-2 S) is finite but f' overflows to -inf: the
+    # adaptive step would be 0 and t would never advance.  A small step
+    # budget makes a run that stalls fail fast.
+    monkeypatch.setattr(flow, "_MAX_STEPS", 20)
+    g = grid1d(N=16)
+    cfg = RunConfig(background=Background(field_from_spec(g, "constant:-354.6")),
+                    f=expdecay(2.0), u0=ScalarField.constant(g, 1.0), T_final=1.0,
+                    scheme="euler", normalized=False, renormalize_volume=False)
+    traj = run(cfg)
+    assert (traj.termination, traj.notes) == (
+        "blowup", "non-finite diffusivity: max kappa = inf at t=0")
     assert traj.n_records == 1 and traj.times.tolist() == [0.0]
-    assert np.array_equal(traj.snapshots[0], np.ones(32))
 
 
 def test_probe_matches_rhs_and_reference_row():
