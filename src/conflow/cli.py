@@ -89,8 +89,8 @@ def resolve_config_paths(cfg: dict, base_dir: Path) -> dict:
 
 
 def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunConfig:
-    """The RunConfig of a config document; a malformed document, its
-    ``outputs`` and ``checks`` sections included, raises ConfigError."""
+    """The RunConfig of a config document; a malformed document (its
+    ``outputs`` and ``checks`` too) or an unreadable field file raises ConfigError."""
     try:
         outputs = _object(cfg.get("outputs", {}), "'outputs'")
         if "dir" in outputs and not (isinstance(outputs["dir"], str) and outputs["dir"]):
@@ -135,7 +135,7 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -197,9 +197,9 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
 def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dict]:
     """The stored run in ``out``: its config, termination and notes from
     summary.json (its f built with ``seed``), its records from
-    trajectory.npz.  A trajectory.npz whose arrays contradict the grid or
-    each other, or whose times are not finite and strictly increasing,
-    raises ConfigError."""
+    trajectory.npz.  A trajectory.npz that cannot be read, whose arrays
+    contradict the grid or each other, or whose times are not finite and
+    strictly increasing, raises ConfigError."""
     summary = _object(_load_json(out / "summary.json"), str(out / "summary.json"))
     missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
     if missing:
@@ -217,7 +217,7 @@ def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dic
                 vol_pre=np.asarray(data["vol_pre"], dtype=float),
                 notes=summary["notes"],
             )
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path}: not a readable trajectory ({exc})") from exc
     # K >= 1 records on the config's grid, one column entry per record, and
     # positive finite states (min > 0 fails on NaN, a finite max bounds it)
@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
             rc = build_run_config(cfg, target.parent, seed=args.seed)
             out = _default_out(target, cfg, args.out)
         names = _select_checks(args.checks, cfg, rc.background.case_tag)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
     if traj is None:
@@ -416,7 +416,7 @@ def cmd_compare(args) -> int:
         for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
             if traj.kind != kind:
                 raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
     if args.mode == "shift":

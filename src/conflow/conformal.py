@@ -12,9 +12,9 @@ and a positive conformal factor u carries the curvature
 ``conformal_laplacian_values`` and ``scalar_curvature_values`` evaluate
 them on raw arrays, one field or a ``(K, *grid.shape)`` stack of records;
 ``Constants`` holds the exponents, the volume-density exponent 2n/(n-2)
-among them.  ``Records`` evaluates the per-record quantities of a stack of
-logged states (volume weight, f-domain test, the mean A, ...) for the
-diagnostics columns and every theorem check alike.
+among them.  ``weighted_mean`` is the one mean A of the flow's step and of
+``Records``, the per-record quantities of a stack of logged states (volume
+weight, f-domain test, ...) for the diagnostics columns and every check.
 
 Every identity checked by this package uses only L, the volume weights and
 the discrete maximum principle, so all three sign cases of S0 are exercised
@@ -34,9 +34,9 @@ from .grid import (
     ScalarField,
     chain_exponent,
     laplacian0_values,
+    node_mean,
     power,
     record_blocks,
-    record_means,
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "require_f_domain",
     "conformal_laplacian_values",
     "scalar_curvature_values",
+    "weighted_mean",
     "Records",
 ]
 
@@ -152,21 +153,36 @@ def scalar_curvature_values(bg: Background, u: np.ndarray, with_weight: bool = F
     return (S, power(u, c.vol_exp)) if with_weight else S
 
 
+def weighted_mean(grid: GridSpec, v: np.ndarray, w: np.ndarray):
+    """The mean of v against the volume weight w, of one field or of each
+    record of a stack.  A mean that overflowed although v is finite is taken
+    again with v scaled by max |v|, record by record, so every finite mean
+    keeps its bits; the overflow warns as the caller's errstate says."""
+    m = node_mean(grid, v * w) / node_mean(grid, w)
+    if v.ndim > grid.active_dims:
+        for k in np.flatnonzero(~np.isfinite(m)):
+            m[k] = weighted_mean(grid, v[k], w[k])
+    elif not math.isfinite(m) and np.isfinite(v).all():
+        s = np.abs(v).max()
+        m = s * (node_mean(grid, v / s * w) / node_mean(grid, w))
+    return m
+
+
 class Records:
     """Per-record quantities of a ``(K, *grid.shape)`` stack ``U`` of states.
 
     ``S`` is the curvature, ``w`` the volume weight u^(2n/(n-2)) and ``vol``
     the volume of every record; the f-domain test ``in_domain``, f(S)
     (``phi``), its mean ``A`` and ``dev`` = f(S) - A are evaluated on first
-    use (``f`` may be None for a stack that needs none of them).  Every
-    integral is ``grid.record_means`` with ``w`` as the last factor, so each
-    value is bit for bit what the same formula gives on that record alone.
+    use (``f`` may be None for a stack that needs none of them).  Integrals
+    and means are ``node_mean`` and ``weighted_mean``, so each value is bit
+    for bit what the same formula gives on that record alone.
     """
 
     def __init__(self, bg: Background, f, U: np.ndarray):
         self.bg, self.f, self.U = bg, f, U
         self.S, self.w = scalar_curvature_values(bg, U, with_weight=True)
-        self.vol = record_means(self.w)
+        self.vol = node_mean(bg.grid, self.w)
         self.Smin, self.Smax = self.extremes(self.S)
 
     @classmethod
@@ -187,10 +203,11 @@ class Records:
 
     def integral(self, v: np.ndarray) -> np.ndarray:
         """Integral of each record of ``v`` against its evolving volume."""
-        return record_means(v * self.w)
+        return node_mean(self.bg.grid, v * self.w)
 
+    @np.errstate(over="ignore", invalid="ignore")  # weighted_mean mends an overflow
     def mean(self, v: np.ndarray) -> np.ndarray:
-        return self.integral(v) / self.vol
+        return weighted_mean(self.bg.grid, v, self.w)
 
     @functools.cached_property
     def in_domain(self) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .conformal import Background, Records
 from .flow import Trajectory, cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
-from .grid import PositivityError, grad_inner_values, power, record_means
+from .grid import PositivityError, grad_inner_values, node_mean, power
 
 __all__ = [
     "TheoremReport",
@@ -428,11 +428,10 @@ def check_evolution_identities(traj: Trajectory) -> TheoremReport:
         Q["A"][sl] = A
         Q["sigma"][sl] = sig
         Q["vol"][sl] = V
-        RA = ((n - 1.0) * rec.integral(fp * fpp * gsq)
-              + rec.integral((halfn * phi - S * fp) * dev)) / V
+        RA = (n - 1.0) * rec.mean(fp * fpp * gsq) + rec.mean((halfn * phi - S * fp) * dev)
         R["A"][sl] = RA
-        s1 = 0.5 * (n - 2.0) * rec.integral(S * dev) / V
-        s2 = 0.5 * (n - 2.0) * rec.integral((S - per_record(sig)) * dev) / V
+        s1 = 0.5 * (n - 2.0) * rec.mean(S * dev)
+        s2 = 0.5 * (n - 2.0) * rec.mean((S - per_record(sig)) * dev)
         sigma_gap = max(sigma_gap, float(np.abs(s1 - s2).max()))
         R["sigma"][sl] = s1
         int_dev = rec.integral(dev)
@@ -596,7 +595,7 @@ def check_flat_identity(traj: Trajectory) -> TheoremReport:
         return TheoremReport(None, notes="the flat identity needs a flat background,"
                                          f" got {bg.case_tag}")
     beta = bg.constants.beta
-    integrals = np.concatenate([record_means(power(rec.U, beta) * rec.S)
+    integrals = np.concatenate([node_mean(bg.grid, power(rec.U, beta) * rec.S)
                                 for _, rec in Records.blocks(bg, None, traj.snapshots)])
     worst_integral = float(np.abs(integrals).max())
     smin = traj.columns["Smin"]

@@ -17,10 +17,10 @@ serves the stop tests, the step size and, unchanged, the first RK4 stage;
 costs four evaluations (Euler: one).  A logged step stores only its state,
 plus its pre-correction volume when the run renormalizes; without
 renormalization ``vol_pre`` is the ``vol`` column.  ``_Kernel.columns``
-builds the diagnostics columns (sigma, vol, the curvature norms, ...) from
-the logged states after the loop with ``conformal.Records``, the theorem
-checks' evaluator.  ``rhs_normalized``, ``stable_dt``, ``step`` and the
-linearizations run the same evaluation, checked, on one state.
+builds the diagnostics columns from the logged states after the loop with
+``conformal.Records``, the theorem checks' evaluator; every A, of a stage
+or of a record, is ``conformal.weighted_mean``.  ``rhs_normalized``,
+``stable_dt``, ``step`` and the linearizations evaluate one state, checked.
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -53,9 +53,10 @@ from .conformal import (
     conformal_laplacian_values,
     require_f_domain,
     scalar_curvature_values,
+    weighted_mean,
 )
 from .fzoo import FSpec, homogeneity_check
-from .grid import PositivityError, ScalarField, power
+from .grid import PositivityError, ScalarField, node_mean, power
 
 __all__ = [
     "RunConfig",
@@ -168,31 +169,16 @@ class Trajectory:
         return len(self.columns["t"])
 
 
-# ndarray.min/max/sum bit for bit, without their Python-level wrappers
-_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
-
-
-def _mean(v: np.ndarray):
-    """v.mean() bit for bit (the same pairwise sum divided by the size),
-    without numpy's Python-level mean wrapper."""
-    return _sum(v, None) / v.size
-
-
-def _mean_f(phi: np.ndarray, w: np.ndarray) -> float:
-    """A, the mean of f(S) = phi weighted by the volume weight w."""
-    return float(_mean(phi * w) / _mean(w))
+# ndarray.min/max bit for bit, without their Python-level wrappers
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class _Kernel:
-    """Raw-array evaluations of states shared by one run.
-
-    ``evaluate`` is the only code that turns a state into S, w, Smin, Smax
-    and f(S).  Per RK4 step ``run`` evaluates the current state, whose
-    f(S) - A (or f(S)) is the first stage's factor, and ``advance`` makes
-    three ``rhs`` calls.  ``columns`` builds the diagnostics columns of a
-    stack of logged states, one block of records at a time.  What does not
-    depend on the state is bound once.
-    """
+    """Raw-array evaluations of states shared by one run, whose per-step
+    work the module docstring sets out; what does not depend on the state is
+    bound once.  ``evaluate`` is the only code that turns a state into S, w,
+    Smin, Smax and f(S).  Numpy's warnings follow the caller's errstate:
+    ``run`` and the single-state entry points silence overflow."""
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
         c = bg.constants
@@ -209,7 +195,7 @@ class _Kernel:
 
     def unit_scale(self, u: np.ndarray) -> tuple[float, float]:
         """The factor that scales u to unit volume, and the volume of u."""
-        vol = float(_mean(power(u, self.m)))
+        vol = float(node_mean(self.bg.grid, power(u, self.m)))
         return vol ** (-1.0 / self.m), vol
 
     def evaluate(self, u: np.ndarray, with_weight: bool = True, checked: bool = False):
@@ -235,7 +221,7 @@ class _Kernel:
         S, w, _, _, phi = self.evaluate(u, self.normalized, checked=True)
         if not self.normalized:
             return self.pref * phi * u
-        return self.pref * (phi - _mean_f(phi, w)) * u
+        return self.pref * (phi - weighted_mean(self.bg.grid, phi, w)) * u
 
     def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
         """One Euler or RK4 step from u; k1 must be rhs(u)."""
@@ -260,9 +246,8 @@ class _Kernel:
         """RECORD_COLUMNS of a ``(K, *grid.shape)`` stack of states at times
         ``t`` after steps ``dt_used``, evaluated one block of records at a
         time (``conformal.Records``); every per-record value is bit for bit
-        what the formulas give on that record alone.  A and fSA_sup are NaN
-        for a record whose curvature leaves f's domain; a record whose f(S)
-        overflows inside the domain has A = inf and fSA_sup = NaN (inf - inf)."""
+        what the formulas give on that record alone.  ``run`` says what the f
+        columns of a record outside f's domain or with an overflowing f(S) hold."""
         K = len(U)
         cols = {k: np.full(K, math.nan) for k in RECORD_COLUMNS}
         cols["t"][:] = t
@@ -289,6 +274,7 @@ class _Kernel:
 # Single-state entry points
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # weighted_mean mends an overflowing A
 def rhs_normalized(bg: Background, state: ConformalState, f: FSpec) -> ScalarField:
     """(n-2)/4 * (f(S) - A) * u.  Volume-stationary by construction."""
     return ScalarField(bg.grid, _Kernel(bg, f, normalized=True).rhs(state.u.values))
@@ -306,6 +292,7 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     return kern.stable_dt(u, kern.evaluate(u, with_weight=False, checked=True)[0], safety)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
          scheme: str = "rk4", normalized: bool = True) -> ConformalState:
     """One explicit step; t advances by dt.  Raises PositivityError or
@@ -347,6 +334,7 @@ def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> S
     return ScalarField(bg.grid, _frechet_terms(bg, u, h, f)[-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
     """Derivative of the full normalized right-hand-side factor u -> (f(S)-A)*u.
 
@@ -357,10 +345,8 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     kern, S, w, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
     uv, hv = u.values, h.values
     dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
-    wm = float(w.mean())
-    A = _mean_f(phi, w)
-    dA = float((fp * dS * w).mean()) / wm \
-        + kern.m * float(((phi - A) * hv / uv * w).mean()) / wm
+    A = weighted_mean(bg.grid, phi, w)
+    dA = weighted_mean(bg.grid, fp * dS + kern.m * (phi - A) * hv / uv, w)
     return ScalarField(bg.grid, DF - A * hv - dA * uv)
 
 
@@ -376,14 +362,13 @@ def run(config: RunConfig) -> Trajectory:
     Deterministic for a fixed config.  Diagnostics are logged every
     log_cadence steps plus always at the first and terminal states; the
     terminal record of an f-domain violation carries NaN in the f columns,
-    and a record whose f(S) overflows inside f's domain carries A = inf and
-    fSA_sup = NaN.  A step whose result, or the curvature of one of whose RK4
-    stages, is non-finite is rejected and ends the run as ``blowup``, as does
-    an adaptive step whose diffusivity kappa is non-finite (it would not
-    advance t); a run still going after _MAX_STEPS accepted steps ends as
-    ``step_budget``.
-    These tests read non-finite values themselves, so numpy's floating-point
-    warnings are off.
+    and a record whose f(S) itself overflows inside f's domain carries A =
+    inf and fSA_sup = NaN.  A step whose result, or the curvature of one of
+    whose RK4 stages, is non-finite is rejected and ends the run as
+    ``blowup``, as does an adaptive step whose diffusivity kappa is
+    non-finite (it would not advance t); a run still going after _MAX_STEPS
+    accepted steps ends as ``step_budget``.  These tests read non-finite
+    values themselves, so numpy's floating-point warnings are off.
     """
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)
@@ -418,7 +403,7 @@ def run(config: RunConfig) -> Trajectory:
         A, factor = math.nan, None
         if phi is not None:
             if needs_A:
-                A = _mean_f(phi, w)
+                A = weighted_mean(bg.grid, phi, w)
             factor = phi - A if config.normalized else phi
 
         if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(A):

@@ -22,11 +22,10 @@ Conventions used throughout the package:
 * Both stencils act on the trailing ``active_dims`` axes, so a
   ``(K, *grid.shape)`` stack of records gives each record's result.
 * Quadrature weights are normalized so that the background integral of 1 is
-  1: a background integral is the plain mean of the nodal values
-  (``record_means`` per record of a stack), the background volume is pinned
-  to one and suppressed ambient axes contribute a factor one each.
-  Evolving-metric integrals of a stack of states are
-  ``conformal.Records.integral``, the one coding of the volume weight.
+  1: a background integral is ``node_mean``, the plain mean of the nodal
+  values of one field or of each record of a stack, the background volume
+  is pinned to one and suppressed ambient axes contribute a factor one each.
+  The volume-weighted mean is ``conformal.weighted_mean``, built on it.
 """
 
 import functools
@@ -45,7 +44,7 @@ __all__ = [
     "chain_exponent",
     "power",
     "record_blocks",
-    "record_means",
+    "node_mean",
     "field_from_spec",
     "write_field",
     "read_field",
@@ -99,7 +98,7 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self.points
 
-    @property
+    @functools.cached_property
     def node_count(self) -> int:
         return int(np.prod(self.points))
 
@@ -194,12 +193,11 @@ def record_blocks(grid: GridSpec, records: int):
     return [slice(k, min(k + size, records)) for k in range(0, records, size)]
 
 
-def record_means(v: np.ndarray) -> np.ndarray:
-    """Mean of each record of a ``(K, *grid.shape)`` stack over its grid
-    axes; bit for bit each ``v[k].mean()``, without numpy's Python-level
-    mean wrapper."""
-    flat = v.reshape(len(v), -1)
-    return np.add.reduce(flat, axis=1) / flat.shape[1]
+def node_mean(grid: GridSpec, v: np.ndarray):
+    """Plain mean over the trailing grid axes: a scalar for one field, one
+    value per record for a ``(K, *grid.shape)`` stack; bit for bit
+    ``v.mean()`` of each, without numpy's Python-level mean wrapper."""
+    return np.add.reduce(v, axis=(-1, -2, -3)[:grid.active_dims]) / grid.node_count
 
 
 @functools.lru_cache(maxsize=64)

@@ -5,7 +5,8 @@ curvature means and the metric Laplacian, plus response-function helpers
 (a shift by a constant, normalization at zero and a sampled parabolicity
 margin).  No command reaches them: ``conflow run``, ``verify``, ``sweep`` and
 ``compare`` work on the raw-array kernels (``laplacian0_values``,
-``scalar_curvature_values``, ``flow._Kernel``, ``record_means``).  Keeping
+``scalar_curvature_values``, ``flow._Kernel``, ``grid.node_mean`` and
+``conformal.weighted_mean``).  Keeping
 them apart from those kernels makes each comparison one between two
 independent codings of the same formula.
 """

@@ -345,6 +345,24 @@ def test_sweep_override_with_a_string_f_parameter_is_a_config_error(tmp_path):
     assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
 
 
+def test_sweep_member_with_a_missing_field_file_is_a_config_error(tmp_path):
+    # the member's u0 file is looked for next to the plan and is not there
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["runs"][1]["overrides"] = {"u0": "file:missing.field"}
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(p), "--out", str(out), "--jobs", "1"]) == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 6 and all(len(row) == 6 for row in rows)
+    rid, case, message, *rest = rows[1]
+    assert (rid, case, rest) == ("b", "invalid", ["1", "nan", "nan"])
+    assert message.startswith("config error: invalid config:") and "missing.field" in message
+    assert not (out / "b").exists()
+    assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
+
+
 def test_sweep_duplicate_ids(tmp_path):
     plan = {"base": base_config(), "runs": [{"id": "x"}, {"id": "x"}]}
     p = tmp_path / "plan.json"
@@ -691,12 +709,15 @@ def _set(cfg, path, value):
     ("f", {"name": "reciprocal", "alpha": 3.0, "exponent": "2"}),
     ("f", {"name": "table", "x": [-4, "0", 4], "f": [4, 0, -4]}),
     ("f", {"name": "table", "x": [-4, 0, 4], "f": [True, False, -4]}),
+    ("u0", "file:missing.field"),
+    pytest.param("background", "file:.", id="background-a_directory"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
-    # a malformed section or a non-finite number (JSON NaN) ends in one
-    # `config error:` line before any run starts, and `verify` of the same
-    # config in one `verify:` line; a numpy warning would be one more line
+    # a malformed section, a non-finite number (JSON NaN) or a field file
+    # that cannot be read ends in one `config error:` line before any run
+    # starts, and `verify` of the same config in one `verify:` line; a numpy
+    # warning would be one more line
     cfg = base_config()
     _set(cfg, path, value)
     p = write_cfg(tmp_path, cfg)
@@ -776,18 +797,24 @@ def _set_value(members, index, value, key="snapshots"):
     rewritten(lambda m: m.update(vol_pre=m["vol_pre"][:1])),
     rewritten(lambda m: _set_value(m, 5, m["col_t"][4], key="col_t")),
     rewritten(lambda m: _set_value(m, 5, np.nan, key="col_t")),
+    None,
 ], ids=["garbage", "truncated", "empty", "damaged", "cut-grid", "short-column",
         "empty-members", "nan-value", "negative-value", "one-1d-record", "short-vol_pre",
-        "repeated-time", "nan-time"])
+        "repeated-time", "nan-time", "a-directory"])
 def test_verify_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys, corrupt):
-    # a trajectory.npz that is unreadable, or whose arrays contradict the
-    # grid or each other, ends `verify` in one line before any check runs
+    # a trajectory.npz that is unreadable (None: a directory in its place),
+    # or whose arrays contradict the grid or each other, ends `verify` in
+    # one line before any check runs
     cfg = write_cfg(tmp_path, base_config(T_final=0.05, dt={"policy": "fixed", "dt": 1e-3},
                                           log_cadence=7))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     npz = out / "trajectory.npz"
-    npz.write_bytes(corrupt(npz.read_bytes()))
+    if corrupt is None:
+        npz.unlink()
+        npz.mkdir()
+    else:
+        npz.write_bytes(corrupt(npz.read_bytes()))
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
@@ -805,6 +832,22 @@ def test_compare_corrupt_trajectory_is_one_line_exit_1(tmp_path, capsys):
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     npz = outs[1] / "trajectory.npz"
     npz.write_bytes(rewritten(lambda m: m.update(snapshots=m["snapshots"][0]))(npz.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["compare", *map(str, outs), "--mode", "shift"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("compare:") and "trajectory.npz" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_compare_a_directory_trajectory_is_one_line_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05, dt={"policy": "fixed", "dt": 1e-3}))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    npz = outs[0] / "trajectory.npz"
+    npz.unlink()
+    npz.mkdir()
     capsys.readouterr()
     assert cli.main(["compare", *map(str, outs), "--mode", "shift"]) == 1
     captured = capsys.readouterr()

@@ -6,11 +6,10 @@ import pytest
 
 import conflow
 from conflow import diagnostics as dg
-from conflow import flow
 from conflow.conformal import Background, scalar_curvature_values
 from conflow.flow import RunConfig, run
 from conflow.fzoo import classical
-from conflow.grid import ScalarField, field_from_spec, power
+from conflow.grid import ScalarField, field_from_spec, node_mean, power
 
 from conftest import COS_PHASE, TWO_PI
 
@@ -51,7 +50,7 @@ def test_vol_pre_without_renormalization_is_the_volume_of_each_record(n, dims, n
                     renormalize_volume=False, normalized=normalized, log_cadence=5)
     traj = run(cfg)
     assert traj.termination == "time_reached" and traj.n_records > 2
-    want = [flow._mean(scalar_curvature_values(bg, u, with_weight=True)[1])
+    want = [node_mean(g, scalar_curvature_values(bg, u, with_weight=True)[1])
             for u in traj.snapshots]
     assert traj.vol_pre.tolist() == want
 

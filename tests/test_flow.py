@@ -13,9 +13,11 @@ from conflow.conformal import (
     Background,
     ConformalState,
     FDomainError,
+    Records,
     conformal_laplacian_values,
     require_f_domain,
     scalar_curvature_values,
+    weighted_mean,
 )
 from conflow.flow import (
     ParabolicityError,
@@ -501,15 +503,7 @@ def test_fixed_dt_policy_needs_finite_positive_dt(dt):
 def first_stage(kern, u):
     """The run loop's first RK stage from the evaluation of u and its mean A."""
     _, w, _, _, phi = kern.evaluate(u)
-    return kern.pref * (phi - flow._mean_f(phi, w) if kern.normalized else phi) * u
-
-
-def test_kernel_mean_is_numpy_mean_bitwise():
-    rng = np.random.default_rng(3)
-    for shape in [(7,), (128,), (1000,), (16, 24), (8, 10, 12)]:
-        for _ in range(20):
-            v = rng.lognormal(sigma=2.0, size=shape)
-            assert flow._mean(v) == v.mean()
+    return kern.pref * (phi - weighted_mean(kern.bg.grid, phi, w) if kern.normalized else phi) * u
 
 
 KERNEL_POINTS = {1: (32,), 2: (16, 12), 3: (8, 10, 8)}
@@ -553,7 +547,7 @@ def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
     assert np.array_equal(kern.rhs(u), rhs(u))
     (S, w, Smin, Smax, phi), ref = kern.evaluate(u), reference.flow_terms(bg, f, u)
     assert np.array_equal(S, ref["S"]) and np.array_equal(phi, ref["phi"])
-    A = flow._mean_f(phi, w)
+    A = weighted_mean(bg.grid, phi, w)
     assert np.array_equal(phi - A, ref["phi"] - ref["A"])
     assert (float(w.mean()), A, float(np.abs(phi - A).max())) == (
         ref["wm"], ref["A"], ref["fSA_sup"])
@@ -700,6 +694,30 @@ def test_an_infinite_diffusivity_ends_the_run(monkeypatch):
     assert traj.n_records == 1 and traj.times.tolist() == [0.0]
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_mean_A_of_a_finite_f_near_the_float_maximum_is_finite():
+    # at u = 1, f(S) = exp(709.2) = 1.0038e308 at all 16 nodes: finite,
+    # though the sum of f(S) * w overflows
+    g = grid1d(N=16)
+    bg, f = Background(field_from_spec(g, "constant:-354.6")), expdecay(2.0)
+    fS = float(f.eval_f(-354.6))
+    assert math.isfinite(fS) and not math.isfinite(16.0 * fS)
+    cfg = RunConfig(background=bg, f=f, u0=ScalarField.constant(g, 1.0), T_final=1.0,
+                    scheme="euler", normalized=False, renormalize_volume=False)
+    traj = run(cfg)
+    assert (traj.columns["A"].tolist(), traj.columns["fSA_sup"].tolist()) == ([fS], [0.0])
+    # the normalized flow sees the state as the stationary state it is
+    assert run(dataclasses.replace(cfg, normalized=True)).termination == "stationary"
+    state = ConformalState(cfg.u0)
+    assert np.array_equal(rhs_normalized(bg, state, f).values, np.zeros(16))
+    assert np.array_equal(step(bg, state, f, 1e-3, "euler").u.values, cfg.u0.values)
+    # in a stack only the overflowing record is taken again: the other
+    # record's A is its A alone, bit for bit
+    U = np.stack([cfg.u0.values, 2.0 + 0.1 * np.cos(g.axis_coordinates(0))])
+    A = Records(bg, f, U).A
+    assert A[0] == fS and A[1].tobytes() == Records(bg, f, U[1:]).A.tobytes()
+
+
 def test_probe_matches_rhs_and_reference_row():
     # the run loop's first RK stage comes from the probe and must equal
     # rhs(u) bit for bit; the columns of one state must equal the formulas
@@ -713,7 +731,7 @@ def test_probe_matches_rhs_and_reference_row():
     expected = reference_row(bg, f, u, 0.25, 1e-3)
     assert {key: cols[key][0] for key in RECORD_COLUMNS} == expected
     _, w, Smin, Smax, phi = kern.evaluate(u)
-    A = flow._mean_f(phi, w)
+    A = weighted_mean(bg.grid, phi, w)
     assert (A, float(np.abs(phi - A).max()), float(w.mean()), Smin, Smax,
             float(u.min()), float(u.max())) == tuple(
         expected[k] for k in ("A", "fSA_sup", "vol", "Smin", "Smax", "umin", "umax"))
@@ -918,13 +936,12 @@ def test_only_a_normalized_or_tau_stopped_run_takes_the_mean_A(monkeypatch):
     # inside the loop of a non-normalized run only the rescaled time reads
     # A; the logged A column comes from the columns pass
     means = []
-    mean_f = flow._mean_f
 
-    def counting(phi, w):
+    def counting(grid, v, w):
         means.append(1)
-        return mean_f(phi, w)
+        return weighted_mean(grid, v, w)
 
-    monkeypatch.setattr(flow, "_mean_f", counting)
+    monkeypatch.setattr(flow, "weighted_mean", counting)
     path = Path(__file__).resolve().parent.parent / "configs" / "compare_nonnormalized.json"
     cfg = json.loads(path.read_text())
     cfg["time"]["T_final"] = 0.05

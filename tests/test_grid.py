@@ -10,8 +10,8 @@ from conflow.grid import (
     grad_inner_values,
     laplacian0_values,
     read_field,
+    node_mean,
     record_blocks,
-    record_means,
     write_field,
 )
 
@@ -268,13 +268,34 @@ def test_stencils_on_record_stacks_match_per_record_bitwise(grid):
     lap = laplacian0_values(grid, a)
     gi = grad_inner_values(grid, a, b)
     S = scalar_curvature_values(bg, a)
-    means = record_means(a * b)
-    assert means.shape == (K,)
     for k in range(K):
         assert np.array_equal(lap[k], laplacian0_values(grid, a[k]))
         assert np.array_equal(gi[k], grad_inner_values(grid, a[k], b[k]))
         assert np.array_equal(S[k], scalar_curvature_values(bg, a[k]))
-        assert means[k] == (a[k] * b[k]).mean()
+
+
+@pytest.mark.parametrize("grid", [*BATCH_GRIDS, GridSpec(4, 1, (1000,), (TWO_PI,)),
+                                  GridSpec(4, 2, (64, 64), (TWO_PI, TWO_PI))],
+                         ids=["128", "9", "16x24", "8x10x12", "1000", "64x64"])
+@np.errstate(invalid="ignore")  # inf - inf in the means
+def test_node_mean_is_numpys_mean_bit_for_bit(grid):
+    # one field gives v.mean(), a (K, *grid.shape) stack each v[k].mean()
+    rng = np.random.default_rng(3)
+    for v in rng.lognormal(sigma=2.0, size=(20, *grid.shape)):
+        assert node_mean(grid, v) == v.mean()
+    # signed values over seven decades, with NaN and +-inf in some records
+    shape = (6, *grid.shape)
+    U = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    flat = U.reshape(len(U), -1)
+    flat[1, 2] = np.nan
+    flat[2, 0] = np.inf
+    flat[3, 1] = -np.inf
+    flat[3, 3] = np.inf
+    means = node_mean(grid, U)
+    assert means.shape == (6,)
+    for want in (flat.mean(axis=1), np.array([u.mean() for u in U]),
+                 np.array([node_mean(grid, u) for u in U])):
+        assert means.tobytes() == want.tobytes()
 
 
 def test_neighbour_tables_are_built_once_per_grid_and_read_only():
