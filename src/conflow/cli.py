@@ -8,11 +8,13 @@ logged snapshots, for verification and comparison), and summary.json.
 
 Exit codes: run returns 0 when the flow reached its horizon or a stationary
 state, 2 on blowup / positivity loss / f-domain violation / an exhausted
-step budget, 1 on config errors (a nonpositive u0, a non-finite number or
-a section of the wrong type among them).  verify returns 2 when any
+step budget, 1 on config errors (a nonpositive u0, a non-finite number, a
+section of the wrong type, a document that is no JSON object or an output
+directory that cannot be made).  verify returns 2 when any
 non-inconclusive check fails and 1 on config errors, an unreadable
 trajectory.npz, unknown check names or none, which are rejected before any
-run or check starts.  sweep returns 1 on a malformed plan.  compare returns
+run or check starts.  sweep returns 1 on a malformed plan, and a member
+with a bad config or directory is its own exit-1 row.  compare returns
 2 when the two runs disagree and 1 when they cannot be compared: an
 unreadable run, two different grids, or a run of the wrong kind for the mode.
 Identical configs produce bit-identical CSV and summaries.
@@ -44,12 +46,14 @@ class ConfigError(ValueError):
 # Config assembly
 # ---------------------------------------------------------------------------
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path, what: str) -> dict:
+    """The JSON object in ``path``, else a ConfigError naming ``what``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return _object(value, f"{what} {path}")
 
 
 def _object(value, what: str) -> dict:
@@ -60,14 +64,14 @@ def _object(value, what: str) -> dict:
 
 
 def _typed(value, kind: type, what: str):
-    """``value`` if it is a JSON boolean (``kind`` bool), a JSON integer
-    (``kind`` int) or a JSON number (``kind`` float, integers included),
+    """``value`` if it is a JSON boolean (``kind`` bool) or integer (``kind``
+    int), as a float if it is a JSON number (``kind`` float, integers too),
     else a ConfigError naming ``what``; a boolean is neither number."""
     kinds = (int, float) if kind is float else kind
     if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
         must = {bool: "true or false", int: "an integer", float: "a number"}[kind]
         raise ConfigError(f"'{what}' must be {must}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _resolve_field_spec(spec: str, base_dir: Path) -> str:
@@ -89,10 +93,11 @@ def resolve_config_paths(cfg: dict, base_dir: Path) -> dict:
 
 
 def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunConfig:
-    """The RunConfig of a config document; a malformed document (its
-    ``outputs`` and ``checks`` too) or an unreadable field file raises ConfigError."""
+    """The RunConfig of a config document, a ``time`` key it leaves unset at
+    RunConfig's default; a malformed document (its ``outputs`` and
+    ``checks`` too) or an unreadable field file raises ConfigError."""
     try:
-        outputs = _object(cfg.get("outputs", {}), "'outputs'")
+        outputs = _object(_object(cfg, "a config").get("outputs", {}), "'outputs'")
         if "dir" in outputs and not (isinstance(outputs["dir"], str) and outputs["dir"]):
             raise ConfigError(f"'outputs.dir' must be a non-empty string, got {outputs['dir']!r}")
         checks = cfg.get("checks", [])
@@ -110,42 +115,38 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         u0 = field_from_spec(grid, _resolve_field_spec(cfg["u0"], base_dir))
         f = fzoo.from_config(cfg["f"], seed=seed)
         tcfg = _object(cfg.get("time", {}), "'time'")
-        dt_cfg = _object(tcfg.get("dt", {"policy": "adaptive"}), "'time.dt'")
+        dt_cfg = _object(tcfg.get("dt", {}), "'time.dt'")
+        settings = {key: _typed(tcfg[key], kind, f"time.{key}") for key, kind in (
+            ("T_final", float), ("stop_tol", float), ("normalized", bool),
+            ("renormalize_volume", bool), ("log_cadence", int)) if key in tcfg}
+        if "scheme" in tcfg:
+            settings["scheme"] = tcfg["scheme"]
         mode = dt_cfg.get("policy", "adaptive")
-        step = {}  # an unstated safety is RunConfig's default
         if mode == "fixed":
-            step["dt"] = float(_typed(dt_cfg["dt"], float, "time.dt.dt"))
+            settings["dt"] = _typed(dt_cfg["dt"], float, "time.dt.dt")
         elif mode != "adaptive":
             raise ConfigError(f"'time.dt.policy' must be 'fixed' or 'adaptive', got {mode!r}")
         elif "safety" in dt_cfg:
-            step["safety"] = float(_typed(dt_cfg["safety"], float, "time.dt.safety"))
-        normalized = _typed(tcfg.get("normalized", True), bool, "time.normalized")
-        return RunConfig(
-            background=bg,
-            f=f,
-            u0=u0,
-            T_final=float(_typed(tcfg.get("T_final", 1.0), float, "time.T_final")),
-            **step,
-            stop_tol=float(_typed(tcfg.get("stop_tol", 1e-8), float, "time.stop_tol")),
-            renormalize_volume=_typed(tcfg.get("renormalize_volume", normalized), bool,
-                                      "time.renormalize_volume"),
-            log_cadence=_typed(tcfg.get("log_cadence", 10), int, "time.log_cadence"),
-            scheme=tcfg.get("scheme", "rk4"),
-            normalized=normalized,
-        )
+            settings["safety"] = _typed(dt_cfg["safety"], float, "time.dt.safety")
+        return RunConfig(background=bg, f=f, u0=u0, **settings)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _default_out(cfg_path: Path, cfg: dict, flag: str | None) -> Path:
-    if flag:
-        return Path(flag)
-    if "outputs" in cfg and "dir" in cfg["outputs"]:
-        return Path(cfg["outputs"]["dir"])
-    root = os.environ.get("CONFLOW_OUT", "out")
-    return Path(root) / cfg_path.stem
+def _output_dir(flag: str | None, stated=None, source: Path | None = None) -> Path:
+    """A command's output directory, made: ``flag`` (``--out``, a sweep
+    member's directory), else the one its input states (``outputs.dir``, a
+    plan's ``out``, the run directory), else ``$CONFLOW_OUT/<source stem>``.
+    One that cannot be made (a file at or above it) raises ConfigError."""
+    out = Path(flag or (Path(os.environ.get("CONFLOW_OUT", "out")) / source.stem
+                        if stated is None else stated))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dic
     trajectory.npz.  A trajectory.npz that cannot be read, whose arrays
     contradict the grid or each other, or whose times are not finite and
     strictly increasing, raises ConfigError."""
-    summary = _object(_load_json(out / "summary.json"), str(out / "summary.json"))
+    summary = _load_json(out / "summary.json", "the run summary")
     missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
     if missing:
         raise ConfigError(f"{out}: summary.json carries no {' or '.join(missing)}")
@@ -246,12 +247,12 @@ def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dic
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     try:
-        cfg = resolve_config_paths(_load_json(cfg_path), cfg_path.parent)
+        cfg = resolve_config_paths(_load_json(cfg_path, "the config"), cfg_path.parent)
         rc = build_run_config(cfg, cfg_path.parent, seed=args.seed)
+        out = _output_dir(args.out, cfg.get("outputs", {}).get("dir"), cfg_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = _default_out(cfg_path, cfg, args.out)
     traj = run(rc)
     write_outputs(traj, out, cfg)
     print(f"{cfg_path.stem}: {traj.termination} after {traj.n_records} records"
@@ -281,20 +282,19 @@ def cmd_verify(args) -> int:
     try:
         if target.is_dir():
             traj, cfg = load_trajectory(target, seed=args.seed)
-            rc = traj.config
-            out = Path(args.out) if args.out else target
+            rc, stated = traj.config, target
         else:
-            cfg = resolve_config_paths(_load_json(target), target.parent)
+            cfg = resolve_config_paths(_load_json(target, "the config"), target.parent)
             rc = build_run_config(cfg, target.parent, seed=args.seed)
-            out = _default_out(target, cfg, args.out)
+            stated = cfg.get("outputs", {}).get("dir")
         names = _select_checks(args.checks, cfg, rc.background.case_tag)
+        out = _output_dir(args.out, stated, target)
     except ConfigError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
     if traj is None:
         traj = run(rc)
     reports = diagnostics.run_checks(traj, rc.background, rc.f, names)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "background_caveat": diagnostics.BACKGROUND_CAVEAT,
         "reports": [r.to_dict() for r in reports],
@@ -319,10 +319,11 @@ def _sweep_worker(payload) -> tuple[str, str, str, int, float, float]:
     run_id, cfg, out_dir, seed = payload
     try:
         rc = build_run_config(cfg, Path(out_dir), seed=seed)
+        out = _output_dir(out_dir)
     except ConfigError as exc:
         return run_id, "invalid", f"config error: {exc}", 1, math.nan, math.nan
     traj = run(rc)
-    write_outputs(traj, Path(out_dir), cfg)
+    write_outputs(traj, out, cfg)
     bg = rc.background
     b_pred = math.nan
     if bg.case_tag == "negative":
@@ -344,11 +345,10 @@ def _merge(base: dict, overrides: dict) -> dict:
 def cmd_sweep(args) -> int:
     plan_path = Path(args.plan)
     try:
-        plan = _object(_load_json(plan_path), "a sweep plan")
+        plan = _load_json(plan_path, "the sweep plan")
         base = _object(plan.get("base", {}), "'base'")
         if "base_path" in plan:
-            base = _merge(_object(_load_json(plan_path.parent / plan["base_path"]),
-                                  "the base config"), base)
+            base = _merge(_load_json(plan_path.parent / plan["base_path"], "a base config"), base)
         runs = plan["runs"]
         if not isinstance(runs, list):
             raise ConfigError(f"'runs' must be a JSON list, got {runs!r}")
@@ -361,21 +361,19 @@ def cmd_sweep(args) -> int:
         if len(set(ids)) != len(ids):
             raise ConfigError("sweep run ids must be unique")
         jobs = args.jobs or _typed(plan.get("jobs", 1), int, "jobs")
-        out_root = Path(args.out) if args.out else Path(
-            plan.get("out", Path(os.environ.get("CONFLOW_OUT", "out")) / plan_path.stem))
-        payloads = []
+        configs = []
         for spec in runs:
             if "config" in spec:
                 raise ConfigError(f"run {spec['id']!r}: 'config' is not a run key;"
                                   " name its changes to the base 'overrides'")
             overrides = _object(spec.get("overrides", {}), f"run {spec['id']!r}'s overrides")
-            payloads.append((spec["id"], resolve_config_paths(_merge(base, overrides),
-                                                              plan_path.parent),
-                             str(out_root / spec["id"]), args.seed))
+            configs.append(resolve_config_paths(_merge(base, overrides), plan_path.parent))
+        out_root = _output_dir(args.out, plan.get("out"), plan_path)
     except (ConfigError, KeyError, TypeError) as exc:  # TypeError: a non-string path
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
 
+    payloads = [(rid, cfg, str(out_root / rid), args.seed) for rid, cfg in zip(ids, configs)]
     # no more workers than runs: the pool starts all of them at once
     workers = min(jobs, len(payloads))
     if workers <= 1:
@@ -387,7 +385,6 @@ def cmd_sweep(args) -> int:
 
     import csv
 
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "aggregate.csv", "w", newline="") as fh:
         # minimal quoting: only a field with a comma (a config error) is quoted
         writer = csv.writer(fh, lineterminator="\n")

@@ -91,23 +91,26 @@ class ParabolicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's settings.  ``dt`` is a fixed step; None takes the adaptive
-    step, ``safety`` times the stability limit."""
+    """A run's settings and their one set of defaults.  ``dt`` is a fixed
+    step; None takes the adaptive step, ``safety`` times the stability
+    limit.  ``renormalize_volume`` unset takes the value of ``normalized``."""
 
     background: Background
     f: FSpec
     u0: ScalarField
-    T_final: float
+    T_final: float = 1.0
     dt: float | None = None
     safety: float = 0.8
     stop_tol: float = 1e-8
-    renormalize_volume: bool = True
+    renormalize_volume: bool | None = None
     log_cadence: int = 10
     scheme: str = "rk4"
     normalized: bool = True
     tau_stop: float | None = None
 
     def __post_init__(self):
+        if self.renormalize_volume is None:
+            object.__setattr__(self, "renormalize_volume", self.normalized)
         if not (math.isfinite(self.T_final) and self.T_final > 0.0):
             raise ValueError(f"T_final must be positive and finite, got {self.T_final!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):

@@ -594,6 +594,74 @@ def test_empty_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["run", "verify-config", "verify-run", "sweep"])
+def test_an_output_path_at_a_file_is_one_line_exit_1(tmp_path, capsys, monkeypatch, command,
+                                                     below):
+    # `--out` naming a file, or a path under one, ends in one line before
+    # any run or check starts, and leaves the file as it was
+    cfg = write_cfg(tmp_path, base_config(T_final=0.05))
+    target, prefix = str(cfg), "config error:"
+    if command.startswith("verify"):
+        prefix = "verify:"
+        if command == "verify-run":
+            target = str(tmp_path / "out")
+            assert cli.main(["run", str(cfg), "--out", target]) == 0
+    elif command == "sweep":
+        target, prefix = str(sweep_plan(tmp_path)), "sweep:"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran or checked before it failed")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(diagnostics, "run_checks", refuse)
+    capsys.readouterr()
+    assert cli.main([command.split("-")[0], target, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and str(out) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert blocker.read_text() == "kept\n"
+
+
+def test_sweep_member_whose_directory_is_a_file_is_a_config_error(tmp_path):
+    # the member's id names a file under the output root: its row says so
+    # with exit 1, and the other members run
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "b").write_text("kept\n")
+    assert cli.main(["sweep", str(sweep_plan(tmp_path)), "--out", str(out), "--jobs", "1"]) == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rid, case, message, *rest = rows[1]
+    assert (rid, case, rest) == ("b", "invalid", ["1", "nan", "nan"])
+    assert message.startswith("config error: cannot make the output directory")
+    assert (out / "b").read_text() == "kept\n"
+    assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
+
+
+def test_a_stored_config_that_is_not_an_object_is_one_line_exit_1(tmp_path, capsys):
+    # summary.json's config rebuilds the stored run: a list there ends
+    # `verify` and `compare` of the run in one line
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_cfg(tmp_path, base_config(T_final=0.05))),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    (out / "summary.json").write_text(json.dumps({**summary, "config": []}))
+    capsys.readouterr()
+    for command, prefix in ((["verify", str(out)], "verify:"),
+                            (["compare", str(out), str(out), "--mode", "shift"], "compare:")):
+        assert cli.main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and "must be a JSON object" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
 def test_conflow_out_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CONFLOW_OUT", str(tmp_path / "envroot"))
     monkeypatch.chdir(tmp_path)
@@ -711,15 +779,20 @@ def _set(cfg, path, value):
     ("f", {"name": "table", "x": [-4, 0, 4], "f": [True, False, -4]}),
     ("u0", "file:missing.field"),
     pytest.param("background", "file:.", id="background-a_directory"),
+    pytest.param("", [1, 2], id="document-a_list"),
+    pytest.param("", "x", id="document-a_string"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
-    # a malformed section, a non-finite number (JSON NaN) or a field file
-    # that cannot be read ends in one `config error:` line before any run
-    # starts, and `verify` of the same config in one `verify:` line; a numpy
-    # warning would be one more line
+    # a malformed section, a non-finite number (JSON NaN), a field file
+    # that cannot be read or a document that is not an object ends in one
+    # `config error:` line before any run starts, and `verify` of the same
+    # config in one `verify:` line; a numpy warning would be one more line
     cfg = base_config()
-    _set(cfg, path, value)
+    if path:
+        _set(cfg, path, value)
+    else:  # the whole document
+        cfg = value
     p = write_cfg(tmp_path, cfg)
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

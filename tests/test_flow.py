@@ -792,7 +792,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="T_final"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=0.0)
     with pytest.raises(ValueError, match="renormalization"):
-        RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, normalized=False)
+        RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, normalized=False,
+                  renormalize_volume=True)
+    # renormalization left unset follows the kind of flow
+    assert RunConfig(background=bg, f=classical(), u0=u0,
+                     normalized=False).renormalize_volume is False
     with pytest.raises(ValueError, match="homogeneous"):
         RunConfig(background=bg, f=expdecay(1.0), u0=u0, T_final=1.0, normalized=False,
                   renormalize_volume=False, tau_stop=1.0, log_cadence=1)
@@ -800,6 +804,13 @@ def test_config_validation():
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, safety=1.5)
     with pytest.raises(ValueError, match="scheme"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, scheme="ab2")
+    # a document with no time section takes RunConfig's defaults, every one
+    doc = {"grid": {"ambient_n": 4, "points": [32], "periods": [TWO_PI]},
+           "background": "constant:-1.0", "u0": "constant:1", "f": {"name": "classical"}}
+    built = cli.build_run_config(doc, Path("."))
+    default = RunConfig(built.background, built.f, built.u0)
+    for field in dataclasses.fields(RunConfig):
+        assert getattr(built, field.name) == getattr(default, field.name), field.name
 
 
 def test_shift_invariance_of_runs():
