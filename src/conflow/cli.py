@@ -6,18 +6,15 @@ examples.  Outputs per run: series.csv (the logged diagnostics), snapshot
 files for the initial and final conformal factor, trajectory.npz (all
 logged snapshots, for verification and comparison), and summary.json.
 
-Exit codes: run returns 0 when the flow reached its horizon or a stationary
-state, 2 on blowup / positivity loss / f-domain violation / an exhausted
-step budget, 1 on config errors (a nonpositive u0, a non-finite number, a
-section of the wrong type, a document that is no JSON object or an output
-directory that cannot be made).  verify returns 2 when any
-non-inconclusive check fails and 1 on config errors, an unreadable
-trajectory.npz, unknown check names or none, which are rejected before any
-run or check starts.  sweep returns 1 on a malformed plan, and a member
-with a bad config or directory is its own exit-1 row.  compare returns
-2 when the two runs disagree and 1 when they cannot be compared: an
-unreadable run, two different grids, or a run of the wrong kind for the mode.
-Identical configs produce bit-identical CSV and summaries.
+Exit codes: run returns 2 on blowup / positivity loss / f-domain violation
+/ an exhausted step budget, verify when a non-inconclusive check fails,
+sweep when a member does not exit 0 (a member with a bad config or
+directory is its own exit-1 row), compare when the two runs disagree; else
+0.  A command raises ConfigError for an input it refuses (a malformed
+config or plan, an unreadable run, unknown check names or none, two runs it
+cannot compare, an output directory that cannot be made) before any run or
+check starts, and ``main`` prints it as one line and returns 1.  Identical
+configs produce bit-identical CSV and summaries.
 """
 
 import json
@@ -97,9 +94,8 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
     RunConfig's default; a malformed document (its ``outputs`` and
     ``checks`` too) or an unreadable field file raises ConfigError."""
     try:
-        outputs = _object(_object(cfg, "a config").get("outputs", {}), "'outputs'")
-        if "dir" in outputs and not (isinstance(outputs["dir"], str) and outputs["dir"]):
-            raise ConfigError(f"'outputs.dir' must be a non-empty string, got {outputs['dir']!r}")
+        _stated_dir(_object(_object(cfg, "a config").get("outputs", {}), "'outputs'"),
+                    "dir", "outputs.dir")
         checks = cfg.get("checks", [])
         if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
             raise ConfigError(f"'checks' must be a JSON list of strings, got {checks!r}")
@@ -133,6 +129,15 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         raise
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _stated_dir(doc: dict, key: str, what: str) -> str | None:
+    """The output directory ``doc[key]`` states, None for no key; one that is no
+    non-empty string (``""`` is the working directory) raises ConfigError."""
+    stated = doc.get(key)
+    if key in doc and not (isinstance(stated, str) and stated):
+        raise ConfigError(f"'{what}' must be a non-empty string, got {stated!r}")
+    return stated
 
 
 def _output_dir(flag: str | None, stated=None, source: Path | None = None) -> Path:
@@ -198,9 +203,8 @@ def write_outputs(traj: Trajectory, out: Path, cfg: dict) -> dict:
 def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dict]:
     """The stored run in ``out``: its config, termination and notes from
     summary.json (its f built with ``seed``), its records from
-    trajectory.npz.  A trajectory.npz that cannot be read, whose arrays
-    contradict the grid or each other, or whose times are not finite and
-    strictly increasing, raises ConfigError."""
+    trajectory.npz.  A trajectory.npz that cannot be read, or whose arrays
+    a ``Trajectory`` refuses, raises ConfigError."""
     summary = _load_json(out / "summary.json", "the run summary")
     missing = [k for k in ("config", "termination", "notes") if summary.get(k) is None]
     if missing:
@@ -220,23 +224,6 @@ def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dic
             )
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path}: not a readable trajectory ({exc})") from exc
-    # K >= 1 records on the config's grid, one column entry per record, and
-    # positive finite states (min > 0 fails on NaN, a finite max bounds it)
-    snaps, shape = traj.snapshots, rc.background.grid.shape
-    K = len(snaps) if snaps.ndim else 0
-    if K < 1 or snaps.shape != (K, *shape):
-        raise ConfigError(f"{path}: snapshots of shape {snaps.shape} are not records"
-                          f" on the {shape} grid")
-    short = [k for k, v in (("vol_pre", traj.vol_pre),
-                            *((f"col_{c}", traj.columns[c]) for c in RECORD_COLUMNS))
-             if v.shape != (K,)]
-    if short:
-        raise ConfigError(f"{path}: {', '.join(short)} not of shape ({K},)")
-    if not (snaps.min() > 0.0 and math.isfinite(snaps.max())):
-        raise ConfigError(f"{path}: a snapshot value is not positive and finite")
-    t = traj.times
-    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
-        raise ConfigError(f"{path}: col_t is not finite and strictly increasing")
     return traj, cfg
 
 
@@ -246,13 +233,9 @@ def load_trajectory(out: Path, seed: int | None = None) -> tuple[Trajectory, dic
 
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    try:
-        cfg = resolve_config_paths(_load_json(cfg_path, "the config"), cfg_path.parent)
-        rc = build_run_config(cfg, cfg_path.parent, seed=args.seed)
-        out = _output_dir(args.out, cfg.get("outputs", {}).get("dir"), cfg_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = resolve_config_paths(_load_json(cfg_path, "the config"), cfg_path.parent)
+    rc = build_run_config(cfg, cfg_path.parent, seed=args.seed)
+    out = _output_dir(args.out, cfg.get("outputs", {}).get("dir"), cfg_path)
     traj = run(rc)
     write_outputs(traj, out, cfg)
     print(f"{cfg_path.stem}: {traj.termination} after {traj.n_records} records"
@@ -279,19 +262,15 @@ def _select_checks(args_checks, cfg: dict, case_tag: str) -> list[str]:
 def cmd_verify(args) -> int:
     target = Path(args.target)
     traj = None
-    try:
-        if target.is_dir():
-            traj, cfg = load_trajectory(target, seed=args.seed)
-            rc, stated = traj.config, target
-        else:
-            cfg = resolve_config_paths(_load_json(target, "the config"), target.parent)
-            rc = build_run_config(cfg, target.parent, seed=args.seed)
-            stated = cfg.get("outputs", {}).get("dir")
-        names = _select_checks(args.checks, cfg, rc.background.case_tag)
-        out = _output_dir(args.out, stated, target)
-    except ConfigError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+    if target.is_dir():
+        traj, cfg = load_trajectory(target, seed=args.seed)
+        rc, stated = traj.config, target
+    else:
+        cfg = resolve_config_paths(_load_json(target, "the config"), target.parent)
+        rc = build_run_config(cfg, target.parent, seed=args.seed)
+        stated = cfg.get("outputs", {}).get("dir")
+    names = _select_checks(args.checks, cfg, rc.background.case_tag)
+    out = _output_dir(args.out, stated, target)
     if traj is None:
         traj = run(rc)
     reports = diagnostics.run_checks(traj, rc.background, rc.f, names)
@@ -368,10 +347,9 @@ def cmd_sweep(args) -> int:
                                   " name its changes to the base 'overrides'")
             overrides = _object(spec.get("overrides", {}), f"run {spec['id']!r}'s overrides")
             configs.append(resolve_config_paths(_merge(base, overrides), plan_path.parent))
-        out_root = _output_dir(args.out, plan.get("out"), plan_path)
-    except (ConfigError, KeyError, TypeError) as exc:  # TypeError: a non-string path
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
+        out_root = _output_dir(args.out, _stated_dir(plan, "out", "out"), plan_path)
+    except (KeyError, TypeError) as exc:  # a missing key; TypeError: a non-string path
+        raise ConfigError(str(exc)) from exc
 
     payloads = [(rid, cfg, str(out_root / rid), args.seed) for rid, cfg in zip(ids, configs)]
     # no more workers than runs: the pool starts all of them at once
@@ -404,18 +382,14 @@ def cmd_compare(args) -> int:
     mode compares a normalized run_a with the rescaled non-normalized run_b.
     Both need the two runs on one grid."""
     kind_b = "normalized" if args.mode == "shift" else "non_normalized"
-    try:
-        traj_a, _ = load_trajectory(Path(args.run_a), seed=args.seed)
-        traj_b, _ = load_trajectory(Path(args.run_b), seed=args.seed)
-        grid_a, grid_b = traj_a.config.background.grid, traj_b.config.background.grid
-        if grid_a != grid_b:
-            raise ConfigError(f"the runs live on different grids: {grid_a} vs {grid_b}")
-        for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
-            if traj.kind != kind:
-                raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")
-    except ConfigError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 1
+    traj_a, _ = load_trajectory(Path(args.run_a), seed=args.seed)
+    traj_b, _ = load_trajectory(Path(args.run_b), seed=args.seed)
+    grid_a, grid_b = traj_a.config.background.grid, traj_b.config.background.grid
+    if grid_a != grid_b:
+        raise ConfigError(f"the runs live on different grids: {grid_a} vs {grid_b}")
+    for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
+        if traj.kind != kind:
+            raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")
     if args.mode == "shift":
         if traj_a.n_records != traj_b.n_records:
             print(f"compare: record counts differ ({traj_a.n_records} vs {traj_b.n_records})")
@@ -427,9 +401,8 @@ def cmd_compare(args) -> int:
         return 0 if (tgap <= 1e-12 and ugap <= SHIFT_TOL) else 2
     try:
         rep = diagnostics.compare_rescaled(traj_a, traj_b)
-    except ValueError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # a run_b that cannot be rescaled
+        raise ConfigError(str(exc)) from exc
     print(f"rescale compare: sup gap {rep.measured['sup_gap']:.3g} over"
           f" {rep.measured['matched_records']}/{traj_a.n_records} records"
           f" (tolerance {rep.tolerances['sup_tol']:g})")
@@ -472,7 +445,11 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # every command's refused input: one line
+        print(f"{'config error' if args.command == 'run' else args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ a conformal factor over a flat torus.  Reports carry that caveat.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,9 +81,14 @@ class Constants:
 
 @dataclass(frozen=True)
 class Background:
-    """A prescribed curvature field, ``Background(S0)``; n is its grid's ambient_n."""
+    """A prescribed curvature field, ``Background(S0)``; n is its grid's ambient_n.
+    Its constants are computed here: an n too large for a float raises OverflowError."""
 
     S0: ScalarField
+    constants: Constants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constants", Constants.for_dimension(self.n))
 
     @property
     def grid(self) -> GridSpec:
@@ -92,10 +97,6 @@ class Background:
     @property
     def n(self) -> int:
         return self.S0.grid.ambient_n
-
-    @functools.cached_property
-    def constants(self) -> Constants:
-        return Constants.for_dimension(self.n)
 
     @property
     def case_tag(self) -> str:

@@ -17,7 +17,8 @@ records through ``conformal.Records`` (``Records.blocks``): each operator is
 called once per block on a ``(B, *grid.shape)`` stack, and the curvature,
 the volume weight, the mean A and the f-domain test of every record are the
 same evaluation the diagnostics columns use, bit for bit the
-record-by-record values.
+record-by-record values.  A ``Trajectory`` holds only positive finite states at
+strictly increasing times: the one bad record a checker meets is one outside f's domain.
 """
 
 import functools
@@ -30,7 +31,7 @@ import numpy as np
 from .conformal import Background, Records
 from .flow import Trajectory, cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
-from .grid import PositivityError, grad_inner_values, node_mean, power
+from .grid import grad_inner_values, node_mean, power
 
 __all__ = [
     "TheoremReport",
@@ -139,17 +140,6 @@ def _check(name: str, report_id: str, normalized_only: bool = True):
         _CHECKS[name] = _Check(report_id, checker.__name__)
         return stamped
     return register
-
-
-def _rhs_sup(rec: Records) -> np.ndarray:
-    """sup |du/dt| of the normalized flow at each state of a block.  Raises
-    what a record-by-record right-hand side raises at the block's first
-    nonpositive or out-of-domain record."""
-    positive = rec.extremes(rec.U)[0] > 0.0
-    bad = np.flatnonzero(~(positive & rec.in_domain))
-    if bad.size and not positive[bad[0]]:
-        raise PositivityError("state outside positive cone")
-    return rec.extremes(np.abs(rec.bg.constants.pref * rec.dev * rec.U))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +293,9 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
         B_pred, C_pred = predicted_decay_constants(bg, f)
         half_width = pref * C_pred / B_pred
         lo, hi = math.exp(-half_width), math.exp(half_width)
-        dudt = np.concatenate([_rhs_sup(rec) for _, rec in Records.blocks(bg, f, traj.snapshots)])
+        # sup |du/dt| per record; ``rec.dev`` raises at the first one outside f's domain
+        dudt = np.concatenate([rec.extremes(np.abs(pref * rec.dev * rec.U))[1]
+                               for _, rec in Records.blocks(bg, f, traj.snapshots)])
         ctilde = pref * C_pred * hi
         env = DECAY_ENVELOPE_FACTOR * ctilde * np.exp(-B_pred * t) + 1e-12
         measured = {

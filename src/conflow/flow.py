@@ -21,6 +21,8 @@ builds the diagnostics columns from the logged states after the loop with
 ``conformal.Records``, the theorem checks' evaluator; every A, of a stage
 or of a record, is ``conformal.weighted_mean``.  ``rhs_normalized``,
 ``stable_dt``, ``step`` and the linearizations evaluate one state, checked.
+A ``Trajectory``, whether ``run`` made it or it was read from disk, refuses
+data that breaks its invariants.
 
 Stability control: the principal part of the linearized right-hand side is a
 diffusion with state-dependent coefficient
@@ -145,11 +147,11 @@ class Trajectory:
 
     The config is the one source of the run's kind, grid, dimension n,
     background and f.  ``columns`` holds one array per RECORD_COLUMNS entry;
-    ``snapshots`` has one u field per record.  Times are strictly increasing
-    and every logged state is positive.  ``vol_pre`` keeps the conservation
-    defect measurable: the pre-correction volume when renormalization is
-    on (``vol_pre[0]`` is the volume after the initial renormalization, so
-    the drift is the steps'), the ``vol`` column otherwise.
+    ``snapshots`` has one u field per record, positive and finite, at finite,
+    strictly increasing times; other data raises ValueError.  ``vol_pre``
+    keeps the conservation defect measurable: the pre-correction volume when
+    renormalization is on (``vol_pre[0]`` is the volume after the initial
+    renormalization, so the drift is the steps'), the ``vol`` column otherwise.
     """
 
     config: RunConfig
@@ -158,6 +160,24 @@ class Trajectory:
     snapshots: np.ndarray
     vol_pre: np.ndarray
     notes: str = ""
+
+    def __post_init__(self):
+        # K >= 1 records on the config's grid, one column entry per record,
+        # and positive finite states (min > 0 fails on NaN, a finite max bounds it)
+        snaps, shape = self.snapshots, self.config.background.grid.shape
+        K = len(snaps) if snaps.ndim else 0
+        if K < 1 or snaps.shape != (K, *shape):
+            raise ValueError(f"snapshots of shape {snaps.shape} are not records on the {shape} grid")
+        short = [k for k, v in (("vol_pre", self.vol_pre),
+                                *((f"column {c}", self.columns.get(c)) for c in RECORD_COLUMNS))
+                 if np.shape(v) != (K,)]
+        if short:
+            raise ValueError(f"{', '.join(short)} not of shape ({K},)")
+        if not (snaps.min() > 0.0 and math.isfinite(snaps.max())):
+            raise ValueError("a snapshot value is not positive and finite")
+        t = np.asarray(self.times)
+        if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+            raise ValueError("the times are not finite and strictly increasing")
 
     @property
     def kind(self) -> str:
@@ -197,9 +217,14 @@ class _Kernel:
         self.two_d = 2.0 * bg.grid.active_dims
 
     def unit_scale(self, u: np.ndarray) -> tuple[float, float]:
-        """The factor that scales u to unit volume, and the volume of u."""
+        """The factor that scales a positive finite u to unit volume, and the
+        volume of u.  A volume that under- or overflows is taken again with u
+        divided by its max, as ``weighted_mean`` mends an overflowing mean."""
         vol = float(node_mean(self.bg.grid, power(u, self.m)))
-        return vol ** (-1.0 / self.m), vol
+        if 0.0 < vol < math.inf:
+            return vol ** (-1.0 / self.m), vol
+        s = float(_max(u, None))
+        return float(node_mean(self.bg.grid, power(u / s, self.m))) ** (-1.0 / self.m) / s, vol
 
     def evaluate(self, u: np.ndarray, with_weight: bool = True, checked: bool = False):
         """``(S, w, Smin, Smax, phi)`` of u: its curvature S, volume weight w

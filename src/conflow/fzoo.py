@@ -104,6 +104,7 @@ class FSpec:
     bounded_below: float | None = None
 
 
+@np.errstate(all="ignore")  # the certificate tests the samples for non-finite values
 def _certify_decreasing(f: FSpec, rng: np.random.Generator | None = None) -> FSpec:
     lo = max(f.domain.lo, -_CERT_WINDOW)
     hi = min(f.domain.hi, max(lo + 2.0 * _CERT_WINDOW, _CERT_WINDOW))
@@ -218,6 +219,7 @@ def expdecay(alpha: float) -> FSpec:
     ))
 
 
+@np.errstate(all="ignore")  # an overflowing interpolant fails its certificate
 def from_table(xs, fs, seed: int | None = None) -> FSpec:
     """Monotone-cubic interpolant through (x, f) pairs.
 

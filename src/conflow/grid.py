@@ -87,8 +87,10 @@ class GridSpec:
             raise ValueError("points and periods must have one entry per active axis")
         if any(p < 8 for p in self.points):
             raise ValueError("need at least 8 points per active axis")
-        if not all(math.isfinite(L) and L > 0 for L in self.periods):
-            raise ValueError(f"periods must be finite and positive, got {self.periods}")
+        # the stencils divide by h*h, which must not overflow or underflow to 0
+        if not all(L > 0.0 and 0.0 < h * h < math.inf for L, h in zip(self.periods, self.spacing)):
+            raise ValueError(f"periods must be positive, each spacing's square finite and"
+                             f" positive, got {self.periods}")
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -363,6 +363,42 @@ def test_sweep_member_with_a_missing_field_file_is_a_config_error(tmp_path):
     assert all((out / rid / "summary.json").exists() for rid in ("a", "c", "d"))
 
 
+def test_sweep_member_with_a_grid_no_run_can_use_is_a_config_error(tmp_path):
+    # an ambient_n whose exponents overflow a float, or a spacing whose
+    # square does, is the member's own row; the others still run
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["runs"][1]["overrides"] = {"grid": {"ambient_n": 2 ** 1030}}
+    plan["runs"][2]["overrides"] = {"grid": {"periods": [1e300]}}
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(p), "--out", str(out), "--jobs", "1"]) == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [row[0] for row in rows] == ["a", "b", "c", "d"]
+    for rid, case, message, *rest in rows[1:3]:
+        assert (case, rest) == ("invalid", ["1", "nan", "nan"])
+        assert message.startswith("config error: invalid config:")
+        assert not (out / rid).exists()
+    assert all((out / rid / "summary.json").exists() for rid in ("a", "d"))
+
+
+@pytest.mark.parametrize("stated", ["", None], ids=["empty", "null"])
+def test_a_plan_out_that_is_no_directory_name_is_one_line_exit_1(tmp_path, monkeypatch,
+                                                                 capsys, stated):
+    # `"out": ""` would be the working directory; like `outputs.dir`, it and
+    # null are refused before any member runs, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    (tmp_path / "plan.json").write_text(json.dumps({**plan, "out": stated}))
+    assert cli.main(["sweep", "plan.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sweep:") and "'out' must be a non-empty string" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
 def test_sweep_duplicate_ids(tmp_path):
     plan = {"base": base_config(), "runs": [{"id": "x"}, {"id": "x"}]}
     p = tmp_path / "plan.json"
@@ -686,6 +722,20 @@ def test_run_nonpositive_u0_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_u0_under_the_positivity_floor_is_logged(tmp_path, capsys):
+    # its volume underflows to 0; without renormalization the run logs it
+    # and ends positivity_lost
+    cfg = base_config(normalized=False)
+    cfg["u0"] = "constant:1e-90"
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["termination"], summary["n_records"]) == ("positivity_lost", 1)
+    with np.load(out / "trajectory.npz") as data:
+        assert (data["snapshots"] == 1e-90).all()
+
+
 def test_verify_unknown_check_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_config(T_final=0.05))
     out = tmp_path / "out"
@@ -781,6 +831,12 @@ def _set(cfg, path, value):
     pytest.param("background", "file:.", id="background-a_directory"),
     pytest.param("", [1, 2], id="document-a_list"),
     pytest.param("", "x", id="document-a_string"),
+    pytest.param("grid.ambient_n", 2 ** 1030, id="grid.ambient_n-too_large_for_a_float"),
+    pytest.param("grid.periods", [1e300], id="grid.periods-spacing_squared_overflows"),
+    pytest.param("f", {"name": "expdecay", "alpha": 100}, id="f-expdecay_overflows"),
+    pytest.param("f", {"name": "power", "kappa": 1e308}, id="f-power_overflows"),
+    pytest.param("f", {"name": "table", "x": [-1e308, 0, 1e308], "f": [4, 0, -4]},
+                 id="f-table_overflows"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):

@@ -352,13 +352,10 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
     assert rep.passed is None and rep.notes == domain_note
 
-    # the earlier of a nonpositive and an out-of-domain record decides
+    # a nonpositive record never reaches a checker: no Trajectory holds one
     snaps[7] = -1.0
-    [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
-    assert rep.notes == domain_note
-    snaps[5] = -1.0
-    [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
-    assert rep.notes == "checker could not run: state outside positive cone"
+    with pytest.raises(ValueError, match="not positive"):
+        rebuild(traj, snaps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from conflow.flow import (
     ParabolicityError,
     RECORD_COLUMNS,
     RunConfig,
+    Trajectory,
     frechet_apply,
     frechet_normalized_apply,
     hamilton_rescale,
@@ -359,6 +360,19 @@ def test_run_positivity_floor_termination():
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField(g, u0), T_final=1.0)
     traj = run(cfg)
     assert traj.termination == "positivity_lost"
+
+
+@pytest.mark.parametrize("value", [1e-90, 1e300])
+def test_a_u0_whose_volume_under_or_overflows_is_renormalized(value):
+    # u0^(2n/(n-2)) underflows to 0 or overflows to inf: the volume is
+    # taken again with u0 divided by its max, and the run starts at unit volume
+    g = grid1d(N=32)
+    cfg = RunConfig(background=Background(field_from_spec(g, NEG_BG)), f=classical(),
+                    u0=ScalarField.constant(g, value), T_final=0.05)
+    traj = run(cfg)
+    assert traj.termination == "time_reached"
+    assert traj.snapshots[0] == pytest.approx(1.0, rel=1e-15)
+    assert traj.vol_pre[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_run_never_logs_nonpositive_states():
@@ -811,6 +825,29 @@ def test_config_validation():
     default = RunConfig(built.background, built.f, built.u0)
     for field in dataclasses.fields(RunConfig):
         assert getattr(built, field.name) == getattr(default, field.name), field.name
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda d: d["columns"].pop("A"), "A not of shape"),
+    (lambda d: d["snapshots"].__setitem__((1, 0), 0.0), "not positive"),
+    (lambda d: d["snapshots"].__setitem__((1, 0), math.inf), "not positive"),
+    (lambda d: d["columns"]["t"].__setitem__(1, math.inf), "strictly increasing"),
+    (lambda d: d["columns"]["t"].__setitem__(2, 0.0), "strictly increasing"),
+], ids=["missing-column", "zero-value", "infinite-value", "infinite-time",
+        "decreasing-time"])
+def test_trajectory_refuses_data_that_breaks_its_invariants(change, match):
+    # what a run logs is accepted; one broken invariant is a ValueError
+    g = grid1d(N=32)
+    traj = run(RunConfig(background=Background(field_from_spec(g, NEG_BG)), f=classical(),
+                         u0=ScalarField.constant(g, 1.0), T_final=0.05, dt=1e-3,
+                         stop_tol=0.0))
+    data = {"config": traj.config, "termination": traj.termination,
+            "columns": {k: v.copy() for k, v in traj.columns.items()},
+            "snapshots": traj.snapshots.copy(), "vol_pre": traj.vol_pre.copy()}
+    Trajectory(**data)
+    change(data)
+    with pytest.raises(ValueError, match=match):
+        Trajectory(**data)
 
 
 def test_shift_invariance_of_runs():
