@@ -5,7 +5,7 @@ for strictly decreasing response functions f, and verifies the associated
 evolution identities and quantitative bounds at desk scale.
 """
 
-from .conformal import Background, ConformalState, Constants, FDomainError
+from .conformal import Background, ConformalState, FDomainError
 from .flow import (
     ParabolicityError,
     RunConfig,

@@ -11,10 +11,11 @@ and a positive conformal factor u carries the curvature
 
 ``conformal_laplacian_values`` and ``scalar_curvature_values`` evaluate
 them on raw arrays, one field or a ``(K, *grid.shape)`` stack of records;
-``Constants`` holds the exponents, the volume-density exponent 2n/(n-2)
-among them.  ``weighted_mean`` is the one mean A of the flow's step and of
-``Records``, the per-record quantities of a stack of logged states (volume
-weight, f-domain test, ...) for the diagnostics columns and every check.
+``Background`` carries the exponents of its dimension n, the volume-density
+exponent 2n/(n-2) and the rate prefactor (n-2)/4 among them.
+``weighted_mean`` is the one mean A of the flow's step and of ``Records``,
+the per-record quantities of a stack of logged states (volume weight,
+f-domain test, ...) for the diagnostics columns and every check.
 
 Every identity checked by this package uses only L, the volume weights and
 the discrete maximum principle, so all three sign cases of S0 are exercised
@@ -40,7 +41,6 @@ from .grid import (
 )
 
 __all__ = [
-    "Constants",
     "Background",
     "ConformalState",
     "FDomainError",
@@ -57,38 +57,26 @@ class FDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class Constants:
-    """Conformal exponents for ambient dimension n."""
-
-    n: int
-    beta: float
-    c_n: float
-    vol_exp: float  # 2n/(n-2), the volume-density exponent
-    pref: float  # (n-2)/4, the flow's rate prefactor
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "Constants":
-        if n < 3:
-            raise ValueError("ambient dimension must be >= 3")
-        return cls(
-            n=n,
-            beta=(n + 2.0) / (n - 2.0),
-            c_n=4.0 * (n - 1.0) / (n - 2.0),
-            vol_exp=2.0 * n / (n - 2.0),
-            pref=0.25 * (n - 2.0),
-        )
-
-
-@dataclass(frozen=True)
 class Background:
-    """A prescribed curvature field, ``Background(S0)``; n is its grid's ambient_n.
-    Its constants are computed here: an n too large for a float raises OverflowError."""
+    """A prescribed curvature field, ``Background(S0)``; n is its grid's
+    ambient_n.  The conformal exponents of n are computed here, so an n too
+    large for a float raises OverflowError: ``beta``, ``c_n``, the
+    volume-density exponent ``vol_exp`` = 2n/(n-2) and the flow's rate
+    prefactor ``pref`` = (n-2)/4."""
 
     S0: ScalarField
-    constants: Constants = field(init=False, repr=False, compare=False)
+    beta: float = field(init=False, repr=False, compare=False)
+    c_n: float = field(init=False, repr=False, compare=False)
+    vol_exp: float = field(init=False, repr=False, compare=False)
+    pref: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "constants", Constants.for_dimension(self.n))
+        n = self.n
+        for name, value in (("beta", (n + 2.0) / (n - 2.0)),
+                            ("c_n", 4.0 * (n - 1.0) / (n - 2.0)),
+                            ("vol_exp", 2.0 * n / (n - 2.0)),
+                            ("pref", 0.25 * (n - 2.0))):
+            object.__setattr__(self, name, value)
 
     @property
     def grid(self) -> GridSpec:
@@ -137,7 +125,7 @@ def require_f_domain(f, smin: float, smax: float):
 def conformal_laplacian_values(bg: Background, h: np.ndarray) -> np.ndarray:
     """Raw-array L(h) = S0*h - c_n*laplacian0_values(h) (no validation); like the
     stencil it acts on one field or a ``(K, *grid.shape)`` stack."""
-    return bg.S0.values * h - bg.constants.c_n * laplacian0_values(bg.grid, h)
+    return bg.S0.values * h - bg.c_n * laplacian0_values(bg.grid, h)
 
 
 def scalar_curvature_values(bg: Background, u: np.ndarray, with_weight: bool = False):
@@ -145,13 +133,12 @@ def scalar_curvature_values(bg: Background, u: np.ndarray, with_weight: bool = F
     ``(K, *grid.shape)`` stack.  ``with_weight=True`` adds the volume weight
     u^(2n/(n-2)) = u^(beta+1); for an integer beta both come from one chain
     ``power(u, beta)``, as 1/chain and chain*u, bit for bit the two powers."""
-    c = bg.constants
     L = conformal_laplacian_values(bg, u)
-    if with_weight and chain_exponent(c.beta) is not None:
-        chain = power(u, c.beta)
+    if with_weight and chain_exponent(bg.beta) is not None:
+        chain = power(u, bg.beta)
         return (1.0 / chain) * L, chain * u
-    S = power(u, -c.beta) * L
-    return (S, power(u, c.vol_exp)) if with_weight else S
+    S = power(u, -bg.beta) * L
+    return (S, power(u, bg.vol_exp)) if with_weight else S
 
 
 def weighted_mean(grid: GridSpec, v: np.ndarray, w: np.ndarray):

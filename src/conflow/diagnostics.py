@@ -273,6 +273,23 @@ def compare_decay(traj: Trajectory) -> TheoremReport:
 # Conformal factor bounds
 # ---------------------------------------------------------------------------
 
+def _f_at_zero(f: FSpec) -> tuple[float | None, str]:
+    """f(0) and a note for the positive-case checks, which normalize f at
+    zero.  Where 0 is an open end of f's domain, f's own value there is the
+    boundary limit when it is finite (-0.0 for a power law of exponent
+    above 1); an infinite or NaN one, like that of ``reciprocal`` with alpha
+    0, gives None and a note saying why, as does a 0 outside the domain."""
+    if f.domain.contains(0.0):
+        return float(f.eval_f(0.0)), ""
+    if 0.0 not in (f.domain.lo, f.domain.hi):
+        return None, "0 outside the domain of f"
+    with np.errstate(all="ignore"):
+        f0 = float(f.eval_f(0.0))
+    if not math.isfinite(f0):
+        return None, f"f has no finite value at 0 (f(0) = {f0:g})"
+    return f0, "f(0) taken as the boundary limit"
+
+
 @_check("u_bounds", "conformal_factor_bounds")
 def check_u_bounds(traj: Trajectory) -> TheoremReport:
     """Case-dependent bounds on the conformal factor.
@@ -284,7 +301,7 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
     positive with f bounded below: u inside exp(+-(n-2)/4 * (f(0)-inf f) * t).
     """
     bg, f = traj.config.background, traj.config.f
-    pref = bg.constants.pref
+    pref = bg.pref
     t = traj.times
     umin = traj.columns["umin"]
     umax = traj.columns["umax"]
@@ -312,7 +329,7 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
 
     if bg.case_tag == "flat":
         vol = traj.columns["vol"]
-        m = bg.constants.vol_exp
+        m = bg.vol_exp
         r = umin / umax
         r0 = float(r[0])
         k_const = r0 ** m
@@ -329,11 +346,12 @@ def check_u_bounds(traj: Trajectory) -> TheoremReport:
     if bg.case_tag == "positive":
         if f.bounded_below is None:
             return TheoremReport(None, notes="positive-case band needs f bounded below")
-        if not f.domain.contains(0.0):
-            return TheoremReport(None, notes="positive-case band needs 0 in the domain of f")
+        f0, f0_note = _f_at_zero(f)
+        if f0 is None:
+            return TheoremReport(None, notes=f"positive-case band needs f(0): {f0_note}")
         if abs(float(umin[0]) - 1.0) > 1e-9 or abs(float(umax[0]) - 1.0) > 1e-9:
             return TheoremReport(None, notes="positive-case band assumes u(0) = 1")
-        rate = pref * (float(f.eval_f(0.0)) - f.bounded_below)
+        rate = pref * (f0 - f.bounded_below)
         lo_env = np.exp(-rate * t)
         hi_env = np.exp(rate * t)
         measured = {
@@ -422,30 +440,33 @@ def check_evolution_identities(traj: Trajectory) -> TheoremReport:
         Q["vol"][sl] = V
         RA = (n - 1.0) * rec.mean(fp * fpp * gsq) + rec.mean((halfn * phi - S * fp) * dev)
         R["A"][sl] = RA
+        dS = S - per_record(sig)
         s1 = 0.5 * (n - 2.0) * rec.mean(S * dev)
-        s2 = 0.5 * (n - 2.0) * rec.mean((S - per_record(sig)) * dev)
+        s2 = 0.5 * (n - 2.0) * rec.mean(dS * dev)
         sigma_gap = max(sigma_gap, float(np.abs(s1 - s2).max()))
         R["sigma"][sl] = s1
         int_dev = rec.integral(dev)
         R["vol"][sl] = halfn * int_dev
+        # the p = 2 rate's |S|^0 * f' is f' bit for bit
+        int_fp_gsq = rec.integral(fp * gsq)
         absS = np.abs(S)
         for p in ps:
             absS_p = absS ** p
+            int_p = int_fp_gsq if p == 2.0 else rec.integral(absS ** (p - 2.0) * fp * gsq)
             Q[f"int|S|^{p:g}"][sl] = rec.integral(absS_p)
-            R[f"int|S|^{p:g}"][sl] = (
-                p * (p - 1.0) * (n - 1.0) * rec.integral(absS ** (p - 2.0) * fp * gsq)
-                + (halfn - p) * rec.integral(absS_p * dev))
-        dS = S - per_record(sig)
+            R[f"int|S|^{p:g}"][sl] = (p * (p - 1.0) * (n - 1.0) * int_p
+                                      + (halfn - p) * rec.integral(absS_p * dev))
         Q["int|S-sigma|^2"][sl] = rec.integral(dS * dS)
         R["int|S-sigma|^2"][sl] = (
-            2.0 * (n - 1.0) * rec.integral(fp * gsq)
+            2.0 * (n - 1.0) * int_fp_gsq
             + (halfn - 2.0) * rec.integral(dev * dS * dS)
             - 2.0 * rec.integral((per_record(s1) + per_record(sig) * dev) * dS))
-        Q["int|f-A|^2"][sl] = rec.integral(dev * dev)
+        dev2 = dev * dev
+        Q["int|f-A|^2"][sl] = rec.integral(dev2)
         R["int|f-A|^2"][sl] = (
             2.0 * (n - 1.0) * rec.integral(dev * fp * fpp * gsq)
             + 2.0 * (n - 1.0) * rec.integral(fp ** 3 * gsq)
-            + rec.integral(dev * dev * (halfn * dev - 2.0 * S * fp))
+            + rec.integral(dev2 * (halfn * dev - 2.0 * S * fp))
             - 2.0 * RA * int_dev)
 
     # second-order three-point derivative, exact for quadratics on
@@ -531,14 +552,9 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     if float(smin[0]) <= 0.0:
         return TheoremReport(None, notes="needs strictly positive initial curvature")
     f = traj.config.f
-    if f.domain.contains(0.0):
-        f0 = float(f.eval_f(0.0))
-        f0_note = ""
-    elif f.domain.lo == 0.0:
-        f0 = float(f.eval_f(1e-12))
-        f0_note = "f(0) taken as the boundary limit; "
-    else:
-        return TheoremReport(None, notes="cannot normalize f at zero: 0 outside its domain")
+    f0, f0_note = _f_at_zero(f)
+    if f0 is None:
+        return TheoremReport(None, notes=f"cannot normalize f at zero: {f0_note}")
 
     t = traj.times
     A = traj.columns["A"]
@@ -551,7 +567,7 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     }
     predicted = {"f0": f0}
     checks = [measured["min_envelope_margin"] >= 0.0]
-    notes = f0_note
+    notes = f"{f0_note}; " if f0_note else ""
 
     if f.bounded_below is not None:
         C_obs = float((A - f.bounded_below).max())
@@ -586,8 +602,7 @@ def check_flat_identity(traj: Trajectory) -> TheoremReport:
     if bg.case_tag != "flat":
         return TheoremReport(None, notes="the flat identity needs a flat background,"
                                          f" got {bg.case_tag}")
-    beta = bg.constants.beta
-    integrals = np.concatenate([node_mean(bg.grid, power(rec.U, beta) * rec.S)
+    integrals = np.concatenate([node_mean(bg.grid, power(rec.U, bg.beta) * rec.S)
                                 for _, rec in Records.blocks(bg, None, traj.snapshots)])
     worst_integral = float(np.abs(integrals).max())
     smin = traj.columns["Smin"]

@@ -9,10 +9,12 @@ Both are integrated by the method of lines with explicit Euler or classical
 RK4, with the nonlocal mean A recomputed at every internal stage so that the
 quadrature-exact volume stationarity is preserved at scheme order.
 
-Per-step work of ``run``: ``_Kernel.evaluate`` turns a state into its
-curvature S, volume weight, curvature range and f(S).  The evaluation of
-the current state, with its volume weight and mean A only where A is read,
-serves the stop tests, the step size and, unchanged, the first RK4 stage;
+Per-step work of ``run``: ``_Kernel`` binds the background's conformal
+exponents (``Background.beta``, ``vol_exp``, ``pref``) once per run, and
+``_Kernel.evaluate`` turns a state into its curvature S, volume weight,
+curvature range and f(S).  The evaluation of the current state, with its
+volume weight and mean A only where A is read, serves the stop tests, the
+step size and, unchanged, the first RK4 stage;
 ``advance`` adds three ``rhs`` calls, each one evaluation, so an RK4 step
 costs four evaluations (Euler: one).  A logged step stores only its state,
 plus its pre-correction volume when the run renormalizes; without
@@ -95,7 +97,8 @@ class ParabolicityError(RuntimeError):
 class RunConfig:
     """A run's settings and their one set of defaults.  ``dt`` is a fixed
     step; None takes the adaptive step, ``safety`` times the stability
-    limit.  ``renormalize_volume`` unset takes the value of ``normalized``."""
+    limit.  ``renormalize_volume`` unset takes the value of ``normalized``;
+    a renormalized u0 must scale to a positive finite unit-volume state."""
 
     background: Background
     f: FSpec
@@ -127,10 +130,21 @@ class RunConfig:
             raise ValueError("log_cadence must be >= 1")
         if self.u0.grid != self.background.grid:
             raise ValueError("u0 must live on the background grid")
-        if self.u0.min() <= 0.0:
-            raise PositivityError(f"u0 must be positive, its minimum is {self.u0.min():g}")
+        umin, umax = self.u0.min(), self.u0.max()
+        if umin <= 0.0:
+            raise PositivityError(f"u0 must be positive, its minimum is {umin:g}")
         if not self.normalized and self.renormalize_volume:
             raise ValueError("volume renormalization only applies to the normalized flow")
+        # the run scales u0 to unit volume: inside [1e-100, 1e100] the factor
+        # is finite and keeps u0 positive, so only a u0 outside pays for the
+        # power that finding the factor takes
+        if self.renormalize_volume and not 1e-100 <= umin <= umax <= 1e100:
+            kern = _Kernel(self.background, self.f, normalized=True)
+            with np.errstate(over="ignore"):
+                scale = kern.unit_scale(self.u0.values)[0]
+            if not (math.isfinite(scale) and umin * scale > 0.0):
+                raise ValueError(f"u0 of range [{umin:g}, {umax:g}] has no positive finite"
+                                 f" unit-volume rescaling (factor {scale:g})")
         if self.tau_stop is not None:
             if self.normalized:
                 raise ValueError("tau_stop only applies to non-normalized runs")
@@ -204,14 +218,13 @@ class _Kernel:
     ``run`` and the single-state entry points silence overflow."""
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
-        c = bg.constants
         self.bg = bg
         self.f = f
         self.normalized = normalized
         self.n = bg.n
-        self.beta = c.beta
-        self.m = c.vol_exp
-        self.pref = c.pref
+        self.beta = bg.beta
+        self.m = bg.vol_exp
+        self.pref = bg.pref
         self.eval_f, self.eval_fp = f.eval_f, f.eval_fp
         self.hmin2 = bg.grid.min_spacing ** 2
         self.two_d = 2.0 * bg.grid.active_dims
@@ -558,4 +571,4 @@ def hamilton_rescale(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     t = traj.times
     eta = cumtrapz(traj.columns["A"], t)
     tau = cumtrapz(np.exp(-alpha * eta), t)
-    return tau, np.exp(-traj.config.background.constants.pref * eta)
+    return tau, np.exp(-traj.config.background.pref * eta)

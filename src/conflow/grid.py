@@ -178,8 +178,10 @@ def grad_inner_values(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarra
     out = np.zeros_like(a)
     for ax, (nxt, prv, h, _) in enumerate(grid.neighbours, -grid.active_dims):
         dpa = (a.take(nxt, axis=ax) - a) / h
-        dpb = (b.take(nxt, axis=ax) - b) / h
-        out += 0.5 * (dpa * dpb + dpa.take(prv, axis=ax) * dpb.take(prv, axis=ax))
+        dpb = dpa if b is a else (b.take(nxt, axis=ax) - b) / h
+        # the backward product is the forward one at the previous node
+        fwd = dpa * dpb
+        out += 0.5 * (fwd + fwd.take(prv, axis=ax))
     return out
 
 

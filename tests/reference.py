@@ -141,15 +141,14 @@ def rolled_laplacian(grid, v: np.ndarray) -> np.ndarray:
 
 def curvature(bg: Background, u: np.ndarray) -> np.ndarray:
     """u^(-beta) * (S0*u - c_n * Laplacian(u))."""
-    c = bg.constants
-    return chain_power(u, -c.beta) * (bg.S0.values * u - c.c_n * rolled_laplacian(bg.grid, u))
+    return chain_power(u, -bg.beta) * (bg.S0.values * u - bg.c_n * rolled_laplacian(bg.grid, u))
 
 
 def flow_terms(bg: Background, f, u: np.ndarray) -> dict:
     """S, the volume weight and its mean, f(S), its weighted mean A and
     sup |f(S) - A| of one state inside f's domain."""
     S = curvature(bg, u)
-    w = chain_power(u, bg.constants.vol_exp)
+    w = chain_power(u, bg.vol_exp)
     phi = f.eval_f(S)
     A = float((phi * w).mean() / w.mean())
     return {"S": S, "wm": float(w.mean()), "phi": phi, "A": A,
@@ -165,7 +164,7 @@ def flow_rhs(bg: Background, f, u: np.ndarray, normalized: bool) -> np.ndarray:
 def flow_stable_dt(bg: Background, f, u: np.ndarray, safety: float) -> float:
     """safety * h_min^2 / (2 d max kappa), kappa = (n-1) |f'(S)| u^(1-beta)."""
     kappa = (bg.n - 1.0) * np.abs(f.eval_fp(curvature(bg, u))) \
-        * chain_power(u, 1.0 - bg.constants.beta)
+        * chain_power(u, 1.0 - bg.beta)
     return safety * bg.grid.min_spacing ** 2 / (2.0 * bg.grid.active_dims * float(kappa.max()))
 
 
@@ -179,8 +178,8 @@ def rk4_step(rhs, u: np.ndarray, dt: float) -> np.ndarray:
 
 def renormalized(bg: Background, u: np.ndarray) -> tuple[np.ndarray, float]:
     """u scaled to unit volume, and its volume before the scaling."""
-    vol = float(chain_power(u, bg.constants.vol_exp).mean())
-    return u * vol ** (-1.0 / bg.constants.vol_exp), vol
+    vol = float(chain_power(u, bg.vol_exp).mean())
+    return u * vol ** (-1.0 / bg.vol_exp), vol
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,31 @@ def test_run_nonpositive_u0_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_u0_with_no_unit_volume_rescaling_is_a_config_error(tmp_path, capsys):
+    # a subnormal u0's unit-volume factor overflows; a renormalized run, its
+    # verify and its sweep member refuse it before any directory is made
+    cfg = base_config()
+    cfg["u0"] = "constant:1e-310"
+    p = write_cfg(tmp_path, cfg)
+    for command, prefix in ((["run", str(p)], "config error:"), (["verify", str(p)], "verify:")):
+        assert cli.main([*command, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(prefix)
+        assert "unit-volume rescaling" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["runs"][1]["overrides"] = {"u0": "constant:1e-310"}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(tmp_path / "plan.json"), "--out", str(out), "--jobs", "1"]) == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        rid, case, message, *rest = list(csv.reader(fh))[2]
+    assert (rid, case, rest) == ("b", "invalid", ["1", "nan", "nan"])
+    assert message.startswith("config error: invalid config:") and "unit-volume" in message
+    assert not (out / "b").exists()
+
+
 def test_a_u0_under_the_positivity_floor_is_logged(tmp_path, capsys):
     # its volume underflows to 0; without renormalization the run logs it
     # and ends positivity_lost

@@ -7,7 +7,6 @@ import conflow
 from conflow.conformal import (
     Background,
     ConformalState,
-    Constants,
     FDomainError,
     Records,
     conformal_laplacian_values,
@@ -47,12 +46,13 @@ def dense_laplacian_matrix(grid):
 
 
 def test_constants():
-    c3 = Constants.for_dimension(3)
-    assert (c3.beta, c3.c_n) == (5.0, 8.0)
-    c4 = Constants.for_dimension(4)
-    assert (c4.beta, c4.c_n) == (3.0, 6.0)
-    with pytest.raises(ValueError):
-        Constants.for_dimension(2)
+    # Background's exponents (n+2)/(n-2), 4(n-1)/(n-2), 2n/(n-2) and
+    # (n-2)/4, bit for bit; n < 3 is refused by the grid (test_gridspec_validation)
+    for n, want in ((3, (5.0, 8.0, 6.0, 0.25)), (4, (3.0, 6.0, 4.0, 0.5)),
+                    (5, (7 / 3, 16 / 3, 10 / 3, 0.75)), (6, (2.0, 5.0, 3.0, 1.0))):
+        bg = Background(ScalarField.constant(grid1d(n=n), 1.0))
+        got = (bg.beta, bg.c_n, bg.vol_exp, bg.pref)
+        assert [x.hex() for x in got] == [x.hex() for x in want], n
 
 
 def test_case_tags(g128):
@@ -258,7 +258,6 @@ def test_background_takes_n_from_its_grid():
     for n in (3, 5):
         bg = Background(ScalarField.constant(grid1d(n=n), 1.0))
         assert bg.n == bg.grid.ambient_n == n
-        assert bg.constants == Constants.for_dimension(n)
 
 
 @pytest.mark.parametrize("smin,smax,error", [

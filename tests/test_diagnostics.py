@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,25 @@ def test_positive_bounds_pass(pos_run):
     assert rep.passed is True
     assert "C taken as the observed supremum" in rep.notes
     assert rep.predicted["a_from_growth_certificate"] <= rep.measured["a_observed"]
+
+
+def test_positive_checks_need_a_finite_f_at_zero():
+    # reciprocal with alpha 0 is +inf at the open end 0 of its domain: no
+    # shifted mean exists, where f(1e-12) = 1e12 once made the envelope 0
+    traj, _ = make_run(POS_BG, reciprocal(0.0), T=0.5)
+    for check in (dg.check_positive_S_bounds, dg.check_u_bounds):
+        rep = check(traj)
+        assert rep.passed is None
+        assert rep.notes.endswith("f has no finite value at 0 (f(0) = inf)")
+
+
+def test_positive_bounds_take_a_finite_boundary_value_at_zero():
+    # -x**1.5 is open at 0, where its own value -0.0 is the limit
+    traj, _ = make_run(POS_BG, conflow.power_law(1.5), T=0.2, renorm=False)
+    rep = dg.check_positive_S_bounds(traj)
+    assert rep.passed is True
+    assert math.copysign(1.0, rep.predicted["f0"]) == -1.0 and rep.predicted["f0"] == 0.0
+    assert rep.notes == "f(0) taken as the boundary limit;"
 
 
 def test_flat_identity_passes(flat_run):
@@ -533,7 +553,7 @@ def test_curvature_evolution_pointwise_consistency():
         g = traj.config.background.grid
         st = ConformalState(ScalarField(g, u))
         S = ScalarField(g, scalar_curvature_values(bg, u))
-        w = power(u, bg.constants.vol_exp)
+        w = power(u, bg.vol_exp)
         A = float((f.eval_f(S.values) * w).mean() / w.mean())
         lapg = metric_laplacian(bg, st, S).values
         gsq = power(u, -2.0) * grad_inner_values(g, S.values, S.values)

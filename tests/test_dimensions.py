@@ -28,10 +28,9 @@ def test_power_helper_matches_np_power():
 @pytest.mark.parametrize("n,beta,cn", [(3, 5.0, 8.0), (5, 7.0 / 3.0, 16.0 / 3.0),
                                        (6, 2.0, 5.0)])
 def test_constant_factor_curvature_scaling(n, beta, cn):
-    c = conflow.Constants.for_dimension(n)
-    assert (c.beta, c.c_n) == (beta, cn)
     g = make_grid(n, N=32)
     bg = Background(field_from_spec(g, "constant:2.0"))
+    assert (bg.beta, bg.c_n) == (beta, cn)
     S = scalar_curvature_values(bg, ScalarField.constant(g, 1.3).values)
     assert np.abs(S - 2.0 * 1.3 ** (1.0 - beta)).max() < 1e-13
 

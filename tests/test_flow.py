@@ -53,7 +53,7 @@ def reference_row(bg, f, u, t, dt):
     """One diagnostics row from numpy formulas on one state; A and fSA_sup
     are NaN when the curvature range leaves f's domain."""
     S = scalar_curvature_values(bg, u)
-    w = power(u, bg.constants.vol_exp)
+    w = power(u, bg.vol_exp)
     A = fsa = math.nan
     if f.domain.contains_interval(float(S.min()), float(S.max())):
         phi = f.eval_f(S)
@@ -485,6 +485,27 @@ def test_run_step_budget_termination(monkeypatch):
     assert abs(traj.times[-1] - 5e-3) < 1e-15
 
 
+@pytest.mark.parametrize("values,refused", [
+    ([1e-310], True),  # the unit-volume factor overflows
+    ([1e-300, 1e300], True),  # the factor is finite but scales 1e-300 to 0
+    ([1e-120], False),
+    ([1e300], False),
+    ([1e-100, 1e100], False),
+])
+def test_run_config_refuses_a_u0_with_no_unit_volume_rescaling(values, refused):
+    g = grid1d(N=32)
+    bg = Background(field_from_spec(g, NEG_BG))
+    u0 = ScalarField(g, np.resize(values, 32))
+    if refused:
+        with pytest.raises(ValueError, match="no positive finite unit-volume rescaling"):
+            RunConfig(background=bg, f=classical(), u0=u0)
+    else:
+        traj = run(RunConfig(background=bg, f=classical(), u0=u0, T_final=1e-3))
+        assert traj.vol_pre[0] > 0.0 and traj.snapshots[0].min() > 0.0
+    # without renormalization u0 is logged as it is
+    RunConfig(background=bg, f=classical(), u0=u0, normalized=False)
+
+
 def test_run_config_rejects_nonpositive_u0():
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, NEG_BG))
@@ -547,12 +568,11 @@ def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
     # exactly, and the curvature with its volume weight, on one field or a
     # stack of records, equals the two separate powers
     bg, u, f = kernel_case(dims, n)
-    c = bg.constants
     for v in (u, np.stack([u, 0.9 * u, u * u])):
         S, w = scalar_curvature_values(bg, v, with_weight=True)
-        assert same_bits(S, power(v, -c.beta) * conformal_laplacian_values(bg, v))
+        assert same_bits(S, power(v, -bg.beta) * conformal_laplacian_values(bg, v))
         assert same_bits(S, scalar_curvature_values(bg, v))
-        assert same_bits(w, power(v, c.vol_exp))
+        assert same_bits(w, power(v, bg.vol_exp))
     kern = flow._Kernel(bg, f, normalized=normalized)
 
     def rhs(v):
@@ -881,7 +901,7 @@ def rescaled_stack(traj):
     tau, scale = hamilton_rescale(traj)
     t, A = traj.times, traj.columns["A"]
     eta = np.concatenate([[0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(t))])
-    stack = traj.snapshots * np.exp(-traj.config.background.constants.pref * eta)[:, None]
+    stack = traj.snapshots * np.exp(-traj.config.background.pref * eta)[:, None]
     rescaled = traj.snapshots * scale[:, None]
     assert np.array_equal(rescaled, stack)
     return tau, scale, rescaled

@@ -327,7 +327,7 @@ def test_record_blocks_cover_records_in_order(points, records, size):
 # ---------------------------------------------------------------------------
 
 def test_gridspec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ambient dimension must be >= 3"):
         GridSpec(2, 1, (64,), (1.0,))
     with pytest.raises(ValueError):
         GridSpec(4, 1, (4,), (1.0,))
