@@ -63,6 +63,8 @@ DECAY_SKIP_FRACTION = 0.1  # the initial transient fit_decay leaves out
 DECAY_SAMPLES = 10001  # points of the curvature range f' is sampled on
 STATIONARY_TOL = 1e-6
 RESCALE_TOL = 1e-4
+RESCALE_MARGIN = 3.0  # normalized steps the rescale companion runs past T
+RESCALE_RERUNS = 4
 IDENTITY_REL_TOL = 1e-3
 EXACT_TOL = 1e-8
 FLAT_INTEGRAL_TOL = 1e-9
@@ -567,7 +569,7 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     }
     predicted = {"f0": f0}
     checks = [measured["min_envelope_margin"] >= 0.0]
-    notes = f"{f0_note}; " if f0_note else ""
+    notes = [f0_note] if f0_note else []
 
     if f.bounded_below is not None:
         C_obs = float((A - f.bounded_below).max())
@@ -575,8 +577,8 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
         measured["max_envelope_margin"] = float((upper - smax + EXACT_TOL).min())
         predicted["C_used"] = C_obs
         checks.append(measured["max_envelope_margin"] >= 0.0)
-        notes += ("C taken as the observed supremum of the mean of f(S)-inf f"
-                  " (no a-priori constant is available); ")
+        notes.append("C taken as the observed supremum of the mean of f(S)-inf f"
+                     " (no a-priori constant is available)")
 
     if f.growth is not None:
         nu_shift = max(f.growth.nu + f0, 0.0)
@@ -586,7 +588,7 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
         checks.append(measured["a_certificate_margin"] >= 0.0)
 
     return TheoremReport(bool(all(checks)), measured, predicted, {"slack": EXACT_TOL},
-                         notes.strip())
+                         "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -664,23 +666,39 @@ def compare_rescaled(traj: Trajectory, traj_nn: Trajectory) -> TheoremReport:
 
 @_check("rescale", "rescale_equivalence")
 def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
-    """Runs the non-normalized flow of the normalized trajectory's config
-    (stopped once its rescaled time covers the trajectory's horizon) and
-    compares it with the trajectory (``compare_rescaled``).  Inconclusive for
-    an f of no declared homogeneity degree, before any run."""
+    """Runs the non-normalized flow of the normalized trajectory's config,
+    logging every step, and compares it with the trajectory
+    (``compare_rescaled``); inconclusive, before any run, for an f of no
+    declared homogeneity degree.  As d(eta)/d(tau) is the normalized mean A,
+    the rescaled time reaches the last time T at t(T), the integral over
+    [0, T] of exp(alpha * eta), read off the A column (a failed run's
+    non-finite last A holds the one before).  The companion runs
+    RESCALE_MARGIN of the trajectory's largest steps past t(T).  A later
+    horizon moves only the last record, so once the second-to-last one's
+    rescaled time reaches T the records bracketing each normalized time are
+    the unbounded run's; until then, at most RESCALE_RERUNS times, a
+    companion that reached its horizon is rerun to twice it."""
     f = traj.config.f
     if f.alpha_homogeneous is None:
         return TheoremReport(None, notes="rescale equivalence needs a homogeneous f;"
                                          f" {f.name} declares no homogeneity degree")
-    cfg_nn = replace(
-        traj.config,
-        normalized=False,
-        renormalize_volume=False,
-        log_cadence=1,
-        T_final=max(1e9, 10.0 * traj.config.T_final),
-        tau_stop=float(traj.times[-1]) * (1.0 + 1e-9) + 1e-12,
-    )
-    return compare_rescaled(traj, run(cfg_nn))
+    t, A = traj.times, traj.columns["A"]
+    if len(A) > 1 and not math.isfinite(A[-1]):
+        A = np.append(A[:-1], A[-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt_dtau = np.exp(f.alpha_homogeneous * cumtrapz(A, t))
+        horizon = float(cumtrapz(dt_dtau, t)[-1]
+                        + RESCALE_MARGIN * traj.columns["dt"].max() * dt_dtau[-1])
+    for _ in range(RESCALE_RERUNS + 1):
+        # T = 0 needs only the first state; inf, a failure or the step budget
+        T_final = max(horizon, math.ulp(0.0)) if horizon < math.inf else np.finfo(float).max
+        nn = run(replace(traj.config, normalized=False, renormalize_volume=False,
+                         log_cadence=1, T_final=T_final))
+        tau = hamilton_rescale(nn)[0]
+        if nn.termination != "time_reached" or tau[max(len(tau) - 2, 0)] >= t[-1]:
+            break
+        horizon *= 2.0
+    return compare_rescaled(traj, nn)
 
 
 # ---------------------------------------------------------------------------

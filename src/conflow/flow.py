@@ -13,8 +13,8 @@ Per-step work of ``run``: ``_Kernel`` binds the background's conformal
 exponents (``Background.beta``, ``vol_exp``, ``pref``) once per run, and
 ``_Kernel.evaluate`` turns a state into its curvature S, volume weight,
 curvature range and f(S).  The evaluation of the current state, with its
-volume weight and mean A only where A is read, serves the stop tests, the
-step size and, unchanged, the first RK4 stage;
+volume weight and mean A only in a normalized run, serves the stop tests,
+the step size and, unchanged, the first RK4 stage;
 ``advance`` adds three ``rhs`` calls, each one evaluation, so an RK4 step
 costs four evaluations (Euler: one).  A logged step stores only its state,
 plus its pre-correction volume when the run renormalizes; without
@@ -41,7 +41,7 @@ the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
 the time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of
 the logged A series; ``hamilton_rescale`` implements this with trapezoid
 quadrature (``cumtrapz``) and returns the tau times and each record's
-rescaling factor.
+rescaling factor; a run itself knows no rescaled time.
 """
 
 import math
@@ -98,7 +98,8 @@ class RunConfig:
     """A run's settings and their one set of defaults.  ``dt`` is a fixed
     step; None takes the adaptive step, ``safety`` times the stability
     limit.  ``renormalize_volume`` unset takes the value of ``normalized``;
-    a renormalized u0 must scale to a positive finite unit-volume state."""
+    a renormalized u0 must scale to a positive finite unit-volume state.
+    ``T_final`` is a run's one horizon."""
 
     background: Background
     f: FSpec
@@ -111,7 +112,6 @@ class RunConfig:
     log_cadence: int = 10
     scheme: str = "rk4"
     normalized: bool = True
-    tau_stop: float | None = None
 
     def __post_init__(self):
         if self.renormalize_volume is None:
@@ -145,14 +145,6 @@ class RunConfig:
             if not (math.isfinite(scale) and umin * scale > 0.0):
                 raise ValueError(f"u0 of range [{umin:g}, {umax:g}] has no positive finite"
                                  f" unit-volume rescaling (factor {scale:g})")
-        if self.tau_stop is not None:
-            if self.normalized:
-                raise ValueError("tau_stop only applies to non-normalized runs")
-            if self.f.alpha_homogeneous is None:
-                raise ValueError(f"tau_stop needs a homogeneous f; {self.f.name}"
-                                 " declares no homogeneity degree")
-            if self.log_cadence != 1:
-                raise ValueError("tau-stopped runs must log every step")
 
 
 @dataclass
@@ -424,35 +416,19 @@ def run(config: RunConfig) -> Trajectory:
     last_pre = kern.unit_scale(u)[1]
     fixed_dt, safety = config.dt, config.safety
 
-    track_tau = config.tau_stop is not None
-    # inside the loop only the normalized factor and the tau bookkeeping read
-    # A, and only A reads the volume weight; the logged A and vol columns
-    # come from ``_Kernel.columns``
-    needs_A = config.normalized or track_tau
-    alpha = f.alpha_homogeneous
-    eta = tau = prev_t = 0.0
-    prev_A = math.nan
-
     t = dt_used = 0.0
     step_idx = 0
     termination = None
     notes = ""
 
     while True:
-        S, w, Smin, Smax, phi = kern.evaluate(u, needs_A)
+        # only the normalized factor reads A, and only A the volume weight;
+        # the logged A and vol columns come from ``_Kernel.columns``
+        S, w, Smin, Smax, phi = kern.evaluate(u, config.normalized)
         # the first stage's factor: f(S) - A, or f(S) when not normalized
-        A, factor = math.nan, None
-        if phi is not None:
-            if needs_A:
-                A = weighted_mean(bg.grid, phi, w)
-            factor = phi - A if config.normalized else phi
-
-        if track_tau and step_idx > 0 and math.isfinite(prev_A) and math.isfinite(A):
-            d = t - prev_t
-            prev_eta = eta
-            eta += 0.5 * (prev_A + A) * d
-            tau += 0.5 * (math.exp(-alpha * prev_eta) + math.exp(-alpha * eta)) * d
-        prev_t, prev_A = t, A
+        factor = phi
+        if phi is not None and config.normalized:
+            factor = phi - weighted_mean(bg.grid, phi, w)
 
         if umin <= POSITIVITY_FLOOR:
             termination = "positivity_lost"
@@ -464,9 +440,6 @@ def run(config: RunConfig) -> Trajectory:
             termination = "stationary"
         elif t >= config.T_final - 1e-14:
             termination = "time_reached"
-        elif track_tau and tau >= config.tau_stop:
-            termination = "time_reached"
-            notes = f"rescaled-time target tau={config.tau_stop:g} reached at t={t:g}"
         elif step_idx >= _MAX_STEPS:
             termination = "step_budget"
             notes = f"stopped after {step_idx} steps at t={t:g}"

@@ -862,6 +862,9 @@ def _set(cfg, path, value):
     pytest.param("f", {"name": "power", "kappa": 1e308}, id="f-power_overflows"),
     pytest.param("f", {"name": "table", "x": [-1e308, 0, 1e308], "f": [4, 0, -4]},
                  id="f-table_overflows"),
+    pytest.param("checks", ["minmax", "nope"], id="checks-an_unknown_name"),
+    pytest.param("grid", [1], id="grid-a_list"),
+    pytest.param("time.dt", {"policy": "fixed"}, id="time.dt-fixed_without_dt"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
@@ -885,6 +888,34 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
     assert err.startswith("verify:")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("checks", ["minmax", "nope"],
+     f"unknown check 'nope'; known: {', '.join(diagnostics.CHECK_NAMES)}"),
+    ("grid", [1], "'grid' must be a JSON object, got [1]"),
+    ("time.dt", {"policy": "fixed"}, "'time.dt.dt' must be a number, got None"),
+], ids=["an_unknown_check", "a_grid_list", "a_fixed_dt_policy_without_dt"])
+def test_a_malformed_config_says_what_is_wrong(tmp_path, capsys, path, value, message):
+    # `run` and `verify` print the same message, and so does the sweep
+    # member's aggregate row; no command makes a directory
+    cfg = base_config()
+    _set(cfg, path, value)
+    p = write_cfg(tmp_path, cfg)
+    for command, prefix in (("run", "config error"), ("verify", "verify")):
+        assert cli.main([command, str(p), "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == f"{prefix}: {message}\n"
+        assert not (tmp_path / command).exists()
+    plan = json.loads(sweep_plan(tmp_path).read_text())
+    plan["runs"][1]["overrides"] = {path.split(".")[0]: cfg[path.split(".")[0]]}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(plan_path), "--out", str(out), "--jobs", "1"]) == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[1] == ["b", "invalid", f"config error: {message}", "1", "nan", "nan"]
+    assert not (out / "b").exists()
 
 
 @pytest.mark.parametrize("key,value", [

@@ -1,14 +1,17 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conflow
+from conflow import cli
 from conflow import diagnostics as dg
 from conflow.conformal import Background, ConformalState, scalar_curvature_values
-from conflow.flow import RunConfig, Trajectory, _Kernel, hamilton_rescale, run
-from conflow.fzoo import classical, expdecay, reciprocal
+from conflow.flow import RunConfig, Trajectory, _Kernel, hamilton_rescale, run, stable_dt
+from conflow.fzoo import classical, expdecay, power_law, reciprocal
 from conflow.grid import ScalarField, field_from_spec, grad_inner_values, power
 
 from conftest import COS_PHASE, grid1d
@@ -198,7 +201,7 @@ def test_positive_bounds_take_a_finite_boundary_value_at_zero():
     rep = dg.check_positive_S_bounds(traj)
     assert rep.passed is True
     assert math.copysign(1.0, rep.predicted["f0"]) == -1.0 and rep.predicted["f0"] == 0.0
-    assert rep.notes == "f(0) taken as the boundary limit;"
+    assert rep.notes == "f(0) taken as the boundary limit"
 
 
 def test_flat_identity_passes(flat_run):
@@ -222,6 +225,21 @@ def test_sobolev_info_positive(pos_run):
     rep = dg.sobolev_program_series(traj)
     assert rep.passed is None
     assert np.isfinite(rep.measured["final_integral"])
+
+
+@pytest.mark.parametrize("bgspec,f,positive_note", [
+    (POS_BG, expdecay(1.0), "C taken as the observed supremum of the mean of f(S)-inf f"
+                            " (no a-priori constant is available)"),
+    (POS_BG, power_law(1.5), "f(0) taken as the boundary limit"),
+    (NEG_BG, classical(), "needs strictly positive initial curvature"),
+], ids=["expdecay", "power", "negative"])
+def test_no_report_note_ends_in_a_separator(bgspec, f, positive_note):
+    # a note is its pieces joined by "; ", never a piece with a dangling ";"
+    traj, bg = make_run(bgspec, f, N=32, T=0.1)
+    reports = dg.run_checks(traj, bg, traj.config.f, list(dg.CHECK_NAMES))
+    notes = {r.id: r.notes for r in reports if r.notes}
+    assert notes["positive_curvature_bounds"] == positive_note
+    assert [n for n in notes.values() if n.rstrip().endswith(";")] == []
 
 
 def test_rescale_equivalence_fixed_point():
@@ -253,6 +271,17 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
     assert rep.passed is True
     assert rep.segment == dg._segment(traj)
 
+    # the companion's horizon moves only its last record: at 50 times the
+    # margin the report is the same from one longer run, and at no margin
+    # the companion falls short of T and is rerun to a longer horizon
+    margin = dg.RESCALE_MARGIN
+    for scaled, n_runs in ((50.0 * margin, [1]), (0.0, range(2, dg.RESCALE_RERUNS + 2))):
+        runs.clear()
+        monkeypatch.setattr(dg, "RESCALE_MARGIN", scaled)
+        assert dg.check_rescale_equivalence(traj).to_dict() == rep.to_dict()
+        assert len(runs) in n_runs
+        assert [c.T_final for c in runs] == sorted(c.T_final for c in runs)
+
     runs.clear()
     nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                        T_final=0.05, normalized=False, renormalize_volume=False,
@@ -260,6 +289,65 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
     rep = dg.check_rescale_equivalence(nn)
     assert rep.passed is None and "normalized" in rep.notes
     assert runs == []
+
+
+def _counted_rescale_check(monkeypatch, traj):
+    """The rescale report of ``traj`` and the number of companion runs."""
+    runs = []
+
+    def counting_run(config):
+        runs.append(config)
+        return run(config)
+
+    monkeypatch.setattr(dg, "run", counting_run)
+    return dg.check_rescale_equivalence(traj), len(runs)
+
+
+@pytest.mark.parametrize("cadence,sup_gap,records", [
+    (1, 2.279746371680602e-07, 413),
+    (5, 2.275637867032998e-07, 84),
+    (50, 2.2359197426879973e-07, 10),
+    (10 ** 9, 2.2359197426879973e-07, 2),
+])
+def test_rescale_check_of_compare_normalized_at_any_cadence(monkeypatch, cadence, sup_gap,
+                                                            records):
+    # the companion's horizon is read off the logged A column: a coarse log
+    # still takes one run, and the records bracketing each normalized time,
+    # so the pinned gap, are those of a run stopped once its rescaled time
+    # passed T
+    path = Path(__file__).resolve().parent.parent / "configs" / "compare_normalized.json"
+    cfg = json.loads(path.read_text())
+    cfg["time"]["log_cadence"] = cadence
+    traj = run(cli.build_run_config(cfg, path.parent))
+    rep, n_runs = _counted_rescale_check(monkeypatch, traj)
+    assert (rep.passed, rep.notes, n_runs) == (True, "", 1)
+    assert rep.measured == {"sup_gap": sup_gap, "matched_records": records}
+
+
+def test_rescale_check_of_a_one_record_run(monkeypatch):
+    # T = 0: the companion's first state is all the comparison reads
+    traj, _ = make_run("constant:-1.0", classical(), N=32, T=0.5)
+    assert (traj.termination, traj.n_records) == ("stationary", 1)
+    rep, n_runs = _counted_rescale_check(monkeypatch, traj)
+    assert (rep.passed, rep.notes, n_runs) == (True, "", 1)
+    assert rep.measured == {"sup_gap": 0.0, "matched_records": 1}
+
+
+def test_rescale_check_of_a_run_that_left_the_domain(monkeypatch):
+    # an unstable Euler step takes S out of power(1.5)'s domain (0, inf):
+    # the last A is NaN, and the companion leaves the domain before its
+    # predicted horizon
+    g = grid1d(N=32)
+    bg = Background(field_from_spec(g, "sinusoidal:0.3,0.28,0"))
+    u0 = ScalarField.constant(g, 1.0)
+    dt = 1.5 * stable_dt(bg, ConformalState(u0), power_law(1.5), safety=1.0)
+    traj = run(RunConfig(background=bg, f=power_law(1.5), u0=u0, T_final=2.0, dt=dt,
+                         scheme="euler", stop_tol=0.0, log_cadence=3))
+    assert (traj.termination, traj.n_records) == ("f_domain_violation", 21)
+    assert math.isnan(traj.columns["A"][-1])
+    rep, n_runs = _counted_rescale_check(monkeypatch, traj)
+    assert (rep.passed, rep.notes, n_runs) == (True, "", 1)
+    assert rep.measured == {"sup_gap": 5.317962844619828e-05, "matched_records": 21}
 
 
 def rescale_pair(N=128, T=0.3):

@@ -831,9 +831,6 @@ def test_config_validation():
     # renormalization left unset follows the kind of flow
     assert RunConfig(background=bg, f=classical(), u0=u0,
                      normalized=False).renormalize_volume is False
-    with pytest.raises(ValueError, match="homogeneous"):
-        RunConfig(background=bg, f=expdecay(1.0), u0=u0, T_final=1.0, normalized=False,
-                  renormalize_volume=False, tau_stop=1.0, log_cadence=1)
     with pytest.raises(ValueError, match="safety"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, safety=1.5)
     with pytest.raises(ValueError, match="scheme"):
@@ -988,21 +985,9 @@ def test_hamilton_rescale_guards():
         hamilton_rescale(run(norm_cfg))
 
 
-def test_tau_stop_terminates_early():
-    g = grid1d(N=32)
-    bg = Background(field_from_spec(g, NEG_BG))
-    cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                    T_final=1e6, normalized=False, renormalize_volume=False,
-                    stop_tol=0.0, log_cadence=1, tau_stop=0.2)
-    traj = run(cfg)
-    assert traj.termination == "time_reached"
-    assert "tau" in traj.notes
-    assert traj.times[-1] < 1e6
-
-
-def test_only_a_normalized_or_tau_stopped_run_takes_the_mean_A(monkeypatch):
-    # inside the loop of a non-normalized run only the rescaled time reads
-    # A; the logged A column comes from the columns pass
+def test_only_a_normalized_run_takes_the_mean_A(monkeypatch):
+    # inside the loop of a non-normalized run nothing reads A; the logged A
+    # column comes from the columns pass
     means = []
 
     def counting(grid, v, w):
@@ -1017,15 +1002,14 @@ def test_only_a_normalized_or_tau_stopped_run_takes_the_mean_A(monkeypatch):
     traj = run(config)
     assert traj.n_records > 2 and np.isfinite(traj.columns["A"]).all()
     assert means == []
-    # a tau-stopped run logs every state it probes, one mean each
-    traj = run(dataclasses.replace(config, T_final=1e6, tau_stop=0.05))
-    assert "tau" in traj.notes
-    assert len(means) == traj.n_records
+    # every state is logged: a normalized run takes one mean per evaluation
+    traj = run(dataclasses.replace(config, normalized=True, renormalize_volume=True))
+    assert len(means) == 4 * traj.n_records - 3
 
 
-def test_only_a_run_that_takes_the_mean_A_asks_for_the_volume_weight(monkeypatch):
-    # the probe asks for the weight only where it takes A; RK4's later
-    # stages ask for it only in the normalized flow
+def test_only_a_normalized_run_asks_for_the_volume_weight(monkeypatch):
+    # the probe and RK4's later stages ask for the weight only in the
+    # normalized flow
     asked = []
     curvature = flow.scalar_curvature_values
 
@@ -1040,12 +1024,6 @@ def test_only_a_run_that_takes_the_mean_A_asks_for_the_volume_weight(monkeypatch
     config = cli.build_run_config(cfg, path.parent)
     traj = run(config)
     assert traj.n_records > 2 and asked == [False] * (4 * traj.n_records - 3)
-    # every state is logged, so a record is one probe: a tau-stopped run
-    # asks at each probe, a normalized run at each evaluation
-    asked.clear()
-    traj = run(dataclasses.replace(config, T_final=1e6, tau_stop=0.05))
-    assert "tau" in traj.notes
-    assert asked == [True, *[False, False, False, True] * (traj.n_records - 1)]
     asked.clear()
     traj = run(dataclasses.replace(config, normalized=True, renormalize_volume=True))
     assert asked == [True] * (4 * traj.n_records - 3)

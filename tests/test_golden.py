@@ -91,7 +91,8 @@ REPORTS = {
     "negative_euler_fixed": "5e1417143506bd20a6e47dd57ac82d0b3e8422eed3fef41531ae5904c34cb50d",
     "negative_horizon": "442364dcd6e91be6bcdfa82ac8caa5ef8edbcb15a9bd7a833e20207a671eae24",
     "negative_stationary": "fdc6817cb8c0de92a09bbf5e01d4e8f488861d8fd210563384832dab0a49bd13",
-    "positive": "48a49c3174525451536ed3ebd786fb470634512dd3fd399490229f6efef66634",
+    # re-pinned when positive_curvature_bounds' note lost its trailing ";"
+    "positive": "6d6acbabe6b0364944d4aa322d4a6c427405fb714d97174c74f0510b3ef98ba3",
 }
 # `conflow verify <compare_normalized run dir> --checks rescale`
 RESCALE_REPORT = "7ee1662209acf0dea9dc007b2251bdc622f5fc428d98c352db2fc1a45f0008f1"
