@@ -115,7 +115,7 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
         dt_cfg = _object(tcfg.get("dt", {}), "'time.dt'")
         settings = {key: _typed(tcfg[key], kind, f"time.{key}") for key, kind in (
             ("T_final", float), ("stop_tol", float), ("normalized", bool),
-            ("renormalize_volume", bool), ("log_cadence", int)) if key in tcfg}
+            ("log_cadence", int)) if key in tcfg}
         if "scheme" in tcfg:
             settings["scheme"] = tcfg["scheme"]
         mode = dt_cfg.get("policy", "adaptive")
@@ -125,7 +125,12 @@ def build_run_config(cfg: dict, base_dir: Path, seed: int | None = None) -> RunC
             raise ConfigError(f"'time.dt.policy' must be 'fixed' or 'adaptive', got {mode!r}")
         elif "safety" in dt_cfg:
             settings["safety"] = _typed(dt_cfg["safety"], float, "time.dt.safety")
-        return RunConfig(background=bg, f=f, u0=u0, **settings)
+        rc = RunConfig(background=bg, f=f, u0=u0, **settings)
+        # only a normalized run renormalizes: a stated renormalization restates the kind
+        if tcfg.get("renormalize_volume", rc.normalized) is not rc.normalized:
+            raise ConfigError(f"'time.renormalize_volume' must be {json.dumps(rc.normalized)},"
+                              f" the run's 'time.normalized', got {tcfg['renormalize_volume']!r}")
+        return rc
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:

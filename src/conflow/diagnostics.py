@@ -31,7 +31,7 @@ import numpy as np
 from .conformal import Background, Records
 from .flow import Trajectory, cumtrapz, hamilton_rescale, run
 from .fzoo import FSpec
-from .grid import grad_inner_values, node_mean, power
+from .grid import ScalarField, grad_inner_values, node_mean, power
 
 __all__ = [
     "TheoremReport",
@@ -666,8 +666,8 @@ def compare_rescaled(traj: Trajectory, traj_nn: Trajectory) -> TheoremReport:
 
 @_check("rescale", "rescale_equivalence")
 def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
-    """Runs the non-normalized flow of the normalized trajectory's config,
-    logging every step, and compares it with the trajectory
+    """Runs the non-normalized flow of the normalized trajectory's config
+    from its first state, logging every step, and compares it with the trajectory
     (``compare_rescaled``); inconclusive, before any run, for an f of no
     declared homogeneity degree.  As d(eta)/d(tau) is the normalized mean A,
     the rescaled time reaches the last time T at t(T), the integral over
@@ -692,8 +692,8 @@ def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
     for _ in range(RESCALE_RERUNS + 1):
         # T = 0 needs only the first state; inf, a failure or the step budget
         T_final = max(horizon, math.ulp(0.0)) if horizon < math.inf else np.finfo(float).max
-        nn = run(replace(traj.config, normalized=False, renormalize_volume=False,
-                         log_cadence=1, T_final=T_final))
+        nn = run(replace(traj.config, normalized=False, log_cadence=1, T_final=T_final,
+                         u0=ScalarField(traj.config.background.grid, traj.snapshots[0])))
         tau = hamilton_rescale(nn)[0]
         if nn.termination != "time_reached" or tau[max(len(tau) - 2, 0)] >= t[-1]:
             break

@@ -16,13 +16,14 @@ curvature range and f(S).  The evaluation of the current state, with its
 volume weight and mean A only in a normalized run, serves the stop tests,
 the step size and, unchanged, the first RK4 stage;
 ``advance`` adds three ``rhs`` calls, each one evaluation, so an RK4 step
-costs four evaluations (Euler: one).  A logged step stores only its state,
-plus its pre-correction volume when the run renormalizes; without
-renormalization ``vol_pre`` is the ``vol`` column.  ``_Kernel.columns``
-builds the diagnostics columns from the logged states after the loop with
-``conformal.Records``, the theorem checks' evaluator; every A, of a stage
-or of a record, is ``conformal.weighted_mean``.  ``rhs_normalized``,
-``stable_dt``, ``step`` and the linearizations evaluate one state, checked.
+costs four evaluations (Euler: one).  A normalized run scales u0 and each
+step to unit volume and logs, with a step's state, the volume before the
+scaling; in a non-normalized run ``vol_pre`` is the ``vol`` column.
+``_Kernel.columns`` builds the diagnostics columns from the logged states
+after the loop with ``conformal.Records``, the theorem checks' evaluator;
+every A, of a stage or of a record, is ``conformal.weighted_mean``.
+``rhs_normalized``, ``stable_dt``, ``step`` and the linearizations evaluate
+one state, checked.
 A ``Trajectory``, whether ``run`` made it or it was read from disk, refuses
 data that breaks its invariants.
 
@@ -97,9 +98,8 @@ class ParabolicityError(RuntimeError):
 class RunConfig:
     """A run's settings and their one set of defaults.  ``dt`` is a fixed
     step; None takes the adaptive step, ``safety`` times the stability
-    limit.  ``renormalize_volume`` unset takes the value of ``normalized``;
-    a renormalized u0 must scale to a positive finite unit-volume state.
-    ``T_final`` is a run's one horizon."""
+    limit.  A ``normalized`` run renormalizes, so its u0 must scale to a
+    positive finite unit-volume state.  ``T_final`` is a run's one horizon."""
 
     background: Background
     f: FSpec
@@ -108,14 +108,11 @@ class RunConfig:
     dt: float | None = None
     safety: float = 0.8
     stop_tol: float = 1e-8
-    renormalize_volume: bool | None = None
     log_cadence: int = 10
     scheme: str = "rk4"
     normalized: bool = True
 
     def __post_init__(self):
-        if self.renormalize_volume is None:
-            object.__setattr__(self, "renormalize_volume", self.normalized)
         if not (math.isfinite(self.T_final) and self.T_final > 0.0):
             raise ValueError(f"T_final must be positive and finite, got {self.T_final!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -133,12 +130,10 @@ class RunConfig:
         umin, umax = self.u0.min(), self.u0.max()
         if umin <= 0.0:
             raise PositivityError(f"u0 must be positive, its minimum is {umin:g}")
-        if not self.normalized and self.renormalize_volume:
-            raise ValueError("volume renormalization only applies to the normalized flow")
         # the run scales u0 to unit volume: inside [1e-100, 1e100] the factor
         # is finite and keeps u0 positive, so only a u0 outside pays for the
         # power that finding the factor takes
-        if self.renormalize_volume and not 1e-100 <= umin <= umax <= 1e100:
+        if self.normalized and not 1e-100 <= umin <= umax <= 1e100:
             kern = _Kernel(self.background, self.f, normalized=True)
             with np.errstate(over="ignore"):
                 scale = kern.unit_scale(self.u0.values)[0]
@@ -155,9 +150,9 @@ class Trajectory:
     background and f.  ``columns`` holds one array per RECORD_COLUMNS entry;
     ``snapshots`` has one u field per record, positive and finite, at finite,
     strictly increasing times; other data raises ValueError.  ``vol_pre``
-    keeps the conservation defect measurable: the pre-correction volume when
-    renormalization is on (``vol_pre[0]`` is the volume after the initial
-    renormalization, so the drift is the steps'), the ``vol`` column otherwise.
+    keeps the conservation defect measurable: in a normalized run the volume
+    before each renormalization (``vol_pre[0]`` is the volume after the
+    initial one, so the drift is the steps'), otherwise the ``vol`` column.
     """
 
     config: RunConfig
@@ -406,15 +401,17 @@ def run(config: RunConfig) -> Trajectory:
     bg, f = config.background, config.f
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
-    if config.renormalize_volume:
+    if config.normalized:
         u = u * kern.unit_scale(u)[0]
+        last_pre = kern.unit_scale(u)[1]
     # every later state's extremes come from the step that made it
     umin, umax = float(_min(u, None)), float(_max(u, None))
 
     # the logged states' bytes go into one buffer: the stack is held once
     times, dts, vol_pre, snaps = [], [], [], bytearray()
-    last_pre = kern.unit_scale(u)[1]
     fixed_dt, safety = config.dt, config.safety
+    # a few ulps: a clipped last step from under T_final / 2 can miss T_final by one
+    t_end = config.T_final - 4.0 * math.ulp(config.T_final)
 
     t = dt_used = 0.0
     step_idx = 0
@@ -438,7 +435,7 @@ def run(config: RunConfig) -> Trajectory:
             termination = "f_domain_violation"
         elif config.normalized and float(_max(np.abs(factor), None)) <= config.stop_tol:
             termination = "stationary"
-        elif t >= config.T_final - 1e-14:
+        elif t >= t_end:
             termination = "time_reached"
         elif step_idx >= _MAX_STEPS:
             termination = "step_budget"
@@ -482,12 +479,12 @@ def run(config: RunConfig) -> Trajectory:
             dts.append(dt_used)
             snaps.extend(u.data)
             # the volume before the correction that produced the state
-            if config.renormalize_volume:
+            if config.normalized:
                 vol_pre.append(last_pre)
         if termination is not None:
             break
 
-        if config.renormalize_volume:
+        if config.normalized:
             # rounding is monotone, so the extremes of the scaled state are
             # the scaled extremes, bit for bit
             scale, last_pre = kern.unit_scale(u_new)
@@ -499,15 +496,13 @@ def run(config: RunConfig) -> Trajectory:
 
     snapshots = np.frombuffer(snaps, dtype=float).reshape((len(times), *u.shape))
     columns = kern.columns(snapshots, times, dts)
-    # without renormalization the drift lives in the vol column itself
-    if not config.renormalize_volume:
-        vol_pre = columns["vol"].copy()
     return Trajectory(
         config=config,
         termination=termination,
         columns=columns,
         snapshots=snapshots,
-        vol_pre=np.asarray(vol_pre, dtype=float),
+        # in a non-normalized run the drift lives in the vol column itself
+        vol_pre=np.asarray(vol_pre, dtype=float) if config.normalized else columns["vol"].copy(),
         notes=notes,
     )
 

@@ -40,8 +40,7 @@ def neg_config(N=N1, **overrides):
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, "sinusoidal:-1.5,0.4,0"))
     kw = dict(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-              T_final=20.0, safety=0.8, stop_tol=1e-8,
-              renormalize_volume=True, log_cadence=10)
+              T_final=20.0, safety=0.8, stop_tol=1e-8, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
 
@@ -51,8 +50,7 @@ def flat_config(N=N4, **overrides):
     bg = Background(field_from_spec(g, "constant:0"))
     u0 = conflow.field_from_spec(g, f"sinusoidal:1.0,0.3,0,{COS_PHASE}")
     kw = dict(background=bg, f=classical(), u0=u0, T_final=2.0,
-              safety=0.8, stop_tol=1e-8,
-              renormalize_volume=True, log_cadence=10)
+              safety=0.8, stop_tol=1e-8, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
 
@@ -61,8 +59,7 @@ def pos_config(N=N1, **overrides):
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, "sinusoidal:1.0,0.5,0"))
     kw = dict(background=bg, f=expdecay(1.0), u0=ScalarField.constant(g, 1.0),
-              T_final=5.0, safety=0.8, stop_tol=1e-8,
-              renormalize_volume=True, log_cadence=10)
+              T_final=5.0, safety=0.8, stop_tol=1e-8, log_cadence=10)
     kw.update(overrides)
     return RunConfig(**kw)
 
@@ -283,9 +280,7 @@ def test_criterion_10_fixed_point_and_order():
     diffs = []
     finals = []
     for dt in (2e-3, 1e-3, 5e-4):
-        cfg = flat_config(N=32, T_final=0.5, dt=dt,
-                          stop_tol=0.0, renormalize_volume=False,
-                          log_cadence=10**9)
+        cfg = flat_config(N=32, T_final=0.5, dt=dt, stop_tol=0.0, log_cadence=10**9)
         finals.append(run(cfg).snapshots[-1])
     diffs = [float(np.abs(finals[i] - finals[i + 1]).max()) for i in range(2)]
     order = float(np.log2(diffs[0] / diffs[1]))

@@ -458,6 +458,7 @@ def test_compare_rescale_mode(tmp_path, monkeypatch):
     cfg_a = write_cfg(tmp_path, norm, "norm.json")
     nonnorm = base_config(T_final=0.45, stop_tol=0.0, log_cadence=1)
     nonnorm["time"]["normalized"] = False
+    # a config may state the kind twice, as configs/*.json do
     nonnorm["time"]["renormalize_volume"] = False
     cfg_b = write_cfg(tmp_path, nonnorm, "nonnorm.json")
     out_a, out_b = tmp_path / "oa", tmp_path / "ob"
@@ -483,7 +484,7 @@ def test_compare_rescale_mode(tmp_path, monkeypatch):
     assert cli.main(["compare", str(out_b), str(out_a), "--mode", "rescale"]) == 1
 
 
-NON_NORMALIZED = {"time.normalized": False, "time.renormalize_volume": False}
+NON_NORMALIZED = {"time.normalized": False}
 
 
 @pytest.mark.parametrize("mode,changes_a,changes_b,why", [
@@ -519,7 +520,7 @@ def test_trajectory_roundtrip_bitwise(tmp_path, monkeypatch):
 
     cases = [("plain", {}, None, 0),
              ("budget", {}, 3, 2),
-             ("nonnormalized", {"normalized": False, "renormalize_volume": False}, None, 0)]
+             ("nonnormalized", {"normalized": False}, None, 0)]
     for name, overrides, max_steps, code in cases:
         cfg_dict = base_config(T_final=0.2, **overrides)
         p = write_cfg(tmp_path, cfg_dict, f"{name}.json")
@@ -865,6 +866,7 @@ def _set(cfg, path, value):
     pytest.param("checks", ["minmax", "nope"], id="checks-an_unknown_name"),
     pytest.param("grid", [1], id="grid-a_list"),
     pytest.param("time.dt", {"policy": "fixed"}, id="time.dt-fixed_without_dt"),
+    pytest.param("time.renormalize_volume", False, id="time.renormalize_volume-normalized"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
@@ -895,7 +897,10 @@ def test_run_malformed_config_is_one_line_exit_1(tmp_path, capsys, path, value):
      f"unknown check 'nope'; known: {', '.join(diagnostics.CHECK_NAMES)}"),
     ("grid", [1], "'grid' must be a JSON object, got [1]"),
     ("time.dt", {"policy": "fixed"}, "'time.dt.dt' must be a number, got None"),
-], ids=["an_unknown_check", "a_grid_list", "a_fixed_dt_policy_without_dt"])
+    ("time", {"normalized": False, "renormalize_volume": True},
+     "'time.renormalize_volume' must be false, the run's 'time.normalized', got True"),
+], ids=["an_unknown_check", "a_grid_list", "a_fixed_dt_policy_without_dt",
+        "a_renormalized_non_normalized_run"])
 def test_a_malformed_config_says_what_is_wrong(tmp_path, capsys, path, value, message):
     # `run` and `verify` print the same message, and so does the sweep
     # member's aggregate row; no command makes a directory

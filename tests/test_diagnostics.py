@@ -23,12 +23,12 @@ POS_BG = "sinusoidal:1.0,0.5,0"
 
 
 def make_run(bgspec, f, u0spec="constant:1", N=64, T=1.0, stop_tol=1e-8,
-             cadence=10, dt=None, renorm=True):
+             cadence=10, dt=None):
     g = grid1d(N=N)
     bg = Background(field_from_spec(g, bgspec))
     u0 = conflow.field_from_spec(g, u0spec)
     cfg = RunConfig(background=bg, f=f, u0=u0, T_final=T, dt=dt, safety=0.8,
-                    stop_tol=stop_tol, renormalize_volume=renorm, log_cadence=cadence)
+                    stop_tol=stop_tol, log_cadence=cadence)
     return run(cfg), bg
 
 
@@ -197,7 +197,7 @@ def test_positive_checks_need_a_finite_f_at_zero():
 
 def test_positive_bounds_take_a_finite_boundary_value_at_zero():
     # -x**1.5 is open at 0, where its own value -0.0 is the limit
-    traj, _ = make_run(POS_BG, conflow.power_law(1.5), T=0.2, renorm=False)
+    traj, _ = make_run(POS_BG, conflow.power_law(1.5), T=0.2)
     rep = dg.check_positive_S_bounds(traj)
     assert rep.passed is True
     assert math.copysign(1.0, rep.predicted["f0"]) == -1.0 and rep.predicted["f0"] == 0.0
@@ -284,8 +284,7 @@ def test_rescale_check_runs_only_the_non_normalized_flow(monkeypatch):
 
     runs.clear()
     nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                       T_final=0.05, normalized=False, renormalize_volume=False,
-                       stop_tol=0.0))
+                       T_final=0.05, normalized=False, stop_tol=0.0))
     rep = dg.check_rescale_equivalence(nn)
     assert rep.passed is None and "normalized" in rep.notes
     assert runs == []
@@ -318,6 +317,24 @@ def test_rescale_check_of_compare_normalized_at_any_cadence(monkeypatch, cadence
     path = Path(__file__).resolve().parent.parent / "configs" / "compare_normalized.json"
     cfg = json.loads(path.read_text())
     cfg["time"]["log_cadence"] = cadence
+    traj = run(cli.build_run_config(cfg, path.parent))
+    rep, n_runs = _counted_rescale_check(monkeypatch, traj)
+    assert (rep.passed, rep.notes, n_runs) == (True, "", 1)
+    assert rep.measured == {"sup_gap": sup_gap, "matched_records": records}
+
+
+@pytest.mark.parametrize("u0,sup_gap,records", [
+    # 2 scales to 1 exactly: constant:1's runs at cadence 5 above, bit for bit
+    ("constant:2", 2.275637867032998e-07, 84),
+    ("sinusoidal:1.0,0.2,0", 2.503150346999661e-07, 90),
+])
+def test_rescale_check_of_compare_normalized_off_unit_volume(monkeypatch, u0, sup_gap,
+                                                             records):
+    # the rescaling identity maps solutions with the same initial data: the
+    # companion starts from the normalized run's first state, u0 at unit volume
+    path = Path(__file__).resolve().parent.parent / "configs" / "compare_normalized.json"
+    cfg = json.loads(path.read_text())
+    cfg["u0"] = u0
     traj = run(cli.build_run_config(cfg, path.parent))
     rep, n_runs = _counted_rescale_check(monkeypatch, traj)
     assert (rep.passed, rep.notes, n_runs) == (True, "", 1)
@@ -357,8 +374,7 @@ def rescale_pair(N=128, T=0.3):
     cfg = RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
                     T_final=T, stop_tol=0.0)
     nn = run(RunConfig(background=bg, f=classical(), u0=ScalarField.constant(g, 1.0),
-                       T_final=1.5 * T, normalized=False, renormalize_volume=False,
-                       stop_tol=0.0, log_cadence=1))
+                       T_final=1.5 * T, normalized=False, stop_tol=0.0, log_cadence=1))
     return run(cfg), nn
 
 
@@ -490,7 +506,7 @@ def test_gates_report_inconclusive(neg_run, pos_run, flat_run):
     assert dg.check_u_bounds(mixed_traj).passed is None
     nn_cfg = RunConfig(background=neg_bg, f=classical(),
                        u0=ScalarField.constant(neg.config.background.grid, 1.0), T_final=0.1,
-                       normalized=False, renormalize_volume=False, stop_tol=0.0)
+                       normalized=False, stop_tol=0.0)
     nn = run(nn_cfg)
     assert dg.check_minmax_principle(nn).passed is None
 

@@ -77,7 +77,7 @@ def configs(draw) -> dict:
         "f": draw(RESPONSE_FUNCTIONS),
         "time": {"T_final": draw(st.floats(0.005, 0.1)), "dt": dt,
                  "scheme": draw(st.sampled_from(["euler", "rk4"])),
-                 "normalized": normalized, "renormalize_volume": normalized,
+                 "normalized": normalized,
                  "log_cadence": draw(st.integers(1, 10))},
     }
 
