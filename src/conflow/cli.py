@@ -391,7 +391,7 @@ SHIFT_TOL = 1e-10
 def cmd_compare(args) -> int:
     """Shift mode compares two normalized runs record by record; rescale
     mode compares a normalized run_a with the rescaled non-normalized run_b.
-    Both need the two runs on one grid."""
+    Both need the two runs on one grid, started from one state."""
     kind_b = "normalized" if args.mode == "shift" else "non_normalized"
     traj_a, _ = load_trajectory(Path(args.run_a), seed=args.seed)
     traj_b, _ = load_trajectory(Path(args.run_b), seed=args.seed)
@@ -401,6 +401,10 @@ def cmd_compare(args) -> int:
     for name, traj, kind in ("run_a", traj_a, "normalized"), ("run_b", traj_b, kind_b):
         if traj.kind != kind:
             raise ConfigError(f"{args.mode} mode needs a {kind} {name}, got a {traj.kind} run")
+    tol = SHIFT_TOL if args.mode == "shift" else diagnostics.RESCALE_TOL
+    gap = float(np.abs(traj_b.snapshots[0] - traj_a.snapshots[0]).max())
+    if not gap <= tol:
+        raise ConfigError(f"the first states differ by {gap:.3g}, over the tolerance {tol:g}")
     if args.mode == "shift":
         if traj_a.n_records != traj_b.n_records:
             print(f"compare: record counts differ ({traj_a.n_records} vs {traj_b.n_records})")

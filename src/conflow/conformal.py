@@ -12,10 +12,11 @@ and a positive conformal factor u carries the curvature
 ``conformal_laplacian_values`` and ``scalar_curvature_values`` evaluate
 them on raw arrays, one field or a ``(K, *grid.shape)`` stack of records;
 ``Background`` carries the exponents of its dimension n, the volume-density
-exponent 2n/(n-2) and the rate prefactor (n-2)/4 among them.
-``weighted_mean`` is the one mean A of the flow's step and of ``Records``,
-the per-record quantities of a stack of logged states (volume weight,
-f-domain test, ...) for the diagnostics columns and every check.
+exponent 2n/(n-2) and the rate prefactor (n-2)/4 among them.  On the volume
+weight u^(2n/(n-2)) rest ``unit_scale``, a normalized run's scaling to unit
+volume, and ``weighted_mean``, the one mean A of the flow's step and of
+``Records``, the per-record quantities of a stack of logged states (volume
+weight, f-domain test, ...) for the diagnostics columns and every check.
 
 Every identity checked by this package uses only L, the volume weights and
 the discrete maximum principle, so all three sign cases of S0 are exercised
@@ -47,6 +48,7 @@ __all__ = [
     "require_f_domain",
     "conformal_laplacian_values",
     "scalar_curvature_values",
+    "unit_scale",
     "weighted_mean",
     "Records",
 ]
@@ -141,6 +143,17 @@ def scalar_curvature_values(bg: Background, u: np.ndarray, with_weight: bool = F
     return (S, power(u, bg.vol_exp)) if with_weight else S
 
 
+def unit_scale(bg: Background, u: np.ndarray) -> tuple[float, float]:
+    """The factor that scales a positive finite u to unit volume, and the
+    volume of u.  A volume that under- or overflows is taken again with u
+    divided by its max, as ``weighted_mean`` mends an overflowing mean."""
+    vol = float(node_mean(bg.grid, power(u, bg.vol_exp)))
+    if 0.0 < vol < math.inf:
+        return vol ** (-1.0 / bg.vol_exp), vol
+    s = float(u.max())
+    return float(node_mean(bg.grid, power(u / s, bg.vol_exp))) ** (-1.0 / bg.vol_exp) / s, vol
+
+
 def weighted_mean(grid: GridSpec, v: np.ndarray, w: np.ndarray):
     """The mean of v against the volume weight w, of one field or of each
     record of a stack.  A mean that overflowed although v is finite is taken
@@ -160,9 +173,9 @@ class Records:
     """Per-record quantities of a ``(K, *grid.shape)`` stack ``U`` of states.
 
     ``S`` is the curvature, ``w`` the volume weight u^(2n/(n-2)) and ``vol``
-    the volume of every record; the f-domain test ``in_domain``, f(S)
-    (``phi``), its mean ``A`` and ``dev`` = f(S) - A are evaluated on first
-    use (``f`` may be None for a stack that needs none of them).  Integrals
+    the volume of every record; from the response function ``f``, which
+    every stack carries, the f-domain test ``in_domain``, f(S) (``phi``),
+    its mean ``A`` and ``dev`` = f(S) - A are evaluated on first use.  Integrals
     and means are ``node_mean`` and ``weighted_mean``, so each value is bit
     for bit what the same formula gives on that record alone.
     """

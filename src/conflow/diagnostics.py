@@ -605,7 +605,7 @@ def check_flat_identity(traj: Trajectory) -> TheoremReport:
         return TheoremReport(None, notes="the flat identity needs a flat background,"
                                          f" got {bg.case_tag}")
     integrals = np.concatenate([node_mean(bg.grid, power(rec.U, bg.beta) * rec.S)
-                                for _, rec in Records.blocks(bg, None, traj.snapshots)])
+                                for _, rec in Records.blocks(bg, traj.config.f, traj.snapshots)])
     worst_integral = float(np.abs(integrals).max())
     smin = traj.columns["Smin"]
     measured = {

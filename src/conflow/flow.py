@@ -9,21 +9,19 @@ Both are integrated by the method of lines with explicit Euler or classical
 RK4, with the nonlocal mean A recomputed at every internal stage so that the
 quadrature-exact volume stationarity is preserved at scheme order.
 
-Per-step work of ``run``: ``_Kernel`` binds the background's conformal
-exponents (``Background.beta``, ``vol_exp``, ``pref``) once per run, and
-``_Kernel.evaluate`` turns a state into its curvature S, volume weight,
-curvature range and f(S).  The evaluation of the current state, with its
-volume weight and mean A only in a normalized run, serves the stop tests,
-the step size and, unchanged, the first RK4 stage;
-``advance`` adds three ``rhs`` calls, each one evaluation, so an RK4 step
-costs four evaluations (Euler: one).  A normalized run scales u0 and each
-step to unit volume and logs, with a step's state, the volume before the
-scaling; in a non-normalized run ``vol_pre`` is the ``vol`` column.
+Per-step work of ``run``: ``_Kernel`` binds the background's exponents once
+per run; ``_Kernel.evaluate`` turns a state into its curvature S, volume
+weight (in a normalized kernel only), curvature range and f(S), and
+``_Kernel.factor`` into the flow factor, f(S) - A or f(S).  The current
+state's factor serves the stop tests, the step size and, unchanged, the
+first RK4 stage; ``advance`` adds three ``rhs`` calls, so an RK4 step costs
+four evaluations (Euler: one).  A normalized run scales u0 and each step to
+unit volume (``conformal.unit_scale``) and logs with a step's state the
+volume before the scaling; otherwise ``vol_pre`` is the ``vol`` column.
 ``_Kernel.columns`` builds the diagnostics columns from the logged states
 after the loop with ``conformal.Records``, the theorem checks' evaluator;
-every A, of a stage or of a record, is ``conformal.weighted_mean``.
-``rhs_normalized``, ``stable_dt``, ``step`` and the linearizations evaluate
-one state, checked.
+every A is ``conformal.weighted_mean``.  ``rhs_normalized``, ``stable_dt``,
+``step`` and the linearizations evaluate one state, checked.
 A ``Trajectory``, whether ``run`` made it or it was read from disk, refuses
 data that breaks its invariants.
 
@@ -58,10 +56,11 @@ from .conformal import (
     conformal_laplacian_values,
     require_f_domain,
     scalar_curvature_values,
+    unit_scale,
     weighted_mean,
 )
 from .fzoo import FSpec, homogeneity_check
-from .grid import PositivityError, ScalarField, node_mean, power
+from .grid import PositivityError, ScalarField, power
 
 __all__ = [
     "RunConfig",
@@ -85,6 +84,7 @@ RECORD_COLUMNS = (
     "fSA_sup", "lp2", "lpn2", "umin", "umax",
 )
 
+SCHEMES = ("euler", "rk4")
 BLOWUP_SUP = 1e8
 POSITIVITY_FLOOR = 1e-10
 _MAX_STEPS = 5_000_000
@@ -92,6 +92,11 @@ _MAX_STEPS = 5_000_000
 
 class ParabolicityError(RuntimeError):
     """f' is not negative on the attained curvature range."""
+
+
+def _require_scheme(scheme: str):
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be {' or '.join(map(repr, SCHEMES))}, got {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,7 @@ class RunConfig:
             raise ValueError("safety must lie in (0, 1]")
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
             raise ValueError(f"stop_tol must be nonnegative and finite, got {self.stop_tol!r}")
-        if self.scheme not in ("euler", "rk4"):
-            raise ValueError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
+        _require_scheme(self.scheme)
         if self.log_cadence < 1:
             raise ValueError("log_cadence must be >= 1")
         if self.u0.grid != self.background.grid:
@@ -134,9 +138,8 @@ class RunConfig:
         # is finite and keeps u0 positive, so only a u0 outside pays for the
         # power that finding the factor takes
         if self.normalized and not 1e-100 <= umin <= umax <= 1e100:
-            kern = _Kernel(self.background, self.f, normalized=True)
             with np.errstate(over="ignore"):
-                scale = kern.unit_scale(self.u0.values)[0]
+                scale = unit_scale(self.background, self.u0.values)[0]
             if not (math.isfinite(scale) and umin * scale > 0.0):
                 raise ValueError(f"u0 of range [{umin:g}, {umax:g}] has no positive finite"
                                  f" unit-volume rescaling (factor {scale:g})")
@@ -198,44 +201,30 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class _Kernel:
-    """Raw-array evaluations of states shared by one run, whose per-step
-    work the module docstring sets out; what does not depend on the state is
-    bound once.  ``evaluate`` is the only code that turns a state into S, w,
-    Smin, Smax and f(S).  Numpy's warnings follow the caller's errstate:
-    ``run`` and the single-state entry points silence overflow."""
+    """Raw-array evaluations of the states of one run (the module docstring
+    sets out its per-step work), with what does not depend on the state bound
+    once.  ``evaluate`` is the only code that turns a state into S, w, Smin,
+    Smax and f(S), ``factor`` the only one that takes f(S) - A; only a
+    ``normalized`` kernel takes w and A.  Numpy's warnings follow the caller's
+    errstate: ``run`` and the single-state entry points silence overflow."""
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
-        self.bg = bg
-        self.f = f
-        self.normalized = normalized
-        self.n = bg.n
-        self.beta = bg.beta
-        self.m = bg.vol_exp
-        self.pref = bg.pref
+        self.bg, self.f, self.normalized = bg, f, normalized
+        self.n, self.beta, self.pref = bg.n, bg.beta, bg.pref
         self.eval_f, self.eval_fp = f.eval_f, f.eval_fp
         self.hmin2 = bg.grid.min_spacing ** 2
         self.two_d = 2.0 * bg.grid.active_dims
 
-    def unit_scale(self, u: np.ndarray) -> tuple[float, float]:
-        """The factor that scales a positive finite u to unit volume, and the
-        volume of u.  A volume that under- or overflows is taken again with u
-        divided by its max, as ``weighted_mean`` mends an overflowing mean."""
-        vol = float(node_mean(self.bg.grid, power(u, self.m)))
-        if 0.0 < vol < math.inf:
-            return vol ** (-1.0 / self.m), vol
-        s = float(_max(u, None))
-        return float(node_mean(self.bg.grid, power(u / s, self.m))) ** (-1.0 / self.m) / s, vol
-
-    def evaluate(self, u: np.ndarray, with_weight: bool = True, checked: bool = False):
+    def evaluate(self, u: np.ndarray, checked: bool = False):
         """``(S, w, Smin, Smax, phi)`` of u: its curvature S, volume weight w
-        (None without ``with_weight``), the range of S and f(S) (None
-        outside f's domain).  A ``checked`` evaluation raises instead:
-        PositivityError for a nonpositive u, then ``require_f_domain``'s
-        verdict on the range (FloatingPointError when it is non-finite)."""
+        (None when not normalized), the range of S and f(S) (None outside
+        f's domain).  A ``checked`` evaluation raises instead: PositivityError
+        for a nonpositive u, then ``require_f_domain``'s verdict on the range
+        (FloatingPointError when it is non-finite)."""
         if checked and _min(u, None) <= 0.0:
             raise PositivityError("state outside positive cone")
-        sw = scalar_curvature_values(self.bg, u, with_weight)
-        S, w = sw if with_weight else (sw, None)
+        sw = scalar_curvature_values(self.bg, u, self.normalized)
+        S, w = sw if self.normalized else (sw, None)
         Smin, Smax = float(_min(S, None)), float(_max(S, None))
         # only a finite range lies inside a domain
         if self.f.domain.contains_interval(Smin, Smax):
@@ -244,12 +233,17 @@ class _Kernel:
             require_f_domain(self.f, Smin, Smax)
         return S, w, Smin, Smax, None
 
+    def factor(self, u: np.ndarray, checked: bool = False):
+        """``(S, Smin, Smax, F)``: ``evaluate``'s S and its range, and the flow
+        factor F, f(S) - A if normalized, else f(S) (None outside f's domain)."""
+        S, w, Smin, Smax, F = self.evaluate(u, checked)
+        if F is not None and self.normalized:
+            F = F - weighted_mean(self.bg.grid, F, w)
+        return S, Smin, Smax, F
+
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """(n-2)/4 * (f(S) - A) * u, or (n-2)/4 * f(S) * u when not normalized."""
-        S, w, _, _, phi = self.evaluate(u, self.normalized, checked=True)
-        if not self.normalized:
-            return self.pref * phi * u
-        return self.pref * (phi - weighted_mean(self.bg.grid, phi, w)) * u
+        return self.pref * self.factor(u, checked=True)[3] * u
 
     def advance(self, u: np.ndarray, dt: float, scheme: str, k1: np.ndarray) -> np.ndarray:
         """One Euler or RK4 step from u; k1 must be rhs(u)."""
@@ -315,9 +309,9 @@ def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0
     a nonpositive margin raises ParabolicityError, a non-finite diffusivity
     OverflowError.
     """
-    kern = _Kernel(bg, f, normalized=True)
+    kern = _Kernel(bg, f, normalized=False)
     u = state.u.values
-    return kern.stable_dt(u, kern.evaluate(u, with_weight=False, checked=True)[0], safety)
+    return kern.stable_dt(u, kern.evaluate(u, checked=True)[0], safety)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -330,8 +324,7 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
     stable_dt, RK4 tolerates moderately more (its real-axis stability
     interval is ~1.4x Euler's); run() stays at stable_dt for both.
     """
-    if scheme not in ("euler", "rk4"):
-        raise ValueError(f"scheme must be 'euler' or 'rk4', got {scheme!r}")
+    _require_scheme(scheme)
     kern = _Kernel(bg, f, normalized=normalized)
     u = state.u.values
     u_new = kern.advance(u, dt, scheme, kern.rhs(u))
@@ -342,24 +335,20 @@ def step(bg: Background, state: ConformalState, f: FSpec, dt: float,
 # Linearizations
 # ---------------------------------------------------------------------------
 
-def _frechet_terms(bg: Background, u: ScalarField, h: ScalarField, f: FSpec):
-    """The kernel, S, the volume weight w, L(h), f(S), f'(S) and DF(u)h, the
+def _frechet_terms(bg: Background, uv: np.ndarray, hv: np.ndarray, f: FSpec):
+    """The volume weight w, f(S), f'(S), the linearized curvature
+    dS = u**(-beta) * L(h) - beta*S*h/u and DF(u)h = f(S)*h + f'(S)*u*dS, the
     derivative of u -> f(S)*u applied to h, from the checked evaluation of u."""
-    kern = _Kernel(bg, f, normalized=False)
-    uv, hv = u.values, h.values
-    S, w, _, _, phi = kern.evaluate(uv, checked=True)
-    Lh = conformal_laplacian_values(bg, hv)
-    fp = kern.eval_fp(S)
-    DF = phi * hv + fp * (power(uv, 1.0 - kern.beta) * Lh - kern.beta * S * hv)
-    return kern, S, w, Lh, phi, fp, DF
+    S, w, _, _, phi = _Kernel(bg, f, normalized=True).evaluate(uv, checked=True)
+    fp = f.eval_fp(S)
+    dS = power(uv, -bg.beta) * conformal_laplacian_values(bg, hv) - bg.beta * S * hv / uv
+    return w, phi, fp, dS, phi * hv + fp * uv * dS
 
 
 def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
-    """Derivative of u -> f(S)*u applied to h:
-
-        f(S)*h + f'(S) * (u**(1-beta) * L(h) - beta*S*h).
-    """
-    return ScalarField(bg.grid, _frechet_terms(bg, u, h, f)[-1])
+    """Derivative of u -> f(S)*u applied to h: f(S)*h + f'(S)*u*dS, with dS
+    the linearized curvature (``_frechet_terms``)."""
+    return ScalarField(bg.grid, _frechet_terms(bg, u.values, h.values, f)[-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -370,11 +359,10 @@ def frechet_normalized_apply(bg: Background, u: ScalarField, h: ScalarField, f: 
     f(S), of the volume density (2n/(n-2) * h/u per unit volume) and of the
     normalizing volume itself.
     """
-    kern, S, w, Lh, phi, fp, DF = _frechet_terms(bg, u, h, f)
     uv, hv = u.values, h.values
-    dS = power(uv, -kern.beta) * Lh - kern.beta * S * hv / uv
+    w, phi, fp, dS, DF = _frechet_terms(bg, uv, hv, f)
     A = weighted_mean(bg.grid, phi, w)
-    dA = weighted_mean(bg.grid, fp * dS + kern.m * (phi - A) * hv / uv, w)
+    dA = weighted_mean(bg.grid, fp * dS + bg.vol_exp * (phi - A) * hv / uv, w)
     return ScalarField(bg.grid, DF - A * hv - dA * uv)
 
 
@@ -402,8 +390,8 @@ def run(config: RunConfig) -> Trajectory:
     kern = _Kernel(bg, f, normalized=config.normalized)
     u = np.array(config.u0.values, dtype=float)
     if config.normalized:
-        u = u * kern.unit_scale(u)[0]
-        last_pre = kern.unit_scale(u)[1]
+        u = u * unit_scale(bg, u)[0]
+        last_pre = unit_scale(bg, u)[1]
     # every later state's extremes come from the step that made it
     umin, umax = float(_min(u, None)), float(_max(u, None))
 
@@ -419,13 +407,8 @@ def run(config: RunConfig) -> Trajectory:
     notes = ""
 
     while True:
-        # only the normalized factor reads A, and only A the volume weight;
         # the logged A and vol columns come from ``_Kernel.columns``
-        S, w, Smin, Smax, phi = kern.evaluate(u, config.normalized)
-        # the first stage's factor: f(S) - A, or f(S) when not normalized
-        factor = phi
-        if phi is not None and config.normalized:
-            factor = phi - weighted_mean(bg.grid, phi, w)
+        S, Smin, Smax, factor = kern.factor(u)
 
         if umin <= POSITIVITY_FLOOR:
             termination = "positivity_lost"
@@ -487,7 +470,7 @@ def run(config: RunConfig) -> Trajectory:
         if config.normalized:
             # rounding is monotone, so the extremes of the scaled state are
             # the scaled extremes, bit for bit
-            scale, last_pre = kern.unit_scale(u_new)
+            scale, last_pre = unit_scale(bg, u_new)
             u_new, umin, umax = u_new * scale, umin * scale, umax * scale
         u = u_new
         t += dt

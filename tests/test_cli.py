@@ -492,7 +492,8 @@ NON_NORMALIZED = {"time.normalized": False}
     ("rescale", {}, {"grid.points": [64], **NON_NORMALIZED}, "different grids"),
     ("rescale", NON_NORMALIZED, NON_NORMALIZED, "needs a normalized run_a"),
     ("shift", {}, NON_NORMALIZED, "needs a normalized run_b"),
-], ids=["shift-grids", "rescale-grids", "rescale-kind", "shift-kind"])
+    ("shift", {}, {"u0": "sinusoidal:1.0,0.2,0"}, "first states differ"),
+], ids=["shift-grids", "rescale-grids", "rescale-kind", "shift-kind", "shift-start"])
 def test_compare_mismatched_runs_is_one_line_exit_1(tmp_path, capsys, mode, changes_a,
                                                     changes_b, why):
     # two runs that cannot be compared end in one `compare:` line naming why
@@ -510,6 +511,29 @@ def test_compare_mismatched_runs_is_one_line_exit_1(tmp_path, capsys, mode, chan
     assert captured.out == ""
     assert captured.err.startswith("compare:") and why in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("u0,status", [("constant:1", 0), ("constant:2", 1)])
+def test_compare_needs_runs_from_one_first_state(tmp_path, capsys, u0, status):
+    # a normalized run starts from u0 scaled to unit volume, a non-normalized
+    # one from u0 itself: at `constant:2` the shipped compare pair's first
+    # states differ by 1, so the pair is refused, not compared
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    outs = []
+    for name in ("compare_normalized", "compare_nonnormalized"):
+        cfg = json.loads((configs / f"{name}.json").read_text())
+        cfg["u0"] = u0
+        outs.append(str(tmp_path / name))
+        assert cli.main(["run", str(write_cfg(tmp_path, cfg, f"{name}.json")),
+                         "--out", outs[-1]]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", *outs, "--mode", "rescale"]) == status
+    captured = capsys.readouterr()
+    if status == 0:
+        assert captured.out.startswith("rescale compare:") and captured.err == ""
+    else:
+        assert captured.out == "" and captured.err == (
+            "compare: the first states differ by 1, over the tolerance 0.0001\n")
 
 
 def test_trajectory_roundtrip_bitwise(tmp_path, monkeypatch):

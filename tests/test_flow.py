@@ -17,6 +17,7 @@ from conflow.conformal import (
     conformal_laplacian_values,
     require_f_domain,
     scalar_curvature_values,
+    unit_scale,
     weighted_mean,
 )
 from conflow.flow import (
@@ -281,10 +282,9 @@ def test_single_state_entry_points_keep_their_error_verdicts(entry, case, error)
 
 def renormalize_volume(state):
     """The run's volume renormalization applied to one state."""
-    g = state.u.grid
-    kern = flow._Kernel(Background(ScalarField.constant(g, 0.0)), classical(), True)
-    u = state.u.values
-    return ConformalState(ScalarField(state.u.grid, u * kern.unit_scale(u)[0]), state.t)
+    g, u = state.u.grid, state.u.values
+    bg = Background(ScalarField.constant(g, 0.0))
+    return ConformalState(ScalarField(g, u * unit_scale(bg, u)[0]), state.t)
 
 
 def test_renormalize_volume():
@@ -546,9 +546,8 @@ def test_fixed_dt_policy_needs_finite_positive_dt(dt):
 
 
 def first_stage(kern, u):
-    """The run loop's first RK stage from the evaluation of u and its mean A."""
-    _, w, _, _, phi = kern.evaluate(u)
-    return kern.pref * (phi - weighted_mean(kern.bg.grid, phi, w) if kern.normalized else phi) * u
+    """The run loop's first RK stage from the factor of u."""
+    return kern.pref * kern.factor(u)[3] * u
 
 
 KERNEL_POINTS = {1: (32,), 2: (16, 12), 3: (8, 10, 8)}
@@ -590,6 +589,9 @@ def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
 
     assert np.array_equal(kern.rhs(u), rhs(u))
     (S, w, Smin, Smax, phi), ref = kern.evaluate(u), reference.flow_terms(bg, f, u)
+    # only a normalized kernel takes the volume weight
+    assert (w is None) == (not normalized)
+    w = scalar_curvature_values(bg, u, with_weight=True)[1]
     assert np.array_equal(S, ref["S"]) and np.array_equal(phi, ref["phi"])
     A = weighted_mean(bg.grid, phi, w)
     assert np.array_equal(phi - A, ref["phi"] - ref["A"])
@@ -602,7 +604,7 @@ def test_kernel_matches_reference_bit_for_bit(dims, n, normalized):
     stepped = kern.advance(u, dt, "rk4", kern.rhs(u))
     assert np.array_equal(stepped, reference.rk4_step(rhs, u, dt))
     assert np.array_equal(kern.advance(u, dt, "euler", rhs(u)), u + dt * rhs(u))
-    (scale, vol), want = kern.unit_scale(stepped), reference.renormalized(bg, stepped)
+    (scale, vol), want = unit_scale(bg, stepped), reference.renormalized(bg, stepped)
     assert np.array_equal(stepped * scale, want[0]) and vol == want[1]
 
 
@@ -635,7 +637,7 @@ def test_run_carries_exact_extremes_into_every_probe(monkeypatch, scheme, normal
                     T_final=0.3, scheme=scheme, normalized=normalized)
     events = []
     Kernel = flow._Kernel
-    evaluate, advance, unit_scale = Kernel.evaluate, Kernel.advance, Kernel.unit_scale
+    evaluate, advance = Kernel.evaluate, Kernel.advance
 
     def recorded(name, method, extremes):
         def wrapper(self, u, *args, **kwargs):
@@ -648,8 +650,8 @@ def test_run_carries_exact_extremes_into_every_probe(monkeypatch, scheme, normal
         "evaluate", evaluate, lambda u, out: (float(u.min()), float(u.max()))))
     monkeypatch.setattr(Kernel, "advance", recorded(
         "advance", advance, lambda u, out: (float(out.min()), float(out.max()))))
-    monkeypatch.setattr(Kernel, "unit_scale", recorded(
-        "scale", unit_scale, lambda u, out: out[0]))
+    monkeypatch.setattr(flow, "unit_scale", recorded(
+        "scale", flow.unit_scale, lambda u, out: out[0]))
     assert run(cfg).termination == "time_reached"
     probes = 0
     last = None  # (min, max) of the last step's state, scaled when renormalized
