@@ -35,12 +35,13 @@ with d active spatial dimensions (the forward-Euler diffusion limit; RK4 has
 a slightly larger real-axis stability interval and is run at the same dt).
 A non-finite max kappa would make that step 0 or NaN, so it ends the run.
 
-For homogeneous f of degree alpha, a non-normalized run can be mapped onto
-the normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and
-the time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of
-the logged A series; ``hamilton_rescale`` implements this with trapezoid
-quadrature (``cumtrapz``) and returns the tau times and each record's
-rescaling factor; a run itself knows no rescaled time.
+For homogeneous f of degree alpha, a non-normalized run maps onto the
+normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and the
+time by d(tau)/dt = exp(-alpha * eta), where eta is the time integral of A.
+As d log(vol)/dt = n/2 * A, exp(eta) is (vol/vol0)**(2/n): the rescaling is
+each record's unit-volume scaling, read off the logged vol column, and
+``hamilton_rescale`` returns it with the tau times (a trapezoid integral,
+``cumtrapz``); a run itself knows no rescaled time.
 """
 
 import math
@@ -503,11 +504,11 @@ HOMOGENEITY_TOL = 1e-8
 def hamilton_rescale(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Map a non-normalized trajectory onto the normalized flow.
 
-    eta is the trapezoid integral of the logged A series, the new time is
-    tau with d(tau)/dt = exp(-alpha*eta), and the conformal factor becomes
-    exp(-(n-2)/4 * eta) * v.  Requires the run's f homogeneous of a known
-    degree; both eta(0) and tau(0) are zero.  Returns tau and the factor
-    ``scale`` per record: record k rescales to ``traj.snapshots[k] * scale[k]``.
+    Record k's factor ``scale[k]`` = (vol_k/vol_0)**(-1/vol_exp) scales it to
+    the first record's volume: ``traj.snapshots[k] * scale[k]`` is the
+    rescaled state.  The new time tau, d(tau)/dt = (vol/vol_0)**(-2*alpha/n),
+    is its trapezoid integral over the logged times.  Requires the run's f
+    homogeneous of a known degree; tau[0] is 0 and scale[0] is 1.
     """
     if traj.kind != "non_normalized":
         raise ValueError("hamilton_rescale expects a non-normalized trajectory")
@@ -519,7 +520,6 @@ def hamilton_rescale(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     if defect > HOMOGENEITY_TOL:
         raise ValueError(f"{f.name} is not {alpha:g}-homogeneous (defect {defect:.3g})")
 
-    t = traj.times
-    eta = cumtrapz(traj.columns["A"], t)
-    tau = cumtrapz(np.exp(-alpha * eta), t)
-    return tau, np.exp(-traj.config.background.pref * eta)
+    bg, vol = traj.config.background, traj.columns["vol"]
+    ratio = vol / vol[0]
+    return cumtrapz(ratio ** (-2.0 * alpha / bg.n), traj.times), ratio ** (-1.0 / bg.vol_exp)
