@@ -33,7 +33,8 @@ diffusion with state-dependent coefficient
 so a run without a fixed dt takes dt = safety * h_min**2 / (2 * d * max kappa)
 with d active spatial dimensions (the forward-Euler diffusion limit; RK4 has
 a slightly larger real-axis stability interval and is run at the same dt).
-A non-finite max kappa would make that step 0 or NaN, so it ends the run.
+A max kappa that is non-finite or 0 would make that step 0, NaN or inf, so
+it ends the run.
 
 For homogeneous f of degree alpha, a non-normalized run maps onto the
 normalized flow by rescaling the solution with exp(-(n-2)/4 * eta) and the
@@ -207,7 +208,9 @@ class _Kernel:
     once.  ``evaluate`` is the only code that turns a state into S, w, Smin,
     Smax and f(S), ``factor`` the only one that takes f(S) - A; only a
     ``normalized`` kernel takes w and A.  Numpy's warnings follow the caller's
-    errstate: ``run`` and the single-state entry points silence overflow."""
+    errstate: ``run`` and every single-state entry point (``rhs_normalized``,
+    ``stable_dt``, ``step`` and both linearizations) silence overflow and
+    invalid values."""
 
     def __init__(self, bg: Background, f: FSpec, normalized: bool):
         self.bg, self.f, self.normalized = bg, f, normalized
@@ -261,8 +264,9 @@ class _Kernel:
             raise ParabolicityError("parabolicity lost: f' >= 0 on the attained S range")
         kappa = (self.n - 1.0) * np.abs(fp) * power(u, 1.0 - self.beta)
         kmax = float(_max(kappa, None))
-        if not math.isfinite(kmax):  # the step would be 0 (inf) or NaN
-            raise OverflowError(f"non-finite diffusivity: max kappa = {kmax:g}")
+        if not 0.0 < kmax < math.inf:  # the step would be inf, 0 or NaN
+            raise OverflowError(f"{'zero' if kmax == 0.0 else 'non-finite'} diffusivity:"
+                                f" max kappa = {kmax:g}")
         return safety * self.hmin2 / (self.two_d * kmax)
 
     def columns(self, U: np.ndarray, t, dt_used) -> dict:
@@ -303,12 +307,13 @@ def rhs_normalized(bg: Background, state: ConformalState, f: FSpec) -> ScalarFie
     return ScalarField(bg.grid, _Kernel(bg, f, normalized=True).rhs(state.u.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stable_dt(bg: Background, state: ConformalState, f: FSpec, safety: float = 0.8) -> float:
     """Forward-Euler diffusion limit for the state-dependent diffusivity.
 
     The parabolicity margin is evaluated on the attained grid values of S;
-    a nonpositive margin raises ParabolicityError, a non-finite diffusivity
-    OverflowError.
+    a nonpositive margin raises ParabolicityError, a non-finite or zero
+    diffusivity OverflowError.
     """
     kern = _Kernel(bg, f, normalized=False)
     u = state.u.values
@@ -346,6 +351,7 @@ def _frechet_terms(bg: Background, uv: np.ndarray, hv: np.ndarray, f: FSpec):
     return w, phi, fp, dS, phi * hv + fp * uv * dS
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frechet_apply(bg: Background, u: ScalarField, h: ScalarField, f: FSpec) -> ScalarField:
     """Derivative of u -> f(S)*u applied to h: f(S)*h + f'(S)*u*dS, with dS
     the linearized curvature (``_frechet_terms``)."""

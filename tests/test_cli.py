@@ -453,6 +453,19 @@ def test_compare_shift_detects_difference(tmp_path):
     assert cli.main(["compare", str(out_a), str(out_b), "--mode", "shift"]) == 2
 
 
+def test_compare_shift_of_runs_of_different_lengths_disagrees(tmp_path, capsys):
+    outs = []
+    for name, T_final in (("a", 0.01), ("b", 0.02)):
+        cfg = base_config(T_final=T_final, dt={"policy": "fixed", "dt": 1e-3}, stop_tol=0.0,
+                          log_cadence=1)
+        outs.append(str(tmp_path / name))
+        assert cli.main(["run", str(write_cfg(tmp_path, cfg, f"{name}.json")),
+                         "--out", outs[-1]]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", *outs, "--mode", "shift"]) == 2
+    assert capsys.readouterr().out == "compare: record counts differ (11 vs 21)\n"
+
+
 def test_compare_rescale_mode(tmp_path, monkeypatch):
     norm = base_config(T_final=0.3, stop_tol=0.0)
     cfg_a = write_cfg(tmp_path, norm, "norm.json")
@@ -493,7 +506,10 @@ NON_NORMALIZED = {"time.normalized": False}
     ("rescale", NON_NORMALIZED, NON_NORMALIZED, "needs a normalized run_a"),
     ("shift", {}, NON_NORMALIZED, "needs a normalized run_b"),
     ("shift", {}, {"u0": "sinusoidal:1.0,0.2,0"}, "first states differ"),
-], ids=["shift-grids", "rescale-grids", "rescale-kind", "shift-kind", "shift-start"])
+    ("rescale", {}, {"f": {"name": "expdecay", "alpha": 1.0}, **NON_NORMALIZED},
+     "expdecay:1 declares no homogeneity degree"),
+], ids=["shift-grids", "rescale-grids", "rescale-kind", "shift-kind", "shift-start",
+        "rescale-inhomogeneous"])
 def test_compare_mismatched_runs_is_one_line_exit_1(tmp_path, capsys, mode, changes_a,
                                                     changes_b, why):
     # two runs that cannot be compared end in one `compare:` line naming why

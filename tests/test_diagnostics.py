@@ -195,6 +195,15 @@ def test_positive_checks_need_a_finite_f_at_zero():
         assert rep.notes.endswith("f has no finite value at 0 (f(0) = inf)")
 
 
+def test_positive_checks_need_0_inside_the_domain_of_f():
+    # reciprocal with alpha -1 lives on (1, inf), above the background's 1.5
+    traj, _ = make_run("sinusoidal:2.0,0.5,0", reciprocal(-1.0), T=0.5)
+    for check in (dg.check_positive_S_bounds, dg.check_u_bounds):
+        rep = check(traj)
+        assert rep.passed is None
+        assert rep.notes.endswith(": 0 outside the domain of f")
+
+
 def test_positive_bounds_take_a_finite_boundary_value_at_zero():
     # -x**1.5 is open at 0, where its own value -0.0 is the limit
     traj, _ = make_run(POS_BG, conflow.power_law(1.5), T=0.2)
@@ -350,19 +359,27 @@ def test_rescale_check_of_a_one_record_run(monkeypatch):
     assert rep.measured == {"sup_gap": 0.0, "matched_records": 1}
 
 
-def test_rescale_check_of_a_run_that_left_the_domain(monkeypatch):
-    # an unstable Euler step takes S out of power(1.5)'s domain (0, inf):
-    # the last A is NaN, and the companion leaves the domain before its
-    # predicted horizon.  Its rescaled times stay finite to its last record,
-    # so the three normalized records past them are counted as unmatched
+def left_domain_run():
+    """An unstable Euler step takes S out of power(1.5)'s domain (0, inf):
+    the run ends ``f_domain_violation`` after 21 records, the last with NaN
+    f-columns."""
     g = grid1d(N=32)
     bg = Background(field_from_spec(g, "sinusoidal:0.3,0.28,0"))
     u0 = ScalarField.constant(g, 1.0)
     dt = 1.5 * stable_dt(bg, ConformalState(u0), power_law(1.5), safety=1.0)
+    assert dt == 0.008437125961221757
     traj = run(RunConfig(background=bg, f=power_law(1.5), u0=u0, T_final=2.0, dt=dt,
                          scheme="euler", stop_tol=0.0, log_cadence=3))
     assert (traj.termination, traj.n_records) == ("f_domain_violation", 21)
     assert math.isnan(traj.columns["A"][-1])
+    return traj
+
+
+def test_rescale_check_of_a_run_that_left_the_domain(monkeypatch):
+    # the companion leaves the domain before its predicted horizon.  Its
+    # rescaled times stay finite to its last record, so the three
+    # normalized records past them are counted as unmatched
+    traj = left_domain_run()
     rep, n_runs = _counted_rescale_check(monkeypatch, traj)
     assert (rep.passed, n_runs) == (False, 1)
     assert rep.notes == ("rescaled run covers 18 of 21 normalized records"
@@ -485,6 +502,60 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
         rebuild(traj, snaps)
 
 
+def first_records(traj, k):
+    """The trajectory of ``traj``'s first ``k`` records."""
+    return Trajectory(config=traj.config, termination=traj.termination,
+                      columns={c: v[:k] for c, v in traj.columns.items()},
+                      snapshots=traj.snapshots[:k], vol_pre=traj.vol_pre[:k])
+
+
+def test_no_verdict_on_the_nan_record_of_a_run_that_left_the_domain():
+    # the terminal record's A is NaN, so the envelope margins are NaN
+    traj = left_domain_run()
+    rep = dg.check_positive_S_bounds(traj)
+    assert rep.passed is None
+    assert rep.notes == ("f(0) taken as the boundary limit; no verdict on non-finite measured"
+                         " min_envelope_margin, a_observed, a_certificate_margin")
+    assert dg.check_positive_S_bounds(first_records(traj, 20)).passed is True
+    # a finite failure stays one
+    assert dg.check_minmax_principle(traj).passed is False
+
+
+def doctored_last_record(f, snapshot):
+    """A negative-background run of ``f`` with its last record replaced by
+    ``snapshot``, and the same run without that record."""
+    traj, _ = make_run(NEG_BG, f, N=32, T=0.1, dt=1e-3, cadence=5, stop_tol=0.0)
+    snaps = traj.snapshots.copy()
+    snaps[-1] = snapshot(traj.config.background.grid.axis_coordinates(0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a run: A may be inf
+        return rebuild(traj, snaps), rebuild(traj, snaps[:-1], times=traj.times[:-1])
+
+
+def test_no_verdict_on_a_record_outside_the_domain_of_f():
+    # S reaches -29.9, under the open end -3 of the domain: A and fSA_sup are NaN
+    traj, before = doctored_last_record(reciprocal(3.0), lambda x: 1.0 + 0.5 * np.cos(x))
+    rep = dg.compare_decay(traj)
+    assert rep.passed is None and math.isnan(rep.measured["envelope_margin"])
+    assert rep.notes == "no verdict on non-finite measured envelope_margin"
+    assert dg.compare_decay(before).passed is True
+
+
+def test_no_verdict_on_a_record_whose_f_overflows():
+    # S reaches -1252.5, inside the domain of exp(-x), where f(S) overflows: A = inf
+    traj, _ = doctored_last_record(expdecay(1.0), lambda x: 1.0 + 0.5 * np.cos(8 * x))
+    assert traj.columns["Smin"][-1] < -1252.0 and traj.columns["A"][-1] == math.inf
+    with np.errstate(all="ignore"):
+        reports = dg.run_checks(traj, traj.config.background, traj.config.f,
+                                ["minmax", "decay", "u_bounds", "identities"])
+    assert [(r.id, r.passed, r.notes) for r in reports] == [
+        ("minmax_principle", False, ""),
+        ("exponential_decay", None, "no verdict on non-finite measured envelope_margin"),
+        ("conformal_factor_bounds", None,
+         "no verdict on non-finite measured dudt_envelope_margin"),
+        ("evolution_identities", None, "no verdict on non-finite measured A, int|f-A|^2"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Determinism and gates
 # ---------------------------------------------------------------------------
@@ -507,6 +578,13 @@ def test_gates_report_inconclusive(neg_run, pos_run, flat_run):
     assert dg.check_stationary_limit(pos).passed is None
     mixed_traj, _ = make_run("sinusoidal:0.0,0.2,0", classical(), T=0.02, N=32)
     assert dg.check_u_bounds(mixed_traj).passed is None
+    off_one, _ = make_run(POS_BG, expdecay(1.0), u0spec="sinusoidal:1.0,0.2,0", T=0.02, N=32)
+    rep = dg.check_u_bounds(off_one)
+    assert (rep.passed, rep.notes) == (None, "positive-case band assumes u(0) = 1")
+    two_records, _ = make_run(NEG_BG, classical(), T=0.01, N=32, cadence=10**6)
+    assert two_records.n_records == 2
+    rep = dg.check_evolution_identities(two_records)
+    assert (rep.passed, rep.notes) == (None, "need at least 3 records")
     nn_cfg = RunConfig(background=neg_bg, f=classical(),
                        u0=ScalarField.constant(neg.config.background.grid, 1.0), T_final=0.1,
                        normalized=False, stop_tol=0.0)
@@ -524,6 +602,17 @@ def test_run_checks_dispatch(neg_run):
     assert all(r.passed is True for r in reports)
     with pytest.raises(ValueError, match="unknown check"):
         dg.run_checks(traj, bg, traj.config.f, ["nope"])
+
+
+@pytest.mark.parametrize("case_tag,extra", [
+    ("negative", ["decay", "stationary"]),
+    ("flat", ["flat_identity"]),
+    ("positive", ["lnhalf", "positive_bounds", "sobolev_info"]),
+    ("mixed", []),
+])
+def test_default_checks_of_each_case(case_tag, extra):
+    # the lists the README documents for a config that names no checks
+    assert dg.default_checks(case_tag) == ["minmax", "identities", "u_bounds", *extra]
 
 
 def test_run_checks_rejects_unknown_names_before_running(neg_run, monkeypatch):
@@ -632,6 +721,33 @@ def test_stationary_limit_fails_with_loose_stop():
     assert traj.termination == "stationary"
     rep = dg.check_stationary_limit(traj)
     assert rep.passed is False
+
+
+STATIONARY_STOP_TOLS = (1e-8, 1e-6, 1e-4, 1e-2)
+
+
+@pytest.mark.parametrize("f,passing_tols", [
+    (classical(), {1e-8}),
+    (expdecay(1.0), {1e-8, 1e-6}),
+    (reciprocal(3.0, 2.0), {1e-8}),
+], ids=["classical", "expdecay", "reciprocal"])
+def test_stationary_limit_from_the_final_record(f, passing_tols):
+    # configs/negative.json's background: the preimage of A is one Newton
+    # step from the final mean curvature, within 1e-12 of solving f(s) = A
+    # wherever the check passes, and exactly -A for f(x) = -x
+    for stop_tol in STATIONARY_STOP_TOLS:
+        for N in (32, 64):
+            traj, _ = make_run(NEG_BG, f, N=N, T=20.0, stop_tol=stop_tol)
+            assert traj.termination == "stationary"
+            rep = dg.check_stationary_limit(traj)
+            assert rep.passed is (stop_tol in passing_tols), (stop_tol, N)
+            A, s_star = traj.columns["A"][-1], rep.predicted["f_inverse_of_A"]
+            if rep.passed:
+                assert abs(float(f.eval_f(s_star)) - A) <= 1e-12 * max(1.0, abs(A))
+            if f.name == "classical":
+                assert s_star == -A
+            S = scalar_curvature_values(traj.config.background, traj.snapshots[-1])
+            assert rep.measured["max_dev_from_f_inverse"] == float(np.abs(S - s_star).max())
 
 
 def test_rescale_comparison_detects_mismatch(neg_run):

@@ -723,6 +723,18 @@ def test_run_stage_failures_keep_their_tags(kind, termination, notes):
     assert np.array_equal(traj.snapshots, states[logged])
 
 
+@pytest.mark.filterwarnings("error")
+def test_single_state_entry_points_silence_overflow_and_refuse_a_zero_diffusivity():
+    # at u = 1e200 the curvature's products overflow, and u^(1-beta)
+    # underflows so max kappa is 0: the step would be infinite
+    g = grid1d(N=16)
+    bg = Background(field_from_spec(g, "constant:-1.0"))
+    u = ScalarField(g, 1e200 * (1.0 + 0.1 * np.sin(g.axis_coordinates(0))))
+    frechet_apply(bg, u, ScalarField.constant(g, 1.0), classical())
+    with pytest.raises(OverflowError, match="zero diffusivity: max kappa = 0"):
+        stable_dt(bg, ConformalState(u), classical())
+
+
 def test_an_infinite_diffusivity_ends_the_run(monkeypatch):
     # at S = -354.6, f = exp(-2 S) is finite but f' overflows to -inf: the
     # adaptive step would be 0 and t would never advance.  A small step
@@ -838,6 +850,10 @@ def test_config_validation():
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, safety=1.5)
     with pytest.raises(ValueError, match="scheme"):
         RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, scheme="ab2")
+    with pytest.raises(ValueError, match="log_cadence"):
+        RunConfig(background=bg, f=classical(), u0=u0, T_final=1.0, log_cadence=0)
+    with pytest.raises(ValueError, match="background grid"):
+        RunConfig(background=bg, f=classical(), u0=ScalarField.constant(grid1d(N=64), 1.0))
     # a document with no time section takes RunConfig's defaults, every one
     doc = {"grid": {"ambient_n": 4, "points": [32], "periods": [TWO_PI]},
            "background": "constant:-1.0", "u0": "constant:1", "f": {"name": "classical"}}
@@ -1025,6 +1041,11 @@ def test_hamilton_rescale_guards():
     foreign = dataclasses.replace(traj, config=dataclasses.replace(traj.config, f=expdecay(1.0)))
     with pytest.raises(ValueError, match="homogeneity"):
         hamilton_rescale(foreign)
+    # a declared degree is tested, not trusted
+    wrong = dataclasses.replace(classical(), alpha_homogeneous=2.0)
+    misdeclared = dataclasses.replace(traj, config=dataclasses.replace(traj.config, f=wrong))
+    with pytest.raises(ValueError, match="is not 2-homogeneous"):
+        hamilton_rescale(misdeclared)
     norm_cfg = RunConfig(background=bg, f=classical(),
                          u0=ScalarField.constant(g, 1.0), T_final=0.1, stop_tol=0.0)
     with pytest.raises(ValueError, match="non-normalized"):

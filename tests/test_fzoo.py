@@ -5,6 +5,7 @@ import pytest
 
 from conflow.fzoo import (
     FSpec,
+    Growth,
     Interval,
     classical,
     expdecay,
@@ -66,6 +67,32 @@ def test_increasing_candidate_flagged():
 def test_table_rejects_increasing_data():
     with pytest.raises(ValueError, match="not strictly decreasing"):
         from_table([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("xs,fs,message", [
+    ([0.0, 1.0], [1.0, 0.0], "at least 3 matching"),
+    ([0.0, 2.0, 1.0], [2.0, 1.0, 0.0], "strictly increasing"),
+], ids=["two_pairs", "x_not_increasing"])
+def test_table_rejects_malformed_pairs(xs, fs, message):
+    with pytest.raises(ValueError, match=message):
+        from_table(xs, fs)
+
+
+@pytest.mark.parametrize("mu,nu,kappa,message", [
+    (-1.0, 0.0, 1.0, "nonnegative"),
+    (1.0, -1.0, 1.0, "nonnegative"),
+    (1.0, 0.0, 0.5, "kappa must be >= 1"),
+], ids=["mu", "nu", "kappa"])
+def test_growth_certificate_rejects_bad_constants(mu, nu, kappa, message):
+    with pytest.raises(ValueError, match=message):
+        Growth(mu, nu, kappa)
+
+
+def test_homogeneity_check_needs_a_triple_inside_the_domain():
+    # every sample triple has positive entries: a negative domain holds none
+    f = from_table([-3.0, -2.0, -1.0], [3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="no admissible homogeneity triples"):
+        homogeneity_check(f, 1.0)
 
 
 def test_table_accepts_decreasing_and_differentiates():

@@ -90,7 +90,10 @@ REPORTS = {
     "flat": "2c85331fde741ca8ab6f701766bcebd5adb001cc4b9a15ab4b9fcbc6691bffe9",
     "negative_euler_fixed": "5e1417143506bd20a6e47dd57ac82d0b3e8422eed3fef41531ae5904c34cb50d",
     "negative_horizon": "442364dcd6e91be6bcdfa82ac8caa5ef8edbcb15a9bd7a833e20207a671eae24",
-    "negative_stationary": "fdc6817cb8c0de92a09bbf5e01d4e8f488861d8fd210563384832dab0a49bd13",
+    # re-pinned when the stationary check took f's preimage of A as one
+    # Newton step from the final record (f_inverse_of_A -1.508887442152949 ->
+    # -1.5088874421527156, exactly -A; still FAIL on S_spread 1.83e-6)
+    "negative_stationary": "40363b3dc8a7946da9e210c86c3089e00c97643be0d6220ffac743847b1f6af4",
     # re-pinned when positive_curvature_bounds' note lost its trailing ";"
     "positive": "6d6acbabe6b0364944d4aa322d4a6c427405fb714d97174c74f0510b3ef98ba3",
 }

@@ -335,6 +335,9 @@ def test_gridspec_validation():
         GridSpec(4, 4, (8, 8, 8, 8), (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         GridSpec(3, 1, (64,), (-1.0,))
+    for points, periods in (((64, 64), (1.0,)), ((64,), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="one entry per active axis"):
+            GridSpec(4, 1, points, periods)
 
 
 def test_field_rejects_nonfinite(g128):
@@ -366,6 +369,9 @@ def test_field_from_spec(g128):
         field_from_spec(g128, "weird:1")
     with pytest.raises(ValueError):
         field_from_spec(g128, "sinusoidal:1.0,0.3,5")
+    for spec in ("sinusoidal:1.0,0.3", "sinusoidal:1.0,0.3,0,0.0,1.0"):
+        with pytest.raises(ValueError, match="needs mean,amplitude,axis"):
+            field_from_spec(g128, spec)
 
 
 def test_snapshot_roundtrip(tmp_path, g128):
@@ -387,6 +393,17 @@ def test_snapshot_grid_mismatch(tmp_path, g128):
     write_field(path, f)
     with pytest.raises(GridMismatchError):
         read_field(path, grid1d(N=64))
+
+
+def test_snapshot_refuses_a_foreign_or_short_file(tmp_path, g128):
+    path = tmp_path / "snap.field"
+    path.write_bytes(b"not-a-field n=4\n" + bytes(8 * 128))
+    with pytest.raises(ValueError, match="bad magic"):
+        read_field(path)
+    write_field(path, ScalarField.constant(g128, 1.0))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="payload has 127 values, expected 128"):
+        read_field(path, g128)
 
 
 def test_snapshot_standalone_read(tmp_path):
