@@ -2,9 +2,10 @@
 
 Every checker is a pure function of the trajectory, which carries the
 background and f in ``traj.config``; rerunning it yields a bit-identical
-report.  Checkers never raise on a failing property; they return a
-TheoremReport whose ``passed`` field is True, False, or None (inconclusive,
-for misapplied hypotheses or fits that explain the data poorly).
+report.  A check never raises or warns: it returns a TheoremReport whose
+``passed`` is True, False or None (inconclusive: a misapplied hypothesis, a
+poor fit, a checker that could not run), decided by its registration
+(``_check``), so a direct call reports what ``run_checks`` does.
 
 Discretization slack: the theorem inequalities hold in the continuum; the
 min/max checks use an additive tolerance 1e-6 + 3e-3 * h**2.  The h**2
@@ -23,8 +24,8 @@ strictly increasing times: the one bad record a checker meets is one outside f's
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,22 +116,19 @@ def _stamp(report: TheoremReport, report_id: str, traj: Trajectory) -> TheoremRe
     return report
 
 
-class _Check(NamedTuple):
-    report_id: str
-    checker: str  # the module attribute, looked up when called so a patched one is used
-
-
-# Every check by short name, in definition order (the order help texts list them)
-_CHECKS: dict[str, _Check] = {}
+# Every check's registered callable by short name, in definition order (the
+# order help texts list them)
+_CHECKS: dict[str, Callable[[Trajectory], TheoremReport]] = {}
 
 
 def _check(name: str, report_id: str, normalized_only: bool = True):
-    """Register the decorated checker as check ``name``.  Every report it
-    returns carries ``report_id`` and the trajectory's segment; unless
-    ``normalized_only`` is False, a trajectory that is not normalized is
-    reported inconclusive without running the checker.  No verdict rests on
-    a non-finite measurement: a report whose ``measured`` holds a NaN or
-    infinite float is inconclusive, with a note naming those quantities."""
+    """Register the decorated checker as check ``name``, for ``run_checks``
+    and a direct call alike.  Unless ``normalized_only`` is False, a
+    trajectory that is not normalized is inconclusive without running the
+    checker; it runs with floating-point warnings off, and an exception it
+    raises is the inconclusive "checker could not run: <exc>".  A report
+    whose ``measured`` holds a NaN or infinite float is inconclusive, with a
+    note naming them.  Every report carries ``report_id`` and the segment."""
     def register(checker):
         @functools.wraps(checker)
         def stamped(traj):
@@ -138,7 +136,11 @@ def _check(name: str, report_id: str, normalized_only: bool = True):
                 report = TheoremReport(None, notes="requires a normalized trajectory,"
                                                    f" got {traj.kind}")
             else:
-                report = checker(traj)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        report = checker(traj)
+                except Exception as exc:  # report, never throw
+                    report = TheoremReport(None, notes=f"checker could not run: {exc}")
             bad = [k for k, v in report.measured.items()
                    if isinstance(v, float) and not math.isfinite(v)]
             if bad:
@@ -146,7 +148,8 @@ def _check(name: str, report_id: str, normalized_only: bool = True):
                 report.passed = None
                 report.notes = f"{report.notes}; {note}" if report.notes else note
             return _stamp(report, report_id, traj)
-        _CHECKS[name] = _Check(report_id, checker.__name__)
+        stamped.report_id = report_id
+        _CHECKS[name] = stamped
         return stamped
     return register
 
@@ -554,7 +557,9 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
     envelope S_min(0) * exp(a t), a the running minimum of the shifted mean.
     For f bounded below, S_max stays under S_max(0) * exp(C t) with C the
     observed supremum of the shifted mean (the growth constant is not pinned
-    a priori; the report states which C was used)."""
+    a priori; the report states which C was used).  A growth certificate of
+    kappa <= n/2 bounds a by -(mu * ||S(0)||_(n/2)**kappa + nu') (Hoelder at
+    unit volume); for kappa > n/2 that part is left out with a note."""
     smin = traj.columns["Smin"]
     smax = traj.columns["Smax"]
     if float(smin[0]) <= 0.0:
@@ -586,7 +591,10 @@ def check_positive_S_bounds(traj: Trajectory) -> TheoremReport:
         notes.append("C taken as the observed supremum of the mean of f(S)-inf f"
                      " (no a-priori constant is available)")
 
-    if f.growth is not None:
+    if f.growth is not None and f.growth.kappa > 0.5 * traj.config.background.n:
+        notes.append(f"growth certificate left out: its bound on a needs kappa <= n/2,"
+                     f" got kappa = {f.growth.kappa:g}")
+    elif f.growth is not None:
         nu_shift = max(f.growth.nu + f0, 0.0)
         a_pred = -(f.growth.mu * float(traj.columns["lpn2"][0]) ** f.growth.kappa + nu_shift)
         predicted["a_from_growth_certificate"] = a_pred
@@ -691,10 +699,9 @@ def check_rescale_equivalence(traj: Trajectory) -> TheoremReport:
     t, A = traj.times, traj.columns["A"]
     if len(A) > 1 and not math.isfinite(A[-1]):
         A = np.append(A[:-1], A[-2])
-    with np.errstate(over="ignore", invalid="ignore"):
-        dt_dtau = np.exp(f.alpha_homogeneous * cumtrapz(A, t))
-        horizon = float(cumtrapz(dt_dtau, t)[-1]
-                        + RESCALE_MARGIN * traj.columns["dt"].max() * dt_dtau[-1])
+    dt_dtau = np.exp(f.alpha_homogeneous * cumtrapz(A, t))
+    horizon = float(cumtrapz(dt_dtau, t)[-1]
+                    + RESCALE_MARGIN * traj.columns["dt"].max() * dt_dtau[-1])
     for _ in range(RESCALE_RERUNS + 1):
         # T = 0 needs only the first state; inf, a failure or the step budget
         T_final = max(horizon, math.ulp(0.0)) if horizon < math.inf else np.finfo(float).max
@@ -791,21 +798,13 @@ def require_known_checks(names: list[str]):
 
 def run_checks(traj: Trajectory, bg: Background, f: FSpec,
                names: list[str]) -> list[TheoremReport]:
-    """Dispatch checks by short name.  The checks read the background and f
-    from ``traj.config``; ``bg`` and ``f`` must be those, and unknown names or
-    a foreign ``bg`` or ``f`` raise ValueError before any check runs.  A
-    checker that cannot evaluate its hypotheses, or fails in any other way,
-    reports inconclusive instead of raising."""
+    """Dispatch checks by short name; each report is the one a direct call
+    of the check gives (see ``_check``), never an exception.  The checks read
+    the background and f from ``traj.config``; ``bg`` and ``f`` must be those,
+    and unknown names or a foreign ``bg`` or ``f`` raise ValueError before
+    any check runs."""
     require_known_checks(names)
     if bg != traj.config.background or f != traj.config.f:
         raise ValueError("the checks read the background and f from the trajectory's"
                          " config; bg and f must be the trajectory's own")
-    reports = []
-    for name in names:
-        check = _CHECKS[name]
-        try:
-            reports.append(globals()[check.checker](traj))
-        except Exception as exc:  # report, never throw
-            reports.append(_stamp(TheoremReport(None, notes=f"checker could not run: {exc}"),
-                                  check.report_id, traj))
-    return reports
+    return [_CHECKS[name](traj) for name in names]

@@ -17,8 +17,8 @@ Built-ins:
     table                monotone-cubic interpolant of (x, f) pairs
 
 Construction rejects any candidate whose sampled derivative is >= 0 anywhere
-on the declared domain; monotonicity is certified by dense sampling, not
-symbolic proof, since f is user-extensible.
+on the declared domain or at a closed finite end of it; monotonicity is
+certified by dense sampling, not symbolic proof, since f is user-extensible.
 """
 
 from __future__ import annotations
@@ -108,13 +108,17 @@ class FSpec:
 def _certify_decreasing(f: FSpec, rng: np.random.Generator | None = None) -> FSpec:
     lo = max(f.domain.lo, -_CERT_WINDOW)
     hi = min(f.domain.hi, max(lo + 2.0 * _CERT_WINDOW, _CERT_WINDOW))
-    # midpoints only, so open endpoints are never touched
+    # midpoints, so open endpoints are never touched
     t = (np.arange(_CERT_SAMPLES) + 0.5) / _CERT_SAMPLES
     pts = lo + (hi - lo) * t
     if rng is not None:
         extra = rng.uniform(1e-9, 1.0 - 1e-9, size=_CERT_SAMPLES // 10)
         pts = np.concatenate([pts, lo + (hi - lo) * extra])
-    fp = f.eval_fp(pts)
+    # and every closed finite end, where parabolicity needs f' < 0 as well
+    d = f.domain
+    ends = [x for x, closed in ((d.lo, d.closed_lo), (d.hi, d.closed_hi))
+            if closed and math.isfinite(x)]
+    fp = f.eval_fp(np.concatenate([pts, ends]))
     if not np.all(np.isfinite(fp)) or fp.max() >= 0.0:
         raise ValueError(f"{f.name}: sampled derivative is >= 0 somewhere on {f.domain}")
     return f

@@ -903,6 +903,8 @@ def _set(cfg, path, value):
     pytest.param("f", {"name": "power", "kappa": 1e308}, id="f-power_overflows"),
     pytest.param("f", {"name": "table", "x": [-1e308, 0, 1e308], "f": [4, 0, -4]},
                  id="f-table_overflows"),
+    pytest.param("f", {"name": "table", "x": [0, 1, 2], "f": [0, -0.1, -10]},
+                 id="f-table_flat_at_a_closed_end"),
     pytest.param("checks", ["minmax", "nope"], id="checks-an_unknown_name"),
     pytest.param("grid", [1], id="grid-a_list"),
     pytest.param("time.dt", {"policy": "fixed"}, id="time.dt-fixed_without_dt"),

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,12 +422,26 @@ def test_sup_gap_of_the_factors_is_the_gap_of_the_rescaled_stack():
     assert dg.compare_rescaled(traj, nn).predicted == {"alpha": 1.0}
 
 
+# The direct entry of every check, by its short name
+DIRECT = {
+    "minmax": dg.check_minmax_principle,
+    "decay": dg.compare_decay,
+    "u_bounds": dg.check_u_bounds,
+    "identities": dg.check_evolution_identities,
+    "lnhalf": dg.check_Lnhalf_monotone,
+    "positive_bounds": dg.check_positive_S_bounds,
+    "flat_identity": dg.check_flat_identity,
+    "rescale": dg.check_rescale_equivalence,
+    "stationary": dg.check_stationary_limit,
+    "sobolev_info": dg.sobolev_program_series,
+}
+
+
 def test_every_checker_takes_the_trajectory_alone():
     traj, _ = make_run(NEG_BG, classical(), T=0.2, N=32, stop_tol=0.0)
     reports = dg.run_checks(traj, traj.config.background, traj.config.f, list(dg.CHECK_NAMES))
-    for (name, check), rep in zip(dg._CHECKS.items(), reports):
-        checker = getattr(dg, check.checker)
-        assert repr(checker(traj).to_dict()) == repr(rep.to_dict()), name
+    for name, rep in zip(dg.CHECK_NAMES, reports):
+        assert repr(DIRECT[name](traj).to_dict()) == repr(rep.to_dict()), name
 
 
 def test_run_checks_rejects_a_foreign_background_or_f(neg_run, monkeypatch):
@@ -434,7 +449,7 @@ def test_run_checks_rejects_a_foreign_background_or_f(neg_run, monkeypatch):
     # before any checker runs
     traj, bg = neg_run
     ran = []
-    monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
+    monkeypatch.setitem(dg._CHECKS, "minmax", lambda *a: ran.append(a))
     fresh_bg = Background(field_from_spec(bg.grid, NEG_BG))
     for foreign in ((bg, classical()), (fresh_bg, traj.config.f)):
         with pytest.raises(ValueError, match="must be the trajectory's own"):
@@ -477,15 +492,21 @@ def test_report_leaves_are_json_scalars(neg_run, pos_run, flat_run):
                        for leaf in leaves(rep.to_dict())), rep.id
 
 
+def record_6_outside_the_domain():
+    """A negative-background run of ``reciprocal(3.0)`` and its snapshots with
+    record 6 replaced by one whose curvature leaves f's domain."""
+    traj, _ = make_run(NEG_BG, reciprocal(3.0), N=32, T=0.1, dt=1e-3, cadence=5, stop_tol=0.0)
+    snaps = traj.snapshots.copy()
+    snaps[6] = 1.0 + 0.5 * np.cos(traj.config.background.grid.axis_coordinates(0))
+    return traj, snaps
+
+
 def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     # record 6 leaves the domain (-3, inf) of f; with four records per
     # block it sits inside the second block
     monkeypatch.setattr(conflow.grid, "BLOCK_NODES", 4 * 32)
-    f = reciprocal(3.0)
-    traj, bg = make_run(NEG_BG, f, N=32, T=0.1, dt=1e-3, cadence=5, stop_tol=0.0)
-    x = traj.config.background.grid.axis_coordinates(0)
-    snaps = traj.snapshots.copy()
-    snaps[6] = 1.0 + 0.5 * np.cos(x)
+    traj, snaps = record_6_outside_the_domain()
+    bg, f = traj.config.background, traj.config.f
     S = scalar_curvature_values(bg, snaps[6])
     assert S.min() < -3.0
     domain_note = (f"checker could not run: f-domain violation: S range"
@@ -494,6 +515,8 @@ def test_out_of_domain_record_gives_the_record_by_record_note(monkeypatch):
     rep = dg.check_evolution_identities(rebuild(traj, snaps))
     assert rep.passed is None and rep.notes == "record 6 leaves the domain of f"
     [rep] = dg.run_checks(rebuild(traj, snaps), bg, f, ["u_bounds"])
+    assert rep.passed is None and rep.notes == domain_note
+    rep = dg.check_u_bounds(rebuild(traj, snaps))
     assert rep.passed is None and rep.notes == domain_note
 
     # a nonpositive record never reaches a checker: no Trajectory holds one
@@ -544,9 +567,8 @@ def test_no_verdict_on_a_record_whose_f_overflows():
     # S reaches -1252.5, inside the domain of exp(-x), where f(S) overflows: A = inf
     traj, _ = doctored_last_record(expdecay(1.0), lambda x: 1.0 + 0.5 * np.cos(8 * x))
     assert traj.columns["Smin"][-1] < -1252.0 and traj.columns["A"][-1] == math.inf
-    with np.errstate(all="ignore"):
-        reports = dg.run_checks(traj, traj.config.background, traj.config.f,
-                                ["minmax", "decay", "u_bounds", "identities"])
+    reports = dg.run_checks(traj, traj.config.background, traj.config.f,
+                            ["minmax", "decay", "u_bounds", "identities"])
     assert [(r.id, r.passed, r.notes) for r in reports] == [
         ("minmax_principle", False, ""),
         ("exponential_decay", None, "no verdict on non-finite measured envelope_margin"),
@@ -554,6 +576,46 @@ def test_no_verdict_on_a_record_whose_f_overflows():
          "no verdict on non-finite measured dudt_envelope_margin"),
         ("evolution_identities", None, "no verdict on non-finite measured A, int|f-A|^2"),
     ]
+
+
+def test_a_direct_call_reports_what_run_checks_reports(neg_run, pos_run, flat_run):
+    # the registration decides every report: a checker that raises or meets
+    # a non-finite value reports the same by either entry, and warns in neither
+    assert list(DIRECT) == list(dg.CHECK_NAMES)
+    traj, snaps = record_6_outside_the_domain()
+    overflowing, _ = doctored_last_record(expdecay(1.0), lambda x: 1.0 + 0.5 * np.cos(8 * x))
+    cases = [neg_run[0], pos_run[0], flat_run[0], rebuild(traj, snaps), overflowing]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in cases:
+            by_name = dg.run_checks(case, case.config.background, case.config.f,
+                                    list(dg.CHECK_NAMES))
+            for name, rep in zip(dg.CHECK_NAMES, by_name):
+                assert repr(DIRECT[name](case).to_dict()) == repr(rep.to_dict()), name
+
+
+# a_certificate_margin on both backgrounds (N=64, T=2); None where kappa > n/2
+@pytest.mark.parametrize("bgspec,kappa,margin", [
+    ("sinusoidal:1.0,0.5,0", 1.5, 0.0449), ("sinusoidal:1.0,0.5,0", 2.0, 0.0),
+    ("sinusoidal:1.0,0.5,0", 3.0, None), ("sinusoidal:1.0,0.5,0", 4.0, None),
+    ("sinusoidal:1.0,0.9,0", 1.5, 0.1311), ("sinusoidal:1.0,0.9,0", 2.0, 0.0),
+    ("sinusoidal:1.0,0.9,0", 3.0, None), ("sinusoidal:1.0,0.9,0", 4.0, None),
+])
+def test_growth_certificate_needs_kappa_at_most_n_over_2(bgspec, kappa, margin):
+    # a >= -(mu ||S(0)||^kappa + nu') holds for kappa <= n/2 (Hoelder at unit
+    # volume), with equality at t = 0 for kappa = n/2 = 2; past n/2 the
+    # certificate is left out and the envelopes keep their verdicts
+    traj, _ = make_run(bgspec, power_law(kappa), T=2.0, N=64)
+    rep = dg.check_positive_S_bounds(traj)
+    assert rep.passed is True and rep.measured["min_envelope_margin"] == dg.EXACT_TOL
+    if margin is not None:
+        assert rep.notes == "f(0) taken as the boundary limit"
+        assert rep.measured["a_certificate_margin"] == pytest.approx(margin, abs=1e-4)
+    else:
+        assert rep.notes == ("f(0) taken as the boundary limit; growth certificate left out:"
+                             f" its bound on a needs kappa <= n/2, got kappa = {kappa:g}")
+        assert "a_certificate_margin" not in rep.measured
+        assert "a_from_growth_certificate" not in rep.predicted
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +680,7 @@ def test_default_checks_of_each_case(case_tag, extra):
 def test_run_checks_rejects_unknown_names_before_running(neg_run, monkeypatch):
     traj, bg = neg_run
     ran = []
-    monkeypatch.setattr(dg, "check_minmax_principle", lambda *a: ran.append(a))
+    monkeypatch.setitem(dg._CHECKS, "minmax", lambda *a: ran.append(a))
     with pytest.raises(ValueError, match="unknown check 'bogus'"):
         dg.run_checks(traj, bg, traj.config.f, ["minmax", "bogus"])
     assert ran == []
@@ -630,7 +692,8 @@ def test_run_checks_reports_checker_value_error_inconclusive(neg_run, monkeypatc
     def broken(*args):
         raise ValueError("boom")
 
-    monkeypatch.setattr(dg, "check_minmax_principle", broken)
+    monkeypatch.setattr(dg, "_CHECKS", dict(dg._CHECKS))  # registered for this test only
+    dg._check("minmax", "minmax_principle")(broken)
     reports = dg.run_checks(traj, bg, traj.config.f, ["minmax", "u_bounds"])
     assert reports[0].passed is None and "boom" in reports[0].notes
     assert reports[1].passed is True
@@ -642,7 +705,8 @@ def test_a_checker_that_raises_is_reported_under_its_registered_id(neg_run, monk
     def broken(traj):
         raise ValueError("boom")
 
-    monkeypatch.setattr(dg, "check_minmax_principle", broken)
+    monkeypatch.setattr(dg, "_CHECKS", dict(dg._CHECKS))  # registered for this test only
+    dg._check("minmax", "minmax_principle")(broken)
     [rep] = dg.run_checks(traj, bg, traj.config.f, ["minmax"])
     assert (rep.id, rep.passed, rep.notes) == ("minmax_principle", None,
                                                "checker could not run: boom")

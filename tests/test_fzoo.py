@@ -78,6 +78,17 @@ def test_table_rejects_malformed_pairs(xs, fs, message):
         from_table(xs, fs)
 
 
+@pytest.mark.parametrize("xs,fs", [
+    ([0.0, 1.0, 2.0], [0.0, -0.1, -10.0]),
+    ([0.0, 1.0, 2.0, 3.0], [10.0, 9.9, 0.0, -0.1]),
+], ids=["flat_at_the_low_end", "flat_at_both_ends"])
+def test_table_rejects_a_zero_slope_at_a_closed_end(xs, fs):
+    # the interpolant's end slope is 0 there, where its domain is closed:
+    # the flow there would not be parabolic
+    with pytest.raises(ValueError, match=r"derivative is >= 0 somewhere on \[0, "):
+        from_table(xs, fs)
+
+
 @pytest.mark.parametrize("mu,nu,kappa,message", [
     (-1.0, 0.0, 1.0, "nonnegative"),
     (1.0, -1.0, 1.0, "nonnegative"),
